@@ -421,7 +421,7 @@ def _cmd_verify(ns) -> int:
     try:
         ivp = integrate_reduction(prof.coeffs, prof.phi(mid), prof.phi_prime(mid),
                                   span=(lo, hi), z0=mid, tol=ns.oracle_tol)
-        oracle_dev = float(max(abs(prof.phi(z) - ivp.phi(z)) for z in zs))
+        oracle_dev = float(np.max(np.abs(prof.phi(zs) - ivp.phi(zs))))
     except (BlowUp, StiffnessFailure) as e:
         # the true solution through this data does not stay on the profile;
         # that is a failed verification, not bad input
@@ -431,7 +431,7 @@ def _cmd_verify(ns) -> int:
     if prof.coeffs.variant is Variant.RAYLEIGH:
         # xi = phi'^-2 squares away small phi', so an absolute tolerance is
         # only meaningful where phi' is not tiny
-        chain_zs = [z for z in zs if abs(prof.phi_prime(z)) >= 0.05]
+        chain_zs = zs[np.abs(prof.phi_prime(zs)) >= 0.05]
         chain_ok = bernoulli_chain_check(prof.coeffs, prof, chain_zs, tol=ns.tol)
 
     structure = synthesize_structure(prof.coeffs, ns.m, lam)

@@ -23,16 +23,18 @@ on a reported validity interval.  Families:
     sign-flipped relation phi^2 = -(2/3)(int d/a + C) is also constructible
     (square_relation="direct") but does not satisfy the ODE and exists so
     tests can demonstrate that failure.  For k1 != 0 the profile is defined
-    implicitly and recovered per z by bracketed root finding on the
-    monotone branch selected by phi(z0).
+    implicitly and recovered for a whole array of z at once by a bracketed
+    Newton iteration on the monotone branch selected by phi(z0).
 ``vdp_explicit``
     constant-coefficient Van der Pol profile
     phi(z) = 1 / sqrt(K e^{(2c/a) z} + d/(3c)).
 ``series``
     truncated power series (constructed by the series module).
 
-Profiles carry phi, phi' and an analytic phi''; lifting to a multitime
-field via ``as_multitime`` uses the chain rule du/dt^a = -lambda_a phi'.
+Profiles carry phi, phi' and an analytic phi''.  Each takes z of shape
+(N,) and returns an array of the same shape, or a Python float for a
+scalar z.  Lifting to a multitime field via ``as_multitime`` uses the chain
+rule du/dt^a = -lambda_a phi'.
 Evaluation outside the domain raises DomainExceeded; at finite endpoints
 phi itself stays finite for the arc-family profiles while phi' may be
 unbounded there, which is why residual testing keeps a guard band.
@@ -53,6 +55,7 @@ from .coefficients import (
     ReducedCoeffs,
     SpeedVector,
     Variant,
+    _first,
     coeffs_to_json_dict,
     constant_coeffs,
 )
@@ -88,19 +91,39 @@ class Interval:
         if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
             raise BadParameters(f"bad interval [{self.lo}, {self.hi}]")
 
-    def contains(self, z: float) -> bool:
+    def contains(self, z):
+        """Membership with 1e-12 relative slack; a bool, or a bool array for arrays."""
         slack_lo = 0.0 if math.isinf(self.lo) else 1e-12 * max(1.0, abs(self.lo))
         slack_hi = 0.0 if math.isinf(self.hi) else 1e-12 * max(1.0, abs(self.hi))
-        return self.lo - slack_lo <= z <= self.hi + slack_hi
+        inside = np.logical_and(self.lo - slack_lo <= z, z <= self.hi + slack_hi)
+        return bool(inside) if inside.ndim == 0 else inside
 
     def to_json(self):
         return [None if math.isinf(self.lo) else float(self.lo),
                 None if math.isinf(self.hi) else float(self.hi)]
 
 
-def _check_domain(dom: Interval, z: float):
-    if not dom.contains(z):
-        raise DomainExceeded(f"z = {z} outside validity interval [{dom.lo}, {dom.hi}]")
+def _check_domain(dom: Interval, z):
+    outside = np.logical_not(dom.contains(z))
+    if np.any(outside):
+        raise DomainExceeded(f"z = {_first(z, outside)} outside validity "
+                             f"interval [{dom.lo}, {dom.hi}]")
+
+
+def _stacked(fn):
+    """Profile callable over z of shape (N,); a scalar z gives a Python float."""
+    def call(z):
+        z = np.asarray(z, dtype=float)
+        if z.ndim == 0:
+            return float(fn(z.reshape(1))[0])
+        return fn(z)
+    return call
+
+
+def _require_finite(**values):
+    bad = [name for name, v in values.items() if not math.isfinite(v)]
+    if bad:
+        raise BadParameters(f"{', '.join(bad)} must be finite")
 
 
 @dataclass(frozen=True)
@@ -111,22 +134,17 @@ class SolitonProfile:
     params: dict
     lam: SpeedVector
     domain: Interval
-    phi: Callable[[float], float]
-    phi_prime: Callable[[float], float]
-    phi_second: Callable[[float], float] | None = None
+    phi: Callable
+    phi_prime: Callable
+    phi_second: Callable | None = None
     coeffs: ReducedCoeffs | None = None
 
     def sample(self, zs, skip_out_of_domain: bool = True):
         """Evaluate (z, phi, phi') over a grid, dropping out-of-domain z."""
-        kept, vals, ders = [], [], []
-        for z in np.asarray(zs, dtype=float):
-            z = float(z)
-            if skip_out_of_domain and not self.domain.contains(z):
-                continue
-            kept.append(z)
-            vals.append(self.phi(z))
-            ders.append(self.phi_prime(z))
-        return np.array(kept), np.array(vals), np.array(ders)
+        zs = np.asarray(zs, dtype=float).reshape(-1)
+        if skip_out_of_domain:
+            zs = zs[self.domain.contains(zs)]
+        return zs, self.phi(zs), self.phi_prime(zs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,7 +172,8 @@ def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float,
                          max_degree: int = 1024):
     """Antiderivative F(z) = int_anchor^z fn, cached as a Chebyshev series.
 
-    ``fn`` is sampled at Chebyshev points of [lo, hi]; the interpolant is
+    ``fn`` is sampled at all Chebyshev points of [lo, hi] in one call (it
+    takes and returns arrays); the interpolant is
     integrated term by term, and the degree doubles until the coefficient
     tail is negligible.  Smooth integrands resolve to near machine
     precision; non-smooth ones get the highest degree and whatever accuracy
@@ -162,13 +181,9 @@ def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float,
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-
-    def mapped(us):
-        return np.array([float(fn(mid + half * float(u))) for u in np.atleast_1d(us)])
-
     deg = 64
     while True:
-        coef = _cheb.chebinterpolate(mapped, deg)
+        coef = _cheb.chebinterpolate(lambda us: fn(mid + half * us), deg)
         scale = float(np.max(np.abs(coef)))
         if float(np.max(np.abs(coef[-6:]))) <= 1e-13 * max(1.0, scale):
             break
@@ -220,18 +235,19 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
         raise WrongVariant("quadrature family solves the Rayleigh reduction")
     lam = _default_lam(lam)
     lo, hi = float(domain[0]), float(domain[1])
+    K, z0 = float(K), float(z0)
+    _require_finite(K=K, z0=z0, domain_lo=lo, domain_hi=hi)
     if not lo < hi:
         raise BadParameters("domain must satisfy lo < hi")
     if not lo <= z0 <= hi:
         raise BadParameters("anchor z0 must lie inside the requested domain")
-    K = float(K)
     if K <= 0.0:
         raise EmptyDomain("the radicand K - 2G is nonpositive at the anchor")
 
     def build(a_lo, a_hi):
         F, _ = _cheb_antiderivative(lambda s: coeffs.c(s) / coeffs.a(s), a_lo, a_hi, z0)
         G, _ = _cheb_antiderivative(
-            lambda s: coeffs.b(s) / coeffs.a(s) * math.exp(-2.0 * float(F(s))),
+            lambda s: coeffs.b(s) / coeffs.a(s) * np.exp(-2.0 * F(s)),
             a_lo, a_hi, z0)
         return F, G
 
@@ -246,38 +262,92 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
         F, G = build(d_lo, d_hi)
     dom = Interval(d_lo, d_hi)
 
-    def phi_prime(z: float) -> float:
+    @_stacked
+    def phi_prime(z):
         _check_domain(dom, z)
-        rad = K - 2.0 * float(G(z))
-        if rad <= 0.0:
-            raise DomainExceeded(f"radicand nonpositive at z = {z}")
-        return math.exp(-float(F(z))) / math.sqrt(rad)
+        rad = K - 2.0 * G(z)
+        if np.any(rad <= 0.0):
+            raise DomainExceeded(f"radicand nonpositive at z = {_first(z, rad <= 0.0)}")
+        return np.exp(-F(z)) / np.sqrt(rad)
 
     PHI, _ = _cheb_antiderivative(phi_prime, d_lo, d_hi, z0)
 
-    def phi(z: float) -> float:
+    @_stacked
+    def phi(z):
         _check_domain(dom, z)
-        return float(PHI(z))
+        return PHI(z)
 
-    def phi_second(z: float) -> float:
+    @_stacked
+    def phi_second(z):
         # differentiate the closed form: phi'' = (-c/a) phi' + (b/a) phi'^3
         p = phi_prime(z)
         return (-coeffs.c(z) * p + coeffs.b(z) * p ** 3) / coeffs.a(z)
 
-    params = {"K": K, "z0": float(z0), "coeffs": _coeffs_payload(coeffs)}
+    params = {"K": K, "z0": z0, "coeffs": _coeffs_payload(coeffs)}
     return SolitonProfile(Family.QUADRATURE, params, lam, dom,
                           phi, phi_prime, phi_second, coeffs=coeffs)
 
 
-def _arc_common(a, b, c, K, sigma):
-    a, b, c, K = float(a), float(b), float(c), float(K)
+def _arc_common(a, b, c, K, r, sigma):
+    a, b, c, K, r = float(a), float(b), float(c), float(K), float(r)
+    _require_finite(a=a, b=b, c=c, K=K, r=r)
     if a == 0.0 or c == 0.0 or b == 0.0:
         raise BadParameters("arc families need a, b, c all nonzero")
     if K <= 0.0:
         raise BadParameters("K must be positive")
     if sigma not in (1.0, -1.0, 1, -1):
         raise BadParameters("sigma must be +1 or -1")
-    return a, b, c, K, float(sigma)
+    return a, b, c, K, r, float(sigma)
+
+
+def _arc_profile(family, a, b, c, K, r, sigma, lam, dom, phi, phi_prime, phi_second):
+    params = {"a": a, "b": b, "c": c, "K": K, "r": r, "sigma": sigma}
+    return SolitonProfile(family, params, _default_lam(lam), dom,
+                          _stacked(phi), _stacked(phi_prime), _stacked(phi_second),
+                          coeffs=constant_coeffs(a, c, b=b))
+
+
+def _edge_family(family, a, b, c, K, r, sigma, lam) -> SolitonProfile:
+    """The arccosh (c/b > 0, w >= 1) and arcsin (c/b < 0, w <= 1) forms.
+
+    With g = +1 for arccosh and -1 for arcsin, rad = g (w^2 - 1) is positive
+    inside the domain, phi' = -sigma sqrt(g c/b) w / sqrt(rad) and
+    phi'' = -g sigma sqrt(g c/b) (c/a) w rad^-1.5; both are infinite at the
+    edge, where rad <= 0.
+    """
+    a, b, c, K, r, sigma = _arc_common(a, b, c, K, r, sigma)
+    cosh = family is Family.ARCCOSH
+    g = 1.0 if cosh else -1.0
+    Q = c / b
+    if g * Q <= 0.0:
+        raise BadParameters(f"{family.value} family needs c/b {'>' if cosh else '<'} 0")
+    rate = c / a
+    sq = math.sqrt(g * Q)
+    amp = sigma * (a / c) * sq
+    edge = (a / c) * math.log(K)
+    dom = Interval(-math.inf, edge) if (rate > 0) == cosh else Interval(edge, math.inf)
+    arc, clip = (np.arccosh, np.maximum) if cosh else (np.arcsin, np.minimum)
+
+    def w(z):
+        _check_domain(dom, z)
+        ww = K * np.exp(-rate * z)
+        rad = g * (ww * ww - 1.0)
+        return ww, rad, rad <= 0.0
+
+    def phi(z):
+        return amp * arc(clip(w(z)[0], 1.0)) + r
+
+    def phi_prime(z):
+        ww, rad, at_edge = w(z)
+        val = -sigma * sq * ww / np.sqrt(np.where(at_edge, 1.0, rad))
+        return np.where(at_edge, -sigma * math.inf, val)
+
+    def phi_second(z):
+        ww, rad, at_edge = w(z)
+        val = -g * sigma * sq * rate * ww * np.where(at_edge, 1.0, rad) ** -1.5
+        return np.where(at_edge, sigma * rate * math.inf, val)
+
+    return _arc_profile(family, a, b, c, K, r, sigma, lam, dom, phi, phi_prime, phi_second)
 
 
 def soliton_arccosh(a, b, c, K, r=0.0, sigma=1.0, lam=None) -> SolitonProfile:
@@ -286,71 +356,32 @@ def soliton_arccosh(a, b, c, K, r=0.0, sigma=1.0, lam=None) -> SolitonProfile:
     Valid where w = K e^{-(c/a) z} >= 1, a half-line ending (or starting)
     at (a/c) ln K.  phi is finite at that endpoint while phi' diverges.
     """
-    a, b, c, K, sigma = _arc_common(a, b, c, K, sigma)
-    Q = c / b
-    if Q <= 0.0:
-        raise BadParameters("arccosh family needs c/b > 0")
-    rate = c / a
-    amp = sigma * (a / c) * math.sqrt(Q)
-    edge = (a / c) * math.log(K)
-    dom = Interval(-math.inf, edge) if rate > 0 else Interval(edge, math.inf)
-    r = float(r)
-
-    def w(z):
-        return K * math.exp(-rate * z)
-
-    def phi(z: float) -> float:
-        _check_domain(dom, z)
-        return amp * math.acosh(max(w(z), 1.0)) + r
-
-    def phi_prime(z: float) -> float:
-        _check_domain(dom, z)
-        ww = w(z)
-        rad = ww * ww - 1.0
-        if rad <= 0.0:
-            return -sigma * math.inf
-        return -sigma * math.sqrt(Q) * ww / math.sqrt(rad)
-
-    def phi_second(z: float) -> float:
-        _check_domain(dom, z)
-        ww = w(z)
-        rad = ww * ww - 1.0
-        if rad <= 0.0:
-            return sigma * rate * math.inf
-        return -sigma * math.sqrt(Q) * rate * ww * rad ** -1.5
-
-    params = {"a": a, "b": b, "c": c, "K": K, "r": r, "sigma": sigma}
-    return SolitonProfile(Family.ARCCOSH, params, _default_lam(lam), dom,
-                          phi, phi_prime, phi_second,
-                          coeffs=_arc_coeffs(a, b, c))
+    return _edge_family(Family.ARCCOSH, a, b, c, K, r, sigma, lam)
 
 
 def soliton_arcsinh(a, b, c, K, r=0.0, sigma=1.0, lam=None) -> SolitonProfile:
     """phi = sigma (a/c) sqrt(c/b) arcsinh(K e^{-(c/a) z}) + r, on all of R."""
-    a, b, c, K, sigma = _arc_common(a, b, c, K, sigma)
+    a, b, c, K, r, sigma = _arc_common(a, b, c, K, r, sigma)
     Q = c / b
     if Q <= 0.0:
         raise BadParameters("arcsinh family needs c/b > 0")
     rate = c / a
     amp = sigma * (a / c) * math.sqrt(Q)
     dom = Interval(-math.inf, math.inf)
-    r = float(r)
 
-    def phi(z: float) -> float:
-        return amp * math.asinh(K * math.exp(-rate * z)) + r
+    def phi(z):
+        return amp * np.arcsinh(K * np.exp(-rate * z)) + r
 
-    def phi_prime(z: float) -> float:
-        ww = K * math.exp(-rate * z)
-        return -sigma * math.sqrt(Q) * ww / math.sqrt(ww * ww + 1.0)
+    def phi_prime(z):
+        ww = K * np.exp(-rate * z)
+        return -sigma * math.sqrt(Q) * ww / np.sqrt(ww * ww + 1.0)
 
-    def phi_second(z: float) -> float:
-        ww = K * math.exp(-rate * z)
+    def phi_second(z):
+        ww = K * np.exp(-rate * z)
         return sigma * math.sqrt(Q) * rate * ww * (ww * ww + 1.0) ** -1.5
 
-    params = {"a": a, "b": b, "c": c, "K": K, "r": r, "sigma": sigma}
-    return SolitonProfile(Family.ARCSINH, params, _default_lam(lam), dom,
-                          phi, phi_prime, phi_second,
-                          coeffs=_arc_coeffs(a, b, c))
+    return _arc_profile(Family.ARCSINH, a, b, c, K, r, sigma, lam, dom,
+                        phi, phi_prime, phi_second)
 
 
 def soliton_arcsin(a, b, c, K, r=0.0, sigma=1.0, lam=None) -> SolitonProfile:
@@ -359,49 +390,12 @@ def soliton_arcsin(a, b, c, K, r=0.0, sigma=1.0, lam=None) -> SolitonProfile:
     Valid where w = K e^{-(c/a) z} <= 1, the half-line complementary to the
     arccosh family's.  phi is finite at the endpoint, phi' diverges there.
     """
-    a, b, c, K, sigma = _arc_common(a, b, c, K, sigma)
-    Q = c / b
-    if Q >= 0.0:
-        raise BadParameters("arcsin family needs c/b < 0")
-    rate = c / a
-    amp = sigma * (a / c) * math.sqrt(-Q)
-    edge = (a / c) * math.log(K)
-    dom = Interval(edge, math.inf) if rate > 0 else Interval(-math.inf, edge)
-    r = float(r)
-
-    def phi(z: float) -> float:
-        _check_domain(dom, z)
-        return amp * math.asin(min(K * math.exp(-rate * z), 1.0)) + r
-
-    def phi_prime(z: float) -> float:
-        _check_domain(dom, z)
-        ww = K * math.exp(-rate * z)
-        rad = 1.0 - ww * ww
-        if rad <= 0.0:
-            return -sigma * math.inf
-        return -sigma * math.sqrt(-Q) * ww / math.sqrt(rad)
-
-    def phi_second(z: float) -> float:
-        _check_domain(dom, z)
-        ww = K * math.exp(-rate * z)
-        rad = 1.0 - ww * ww
-        if rad <= 0.0:
-            return sigma * rate * math.inf
-        return sigma * math.sqrt(-Q) * rate * ww * rad ** -1.5
-
-    params = {"a": a, "b": b, "c": c, "K": K, "r": r, "sigma": sigma}
-    return SolitonProfile(Family.ARCSIN, params, _default_lam(lam), dom,
-                          phi, phi_prime, phi_second,
-                          coeffs=_arc_coeffs(a, b, c))
+    return _edge_family(Family.ARCSIN, a, b, c, K, r, sigma, lam)
 
 
-def _arc_coeffs(a, b, c) -> ReducedCoeffs:
-    return constant_coeffs(a, c, b=b)
-
-
-def _fd_ratio_derivative(coeffs: ReducedCoeffs, z: float) -> float:
+def _fd_ratio_derivative(coeffs: ReducedCoeffs, z):
     """(d/a)'(z) by a central difference on the coefficient callables."""
-    h = 1e-6 * max(1.0, abs(z))
+    h = 1e-6 * np.maximum(1.0, np.abs(z))
     rp = coeffs.d(z + h) / coeffs.a(z + h)
     rm = coeffs.d(z - h) / coeffs.a(z - h)
     return (rp - rm) / (2.0 * h)
@@ -410,28 +404,81 @@ def _fd_ratio_derivative(coeffs: ReducedCoeffs, z: float) -> float:
 def _check_compatibility(coeffs: ReducedCoeffs, lo: float, hi: float,
                          tol: float) -> None:
     """Sample a' d - a d' - d c = 0, the condition (a/d)' = c/d."""
-    for z in np.linspace(lo, hi, 21):
-        h = 1e-6 * max(1.0, abs(z))
-        ap = (coeffs.a(z + h) - coeffs.a(z - h)) / (2.0 * h)
-        dp = (coeffs.d(z + h) - coeffs.d(z - h)) / (2.0 * h)
-        a, d, c = coeffs.a(z), coeffs.d(z), coeffs.c(z)
-        resid = ap * d - a * dp - d * c
-        scale = max(1.0, abs(ap * d), abs(a * dp), abs(d * c))
-        if abs(resid) > tol * scale:
-            raise CompatibilityViolated(
-                f"(a/d)' = c/d fails at z = {z}: residual {resid:.3e}")
+    z = np.linspace(lo, hi, 21)
+    h = 1e-6 * np.maximum(1.0, np.abs(z))
+    ap = (coeffs.a(z + h) - coeffs.a(z - h)) / (2.0 * h)
+    dp = (coeffs.d(z + h) - coeffs.d(z - h)) / (2.0 * h)
+    a, d, c = coeffs.a(z), coeffs.d(z), coeffs.c(z)
+    resid = ap * d - a * dp - d * c
+    scale = np.maximum(1.0, np.max(np.abs([ap * d, a * dp, d * c]), axis=0))
+    bad = np.abs(resid) > tol * scale
+    if bad.any():
+        raise CompatibilityViolated(f"(a/d)' = c/d fails at z = {_first(z, bad)}: "
+                                    f"residual {_first(resid, bad):.3e}")
 
 
 def _first_integral_antiderivative(k1: float):
     """L with L'(phi) = 3 / (phi^3 - k1^3), the separated Van der Pol side."""
     s3 = math.sqrt(3.0)
 
-    def L(phi: float) -> float:
-        num = abs(phi - k1)
-        den = math.sqrt(phi * phi + phi * k1 + k1 * k1)
-        return (math.log(num / den) - s3 * math.atan((2.0 * phi + k1) / (k1 * s3))) / (k1 * k1)
+    def L(phi):
+        num = np.abs(phi - k1)
+        den = np.sqrt(phi * phi + phi * k1 + k1 * k1)
+        return (np.log(num / den) - s3 * np.arctan((2.0 * phi + k1) / (k1 * s3))) / (k1 * k1)
 
     return L
+
+
+# branch solver stopping rule: |step| <= _XTOL + _RTOL |phi| within _MAXITER steps
+_XTOL, _RTOL, _MAXITER = 1e-14, 8.9e-16, 200
+
+
+def _solve_branch(L, k1: float, side: float, far_scale: float, target):
+    """phi = k1 + side * s with L(phi) = target, for an array of targets.
+
+    Along s > 0, L rises from -inf (at k1) towards its far limit.  Each
+    element is bracketed by dividing the near end by 8 and multiplying the
+    far end by 4 (NoBracket past their limits), then iterated from the near
+    end by Newton steps, dL/ds = 3 / |phi^3 - k1^3|.
+    A step that leaves the bracket or fails to halve the previous one is
+    replaced by bisection at the geometric mean of the bracket, which spans
+    decades.  An element stops when its step or its bracket is within
+    xtol + rtol |phi|, and is polished by one last Newton step.
+    """
+    unit = max(1.0, abs(k1))
+    near = np.full(target.shape, 1e-3 * unit)
+    while np.any(high := L(k1 + side * near) > target):
+        near = np.where(high, near / 8.0, near)
+        if np.any(near < 4e-16 * unit):
+            # below float resolution the root is indistinguishable from k1
+            raise NoBracket("root collapses onto the constant solution")
+    far = np.full(target.shape, far_scale)
+    while np.any(low := L(k1 + side * far) < target):
+        far = np.where(low, far * 4.0, far)
+        if np.any(far > 1e13 * far_scale):
+            raise NoBracket("no far bracket endpoint on this branch")
+
+    s, lo, hi = near, near, far
+    moved = hi - lo
+    done = np.zeros(target.shape, bool)
+    for _ in range(_MAXITER):
+        root = k1 + side * s
+        f = L(root) - target
+        lo, hi = np.where(f <= 0.0, s, lo), np.where(f >= 0.0, s, hi)
+        step = side * f * (root ** 3 - k1 ** 3) / 3.0
+        tol = _XTOL + _RTOL * np.abs(root)
+        finish = ~done & ((np.abs(step) <= tol) | (hi - lo <= tol))
+        newton = finish | ((s - step > lo) & (s - step < hi) & (np.abs(step) < 0.5 * moved))
+        nxt = np.where(done, s, np.where(newton, s - step, np.sqrt(lo * hi)))
+        moved = np.abs(nxt - s)
+        s, done = nxt, done | finish
+        if done.all():
+            break
+    else:
+        raise NoBracket(f"branch root not found in {_MAXITER} steps")
+    root = k1 + side * s
+    denom = root ** 3 - k1 ** 3
+    return np.where(denom != 0.0, root - (L(root) - target) * denom / 3.0, root)
 
 
 def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
@@ -462,76 +509,73 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
         raise BadParameters("phi0 (the anchor value at z0) is required")
     lam = _default_lam(lam)
     lo, hi = float(domain[0]), float(domain[1])
+    k1, phi0 = float(k1), float(phi0)
+    _require_finite(k1=k1, phi0=phi0, domain_lo=lo, domain_hi=hi)
     if not lo < hi or not lo <= z0 <= hi:
         raise BadParameters("need lo < hi with z0 inside the domain")
-    k1 = float(k1)
-    phi0 = float(phi0)
     if square_relation not in ("reciprocal", "direct"):
         raise BadParameters("square_relation must be 'reciprocal' or 'direct'")
 
     _check_compatibility(coeffs, lo, hi, compat_tol)
     H, _ = _cheb_antiderivative(lambda s: coeffs.d(s) / coeffs.a(s), lo, hi, z0)
+    zs = np.linspace(lo, hi, n_scan)
 
     def ratio(z):
         return coeffs.d(z) / coeffs.a(z)
+
+    def profile(params, dom, phi, prime_from, second_from):
+        """The profile whose phi' and phi'' reuse one evaluation of phi."""
+        def phi_prime(z):
+            return prime_from(phi(z), z)
+
+        def phi_second(z):
+            p = phi(z)
+            return second_from(p, z, prime_from(p, z))
+
+        params = {**params, "z0": float(z0), "phi0": phi0,
+                  "coeffs": _coeffs_payload(coeffs)}
+        return SolitonProfile(Family.VDP_IMPLICIT, params, lam, dom, _stacked(phi),
+                              _stacked(phi_prime), _stacked(phi_second), coeffs=coeffs)
 
     if k1 == 0.0:
         if phi0 == 0.0:
             raise BadParameters("phi0 must be nonzero for the k1 = 0 branch")
         sgn = math.copysign(1.0, phi0)
-        if square_relation == "reciprocal":
-            C = -1.5 / (phi0 * phi0)
-        else:
-            C = -1.5 * (phi0 * phi0)
+        reciprocal = square_relation == "reciprocal"
+        C = -1.5 / (phi0 * phi0) if reciprocal else -1.5 * (phi0 * phi0)
 
         def squared(z):
-            return -(2.0 / 3.0) * (float(H(z)) + C)
+            return -(2.0 / 3.0) * (H(z) + C)
 
-        zs = np.linspace(lo, hi, n_scan)
-        vals = np.array([squared(z) for z in zs])
-        run = _positive_run(zs, vals, z0)
+        run = _positive_run(zs, squared(zs), z0)
         if run is None:
             raise EmptyDomain("the squared relation is nonpositive at the anchor")
-        d_lo, d_hi, _, _ = run
-        dom = Interval(d_lo, d_hi)
+        dom = Interval(run[0], run[1])
 
-        if square_relation == "reciprocal":
-            def phi(z: float) -> float:
-                _check_domain(dom, z)
-                P = squared(z)
-                if P <= 0.0:
-                    raise DomainExceeded(f"phi^-2 nonpositive at z = {z}")
-                return sgn / math.sqrt(P)
+        def phi(z):
+            _check_domain(dom, z)
+            P = squared(z)
+            if np.any(P <= 0.0):
+                raise DomainExceeded(f"phi{'^-2' if reciprocal else '^2'} "
+                                     f"nonpositive at z = {_first(z, P <= 0.0)}")
+            return sgn / np.sqrt(P) if reciprocal else sgn * np.sqrt(P)
 
-            def phi_prime(z: float) -> float:
-                p = phi(z)
+        if reciprocal:
+            def prime_from(p, z):
                 return ratio(z) * p ** 3 / 3.0
 
-            def phi_second(z: float) -> float:
-                p = phi(z)
-                return (_fd_ratio_derivative(coeffs, z) * p ** 3 / 3.0
-                        + ratio(z) * p * p * phi_prime(z))
+            def second_from(p, z, dp):
+                return _fd_ratio_derivative(coeffs, z) * p ** 3 / 3.0 + ratio(z) * p * p * dp
         else:
-            def phi(z: float) -> float:
-                _check_domain(dom, z)
-                P = squared(z)
-                if P <= 0.0:
-                    raise DomainExceeded(f"phi^2 nonpositive at z = {z}")
-                return sgn * math.sqrt(P)
+            def prime_from(p, z):
+                return -ratio(z) / (3.0 * p)
 
-            def phi_prime(z: float) -> float:
-                return -ratio(z) / (3.0 * phi(z))
-
-            def phi_second(z: float) -> float:
-                p = phi(z)
+            def second_from(p, z, dp):
                 return (-_fd_ratio_derivative(coeffs, z) / (3.0 * p)
-                        + ratio(z) * phi_prime(z) / (3.0 * p * p))
+                        + ratio(z) * dp / (3.0 * p * p))
 
-        params = {"k1": 0.0, "z0": float(z0), "phi0": phi0,
-                  "square_relation": square_relation,
-                  "coeffs": _coeffs_payload(coeffs)}
-        return SolitonProfile(Family.VDP_IMPLICIT, params, lam, dom,
-                              phi, phi_prime, phi_second, coeffs=coeffs)
+        return profile({"k1": 0.0, "square_relation": square_relation}, dom,
+                       phi, prime_from, second_from)
 
     # k1 != 0: implicit relation L(phi) = H(z) + C on a monotone branch
     if phi0 == k1:
@@ -539,65 +583,35 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
                             "the implicit branches exclude it")
     L = _first_integral_antiderivative(k1)
     side = 1.0 if phi0 > k1 else -1.0
-    C = L(phi0)
+    C = float(L(phi0))
     far_scale = max(1.0, abs(k1), 4.0 * abs(phi0 - k1))
-    L_far = L(k1 + side * 1e12 * far_scale)
+    L_far = float(L(k1 + side * 1e12 * far_scale))
 
-    def solvable(target: float) -> bool:
+    def solvable(target):
         return target < L_far - 1e-12 * max(1.0, abs(L_far))
 
-    zs = np.linspace(lo, hi, n_scan)
-    ok = np.array([1.0 if solvable(float(H(z)) + C) else -1.0 for z in zs])
-    run = _positive_run(zs, ok, z0)
+    run = _positive_run(zs, np.where(solvable(H(zs) + C), 1.0, -1.0), z0)
     if run is None:
         raise NoBracket("the requested branch has no root at the anchor")
-    d_lo, d_hi, _, _ = run
-    dom = Interval(d_lo, d_hi)
+    dom = Interval(run[0], run[1])
 
-    from scipy.optimize import brentq
-
-    def solve_branch(target: float) -> float:
-        delta = 1e-3 * max(1.0, abs(k1))
-        while L(k1 + side * delta) > target:
-            delta /= 8.0
-            if delta < 4e-16 * max(1.0, abs(k1)):
-                # below float resolution the root is indistinguishable from k1
-                raise NoBracket("root collapses onto the constant solution")
-        far = far_scale
-        while L(k1 + side * far) < target:
-            far *= 4.0
-            if far > 1e13 * far_scale:
-                raise NoBracket("no far bracket endpoint on this branch")
-        p_lo, p_hi = sorted((k1 + side * delta, k1 + side * far))
-        root = brentq(lambda p: L(p) - target, p_lo, p_hi,
-                      xtol=1e-14, rtol=8.9e-16, maxiter=200)
-        # one Newton polish using L'(phi) = 3 / (phi^3 - k1^3)
-        denom = root ** 3 - k1 ** 3
-        if denom != 0.0:
-            root -= (L(root) - target) * denom / 3.0
-        return root
-
-    def phi(z: float) -> float:
+    def phi(z):
         _check_domain(dom, z)
-        target = float(H(z)) + C
-        if not solvable(target):
-            raise DomainExceeded(f"branch escapes to infinity before z = {z}")
-        return solve_branch(target)
+        target = H(z) + C
+        escaped = ~solvable(target)
+        if np.any(escaped):
+            raise DomainExceeded(f"branch escapes to infinity before z = {_first(z, escaped)}")
+        return _solve_branch(L, k1, side, far_scale, target)
 
-    def phi_prime(z: float) -> float:
-        p = phi(z)
+    def prime_from(p, z):
         return ratio(z) * (p ** 3 - k1 ** 3) / 3.0
 
-    def phi_second(z: float) -> float:
-        p = phi(z)
+    def second_from(p, z, dp):
         return (_fd_ratio_derivative(coeffs, z) * (p ** 3 - k1 ** 3) / 3.0
-                + ratio(z) * p * p * phi_prime(z))
+                + ratio(z) * p * p * dp)
 
-    params = {"k1": k1, "z0": float(z0), "phi0": phi0,
-              "branch": "above" if side > 0 else "below",
-              "coeffs": _coeffs_payload(coeffs)}
-    return SolitonProfile(Family.VDP_IMPLICIT, params, lam, dom,
-                          phi, phi_prime, phi_second, coeffs=coeffs)
+    return profile({"k1": k1, "branch": "above" if side > 0 else "below"}, dom,
+                   phi, prime_from, second_from)
 
 
 def vdp_explicit(a, c, d, K, lam=None) -> SolitonProfile:
@@ -610,30 +624,15 @@ def vdp_explicit(a, c, d, K, lam=None) -> SolitonProfile:
     ``limit_neg_inf`` / ``limit_pos_inf``.
     """
     a, c, d, K = float(a), float(c), float(d), float(K)
+    _require_finite(a=a, c=c, d=d, K=K)
     if a == 0.0 or c == 0.0:
         raise BadParameters("need a != 0 and c != 0")
     lam = _default_lam(lam)
     rate = 2.0 * c / a
     off = d / (3.0 * c)
-    log_abs_k = math.log(abs(K)) if K != 0.0 else None
+    log_abs_k = math.log(abs(K)) if K != 0.0 else 0.0
     # past this exponent K e^{rate z} dwarfs off and a direct exp overflows
     tail_floor = max(690.0, math.log(max(abs(off), 1.0)) + 40.0)
-
-    def _tail_exponent(z: float):
-        # exponent of K e^{rate z} once that term alone decides the value;
-        # only the K > 0 side matters, for K < 0 the region is out of domain
-        if K <= 0.0:
-            return None
-        t = log_abs_k + rate * z
-        return t if t > tail_floor else None
-
-    def E(z: float) -> float:
-        if log_abs_k is None:
-            return off
-        t = log_abs_k + rate * z
-        term = (math.copysign(math.inf, K) if t > 709.0
-                else math.copysign(math.exp(t), K))
-        return term + off
 
     # domain analysis: where K e^{rate z} + off > 0
     pad = 1e-9
@@ -655,37 +654,38 @@ def vdp_explicit(a, c, d, K, lam=None) -> SolitonProfile:
         edge = zb - math.copysign(pad * max(1.0, abs(zb)), rate)
         dom = Interval(-math.inf, edge) if rate > 0 else Interval(edge, math.inf)
 
-    def _radicand(z: float) -> float:
-        e = E(z)
-        if e <= 0.0:
-            raise DomainExceeded(f"radicand nonpositive at z = {z}")
-        return e
+    def radicand(z):
+        """(e, tail, t): e = K e^{t} + off with t = ln|K| + rate z, and the
+        points (K > 0 only) where t alone decides the value, whose e may be
+        infinite.  Raises where e <= 0 off the tail."""
+        _check_domain(dom, z)
+        if K == 0.0:
+            return np.full(z.shape, off), np.zeros(z.shape, bool), np.zeros(z.shape)
+        t = log_abs_k + rate * z
+        term = np.where(t > 709.0, math.inf, np.exp(np.minimum(t, 709.0)))
+        e = np.copysign(term, K) + off
+        tail = t > tail_floor if K > 0.0 else np.zeros(z.shape, bool)
+        bad = ~tail & (e <= 0.0)
+        if bad.any():
+            raise DomainExceeded(f"radicand nonpositive at z = {_first(z, bad)}")
+        return e, tail, np.where(tail, t, 0.0)
 
     # derivatives are written through s = (e - off)/e = 1 - off/e, which stays
     # bounded where e is large; (e - off)^2 would overflow long before then
-    def phi(z: float) -> float:
-        _check_domain(dom, z)
-        t = _tail_exponent(z)
-        if t is not None:
-            return math.exp(-0.5 * t)
-        return 1.0 / math.sqrt(_radicand(z))
+    def phi(z):
+        e, tail, t = radicand(z)
+        return np.where(tail, np.exp(-0.5 * t), 1.0 / np.sqrt(e))
 
-    def phi_prime(z: float) -> float:
-        _check_domain(dom, z)
-        t = _tail_exponent(z)
-        if t is not None:
-            return -0.5 * rate * math.exp(-0.5 * t)
-        e = _radicand(z)
-        return -0.5 * rate * (1.0 - off / e) / math.sqrt(e)
+    def phi_prime(z):
+        e, tail, t = radicand(z)
+        return np.where(tail, -0.5 * rate * np.exp(-0.5 * t),
+                        -0.5 * rate * (1.0 - off / e) / np.sqrt(e))
 
-    def phi_second(z: float) -> float:
-        _check_domain(dom, z)
-        t = _tail_exponent(z)
-        if t is not None:
-            return 0.25 * rate * rate * math.exp(-0.5 * t)
-        e = _radicand(z)
+    def phi_second(z):
+        e, tail, t = radicand(z)
         s = 1.0 - off / e
-        return rate * rate * (0.75 * s - 0.5) * s / math.sqrt(e)
+        return np.where(tail, 0.25 * rate * rate * np.exp(-0.5 * t),
+                        rate * rate * (0.75 * s - 0.5) * s / np.sqrt(e))
 
     def tail_limit(e_tail):
         if e_tail is None or e_tail <= 0.0:
@@ -704,9 +704,21 @@ def vdp_explicit(a, c, d, K, lam=None) -> SolitonProfile:
         "limit_pos_inf": tail_limit(e_plus) if math.isinf(dom.hi) else None,
         "limit_neg_inf": tail_limit(e_minus) if math.isinf(dom.lo) else None,
     }
-    return SolitonProfile(Family.VDP_EXPLICIT, params, lam, dom,
-                          phi, phi_prime, phi_second,
+    return SolitonProfile(Family.VDP_EXPLICIT, params, lam, dom, _stacked(phi),
+                          _stacked(phi_prime), _stacked(phi_second),
                           coeffs=constant_coeffs(a, c, d=d))
+
+
+def _second_derivative(profile: SolitonProfile):
+    """phi'', or central differences of phi' when the profile carries none."""
+    if profile.phi_second is not None:
+        return profile.phi_second
+
+    def second(z):
+        h = _h2(z)
+        return (profile.phi_prime(z + h) - profile.phi_prime(z - h)) / (2.0 * h)
+
+    return second
 
 
 def as_multitime(profile: SolitonProfile, lam: SpeedVector | None = None) -> FieldFunction:
@@ -718,25 +730,14 @@ def as_multitime(profile: SolitonProfile, lam: SpeedVector | None = None) -> Fie
     """
     lam = profile.lam if lam is None else lam
     lv = lam.values
-    second = profile.phi_second
-    if second is None:
-        def second(z, _p=profile.phi_prime):
-            h = _h2(z)
-            return (_p(z + h) - _p(z - h)) / (2.0 * h)
-
-    def value(x, t):
-        return profile.phi(float(x) - float(np.dot(lv, t)))
-
-    def grad(x, t):
-        return -lv * profile.phi_prime(float(x) - float(np.dot(lv, t)))
-
-    def hess(x, t):
-        return np.outer(lv, lv) * second(float(x) - float(np.dot(lv, t)))
-
-    def d2x(x, t):
-        return second(float(x) - float(np.dot(lv, t)))
-
-    return FieldFunction(u=value, grad_t=grad, hess_t=hess, d2x=d2x, m=lam.m)
+    second = _second_derivative(profile)
+    return FieldFunction(
+        u=lambda x, t: profile.phi(lam.z(x, t)),
+        grad_t=lambda x, t: np.multiply.outer(profile.phi_prime(lam.z(x, t)), -lv),
+        hess_t=lambda x, t: np.multiply.outer(second(lam.z(x, t)), np.outer(lv, lv)),
+        d2x=lambda x, t: second(lam.z(x, t)),
+        m=lam.m,
+    )
 
 
 def with_speed(profile: SolitonProfile, lam: SpeedVector) -> SolitonProfile:

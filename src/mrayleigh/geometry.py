@@ -10,11 +10,14 @@ equations verified here read, in residual form,
     rayleigh:    h^{ab} u_{ab} - C^g u_g + B^{abc} u_a u_b u_c - u_xx
     van der pol: h^{ab} u_{ab} - C^g u_g + u^2 D^g u_g - u_xx
 
-with u_a = du/dt^a.  Fields may carry analytic partials; anything missing
-falls back to central finite differences whose steps scale with the
-coordinate (first order 1e-5 * max(1, |coord|), second order
-5e-5 * max(1, |coord|); the larger second-order step keeps the roundoff
-part of the difference quotient well below the 1e-6 residual budget).
+with u_a = du/dt^a.  Every field and residual here is evaluated at one
+point (x a float, t of shape (m,)) or at a stack of N points (x of shape
+(N,), t of shape (N, m)) through the same code.  Fields may carry analytic
+partials; anything missing falls back to central finite differences whose
+steps scale with the coordinate (first order 1e-5 * max(1, |coord|), second
+order 5e-5 * max(1, |coord|); the larger second-order step keeps the
+roundoff part of the difference quotient well below the 1e-6 residual
+budget).
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ import numpy as np
 
 from .coefficients import (
     CONSTRAINT_TOL,
-    EvalPoint,
     GeometricStructure,
-    SpeedVector,
     Variant,
-    check_constraint,
+    _constraint_gap,
+    _cubic_term,
+    _normalize_points,
+    _unwrap,
 )
 from .errors import ConditionViolated, DimensionMismatch, WrongVariant
 
@@ -38,78 +42,88 @@ FD_STEP_FIRST = 1e-5
 FD_STEP_SECOND = 5e-5
 
 
-def _h1(coord: float) -> float:
-    return FD_STEP_FIRST * max(1.0, abs(coord))
+def _h1(coord):
+    return FD_STEP_FIRST * np.maximum(1.0, np.abs(coord))
 
 
-def _h2(coord: float) -> float:
-    return FD_STEP_SECOND * max(1.0, abs(coord))
+def _h2(coord):
+    return FD_STEP_SECOND * np.maximum(1.0, np.abs(coord))
+
+
+def _points(x, t):
+    """x as a float or an (N,) array, t as an (m,) or (N, m) array."""
+    x = np.asarray(x, dtype=float)
+    return (float(x) if x.ndim == 0 else x), np.asarray(t, dtype=float)
 
 
 @dataclass(frozen=True)
 class FieldFunction:
     """Scalar field u(x, t) with optional analytic partial derivatives.
 
-    ``u(x, t)`` takes a float and a length-m array.  ``grad_t`` returns the
-    m-vector du/dt^a, ``hess_t`` the (m, m) matrix of second time partials
-    and ``d2x`` the scalar d2u/dx2; each may be None, in which case central
-    differences of ``u`` are used.
+    Every callable takes one point (x a float, t of shape (m,)) or a stack
+    of N points (x of shape (N,), t of shape (N, m)), indexing t with
+    ``...``.  ``u`` and ``d2x`` return the value and d2u/dx2, ``grad_t``
+    du/dt^a with a trailing (m,) axis and ``hess_t`` the second time
+    partials with a trailing (m, m).  Each partial may be None, in which
+    case central differences of ``u`` are used.  At one point ``value``
+    and ``second_x`` return Python floats.
     """
 
-    u: Callable[[float, np.ndarray], float]
+    u: Callable
     grad_t: Callable | None = None
     hess_t: Callable | None = None
     d2x: Callable | None = None
     m: int | None = None
 
-    def value(self, x: float, t) -> float:
-        return float(self.u(float(x), np.asarray(t, dtype=float)))
+    def value(self, x, t):
+        x, t = _points(x, t)
+        return _unwrap(self.u(x, t))
 
-    def time_gradient(self, x: float, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
+    def time_gradient(self, x, t) -> np.ndarray:
+        x, t = _points(x, t)
         if self.grad_t is not None:
-            return np.asarray(self.grad_t(float(x), t), dtype=float)
-        out = np.empty(t.size)
-        for a in range(t.size):
-            h = _h1(t[a])
+            return np.asarray(self.grad_t(x, t), dtype=float)
+        out = np.empty(t.shape)
+        for a in range(t.shape[-1]):
+            h = _h1(t[..., a])
             tp, tm = t.copy(), t.copy()
-            tp[a] += h
-            tm[a] -= h
-            out[a] = (self.u(x, tp) - self.u(x, tm)) / (2.0 * h)
+            tp[..., a] += h
+            tm[..., a] -= h
+            out[..., a] = (self.u(x, tp) - self.u(x, tm)) / (2.0 * h)
         return out
 
-    def time_hessian(self, x: float, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
+    def time_hessian(self, x, t) -> np.ndarray:
+        x, t = _points(x, t)
         if self.hess_t is not None:
-            return np.asarray(self.hess_t(float(x), t), dtype=float)
-        n = t.size
-        out = np.empty((n, n))
+            return np.asarray(self.hess_t(x, t), dtype=float)
+        n = t.shape[-1]
+        out = np.empty(t.shape + (n,))
         u0 = self.u(x, t)
         for a in range(n):
-            ha = _h2(t[a])
+            ha = _h2(t[..., a])
             tp, tm = t.copy(), t.copy()
-            tp[a] += ha
-            tm[a] -= ha
-            out[a, a] = (self.u(x, tp) - 2.0 * u0 + self.u(x, tm)) / (ha * ha)
+            tp[..., a] += ha
+            tm[..., a] -= ha
+            out[..., a, a] = (self.u(x, tp) - 2.0 * u0 + self.u(x, tm)) / (ha * ha)
         for a in range(n):
             for bb in range(a + 1, n):
-                ha, hb = _h2(t[a]), _h2(t[bb])
+                ha, hb = _h2(t[..., a]), _h2(t[..., bb])
                 tpp, tpm, tmp, tmm = t.copy(), t.copy(), t.copy(), t.copy()
-                tpp[a] += ha; tpp[bb] += hb
-                tpm[a] += ha; tpm[bb] -= hb
-                tmp[a] -= ha; tmp[bb] += hb
-                tmm[a] -= ha; tmm[bb] -= hb
+                tpp[..., a] += ha; tpp[..., bb] += hb
+                tpm[..., a] += ha; tpm[..., bb] -= hb
+                tmp[..., a] -= ha; tmp[..., bb] += hb
+                tmm[..., a] -= ha; tmm[..., bb] -= hb
                 val = (self.u(x, tpp) - self.u(x, tpm)
                        - self.u(x, tmp) + self.u(x, tmm)) / (4.0 * ha * hb)
-                out[a, bb] = out[bb, a] = val
+                out[..., a, bb] = out[..., bb, a] = val
         return out
 
-    def second_x(self, x: float, t) -> float:
-        t = np.asarray(t, dtype=float)
+    def second_x(self, x, t):
+        x, t = _points(x, t)
         if self.d2x is not None:
-            return float(self.d2x(float(x), t))
+            return _unwrap(self.d2x(x, t))
         h = _h2(x)
-        return (self.u(x + h, t) - 2.0 * self.u(x, t) + self.u(x - h, t)) / (h * h)
+        return _unwrap((self.u(x + h, t) - 2.0 * self.u(x, t) + self.u(x - h, t)) / (h * h))
 
 
 def stationary_solution(slope: float, intercept: float) -> FieldFunction:
@@ -117,9 +131,9 @@ def stationary_solution(slope: float, intercept: float) -> FieldFunction:
     slope, intercept = float(slope), float(intercept)
     return FieldFunction(
         u=lambda x, t: slope * x + intercept,
-        grad_t=lambda x, t: np.zeros(t.size),
-        hess_t=lambda x, t: np.zeros((t.size, t.size)),
-        d2x=lambda x, t: 0.0,
+        grad_t=lambda x, t: np.zeros(np.shape(t)),
+        hess_t=lambda x, t: np.zeros(np.shape(t) + np.shape(t)[-1:]),
+        d2x=lambda x, t: np.zeros(np.shape(x)),
         m=None,
     )
 
@@ -127,10 +141,10 @@ def stationary_solution(slope: float, intercept: float) -> FieldFunction:
 def traveling_sine() -> FieldFunction:
     """u(x, t) = sin(x - t), the d'Alembert solution of u_tt = u_xx (m = 1)."""
     return FieldFunction(
-        u=lambda x, t: np.sin(x - t[0]),
-        grad_t=lambda x, t: np.array([-np.cos(x - t[0])]),
-        hess_t=lambda x, t: np.array([[-np.sin(x - t[0])]]),
-        d2x=lambda x, t: -np.sin(x - t[0]),
+        u=lambda x, t: np.sin(x - t[..., 0]),
+        grad_t=lambda x, t: np.expand_dims(-np.cos(x - t[..., 0]), -1),
+        hess_t=lambda x, t: np.expand_dims(-np.sin(x - t[..., 0]), (-2, -1)),
+        d2x=lambda x, t: -np.sin(x - t[..., 0]),
         m=1,
     )
 
@@ -146,23 +160,19 @@ def prolong_field(u1: FieldFunction, m: int) -> FieldFunction:
     if m < 1:
         raise DimensionMismatch("need m >= 1")
 
-    def value(x, t):
-        return u1.value(x, t[:1])
-
     def grad(x, t):
-        out = np.zeros(m)
-        out[0] = u1.time_gradient(x, t[:1])[0]
+        out = np.zeros(np.shape(t))
+        out[..., 0] = u1.time_gradient(x, t[..., :1])[..., 0]
         return out
 
     def hess(x, t):
-        out = np.zeros((m, m))
-        out[0, 0] = u1.time_hessian(x, t[:1])[0, 0]
+        out = np.zeros(np.shape(t) + (m,))
+        out[..., 0, 0] = u1.time_hessian(x, t[..., :1])[..., 0, 0]
         return out
 
-    def d2x(x, t):
-        return u1.second_x(x, t[:1])
-
-    return FieldFunction(u=value, grad_t=grad, hess_t=hess, d2x=d2x, m=m)
+    return FieldFunction(u=lambda x, t: u1.value(x, t[..., :1]), grad_t=grad,
+                         hess_t=hess, d2x=lambda x, t: u1.second_x(x, t[..., :1]),
+                         m=m)
 
 
 @dataclass(frozen=True)
@@ -200,13 +210,22 @@ class GridSpec:
             return np.array([0.5 * (lo + hi)]) if n == 1 else np.linspace(lo, hi, n)
         return [vals(*self.x_axis)] + [vals(*ax) for ax in self.t_axes]
 
+    def arrays(self):
+        """Every lattice point at once: x of shape (N,), t of shape (N, m)."""
+        x, *ts = (g.reshape(-1) for g in np.meshgrid(*self.axis_values(), indexing="ij"))
+        t = np.empty((x.size, self.m))
+        for a, ta in enumerate(ts):
+            t[:, a] = ta
+        return x, t
+
+    def labels(self) -> list[str]:
+        return ["x"] + [f"t{i + 1}" for i in range(self.m)]
+
     def points(self):
-        """Yield (x, t) pairs over the lattice."""
-        grids = self.axis_values()
-        mesh = np.meshgrid(*grids, indexing="ij")
-        flat = [g.reshape(-1) for g in mesh]
-        for i in range(flat[0].size):
-            yield float(flat[0][i]), np.array([f[i] for f in flat[1:]])
+        """Yield (x, t) pairs over the lattice, in the order of ``arrays``."""
+        x, t = self.arrays()
+        for i in range(x.size):
+            yield float(x[i]), t[i]
 
 
 @dataclass(frozen=True)
@@ -249,64 +268,56 @@ class ResidualReport:
             yield [float(v) for v in row] + [float(r)]
 
 
-def hessian(u: FieldFunction, structure: GeometricStructure, x: float, t) -> np.ndarray:
+def hessian(u: FieldFunction, structure: GeometricStructure, x, t) -> np.ndarray:
     """Connection-corrected Hessian (d2u/dt^a dt^b - Gamma^g_{ab} du/dt^g)."""
-    t = np.asarray(t, dtype=float)
-    if t.size != structure.m:
+    x, t = _points(x, t)
+    if t.shape[-1:] != (structure.m,):
         raise DimensionMismatch("t has the wrong number of components")
     eta = u.value(x, t)
     xi = u.time_gradient(x, t)
-    g = np.asarray(structure.gamma(x, t, eta, xi), dtype=float)
-    return u.time_hessian(x, t) - np.einsum("gab,g->ab", g, xi)
+    g = structure.gamma(x, t, eta, xi)
+    return u.time_hessian(x, t) - np.einsum("...gab,...g->...ab", g, xi)
 
 
-def box(u: FieldFunction, structure: GeometricStructure, x: float, t) -> float:
+def box(u: FieldFunction, structure: GeometricStructure, x, t):
     """h-trace of the corrected Hessian, h^{ab} (Hess u)_{ab}."""
-    t = np.asarray(t, dtype=float)
+    x, t = _points(x, t)
     eta = u.value(x, t)
     xi = u.time_gradient(x, t)
-    h = np.asarray(structure.h(x, t, eta, xi), dtype=float)
-    return float(np.einsum("ab,ab", h, hessian(u, structure, x, t)))
+    h = structure.h(x, t, eta, xi)
+    return _unwrap(np.einsum("...ab,...ab->...", h, hessian(u, structure, x, t)))
 
 
-def rayleigh_residual(u: FieldFunction, structure: GeometricStructure,
-                      x: float, t) -> float:
+def _assemble(structure: GeometricStructure, x, t, eta, xi, hess, d2x):
+    """h^{ab} u_{ab} - C^g u_g + (cubic term) - u_xx from the jet of u."""
+    h = structure.h(x, t, eta, xi)
+    C = structure.c_field(x, t, eta, xi)
+    return (np.einsum("...ab,...ab->...", h, hess)
+            - np.einsum("...g,...g->...", C, xi)
+            + _cubic_term(structure, x, t, eta, xi)
+            - d2x)
+
+
+def _residual(u: FieldFunction, structure: GeometricStructure, x, t):
+    x, t = _points(x, t)
+    if t.shape[-1:] != (structure.m,):
+        raise DimensionMismatch("t has the wrong number of components")
+    return _unwrap(_assemble(structure, x, t, u.value(x, t), u.time_gradient(x, t),
+                             u.time_hessian(x, t), u.second_x(x, t)))
+
+
+def rayleigh_residual(u: FieldFunction, structure: GeometricStructure, x, t):
     """Residual h^{ab} u_{ab} - C^g u_g + B^{abc} u_a u_b u_c - u_xx."""
     if structure.variant is not Variant.RAYLEIGH:
         raise WrongVariant("structure carries a D field, use vdp_residual")
-    t = np.asarray(t, dtype=float)
-    if t.size != structure.m:
-        raise DimensionMismatch("t has the wrong number of components")
-    eta = u.value(x, t)
-    xi = u.time_gradient(x, t)
-    h = np.asarray(structure.h(x, t, eta, xi), dtype=float)
-    C = np.asarray(structure.c_field(x, t, eta, xi), dtype=float)
-    B = np.asarray(structure.b_field(x, t, eta, xi), dtype=float)
-    val = float(np.einsum("ab,ab", h, u.time_hessian(x, t)))
-    val -= float(np.dot(C, xi))
-    val += float(np.einsum("abc,a,b,c", B, xi, xi, xi))
-    val -= u.second_x(x, t)
-    return val
+    return _residual(u, structure, x, t)
 
 
-def vdp_residual(u: FieldFunction, structure: GeometricStructure,
-                 x: float, t) -> float:
+def vdp_residual(u: FieldFunction, structure: GeometricStructure, x, t):
     """Residual h^{ab} u_{ab} - C^g u_g + u^2 D^g u_g - u_xx."""
     if structure.variant is not Variant.VAN_DER_POL:
         raise WrongVariant("structure carries a B field, use rayleigh_residual")
-    t = np.asarray(t, dtype=float)
-    if t.size != structure.m:
-        raise DimensionMismatch("t has the wrong number of components")
-    eta = u.value(x, t)
-    xi = u.time_gradient(x, t)
-    h = np.asarray(structure.h(x, t, eta, xi), dtype=float)
-    C = np.asarray(structure.c_field(x, t, eta, xi), dtype=float)
-    D = np.asarray(structure.d_field(x, t, eta, xi), dtype=float)
-    val = float(np.einsum("ab,ab", h, u.time_hessian(x, t)))
-    val -= float(np.dot(C, xi))
-    val += eta * eta * float(np.dot(D, xi))
-    val -= u.second_x(x, t)
-    return val
+    return _residual(u, structure, x, t)
 
 
 def residual_for(structure: GeometricStructure):
@@ -321,10 +332,7 @@ def check_reversibility(structure: GeometricStructure, sample_points,
     Multitime reversibility: u(x, -t) solves the equation whenever u(x, t)
     does exactly when the damping fields flip sign with time.
     """
-    for p in sample_points:
-        pt = p if isinstance(p, EvalPoint) else EvalPoint(*p)
-        if pt.m != structure.m:
-            raise DimensionMismatch("sample point has the wrong number of times")
+    for pt in _normalize_points(sample_points, structure.m):
         x, t, eta, xi = pt.x, pt.t, pt.eta, pt.xi
         pairs = [(np.asarray(structure.c_field(x, t, eta, xi), float),
                   np.asarray(structure.c_field(x, -t, eta, xi), float))]
@@ -340,46 +348,30 @@ def check_reversibility(structure: GeometricStructure, sample_points,
     return True
 
 
-def _residual_loop(u: FieldFunction, structure: GeometricStructure, pts):
-    res = residual_for(structure)
-    return [res(u, structure, x, t) for x, t in pts]
-
-
 def check_prolongation(u1: FieldFunction, structure: GeometricStructure,
-                       lambda_unused=None, grid: GridSpec | None = None,
+                       grid: GridSpec,
                        constraint_tol: float = CONSTRAINT_TOL) -> ResidualReport:
     """Verify that v(x, t) = u1(x, t^1) solves the multitime equation.
 
-    First samples the jet of the prolonged field along the grid and checks
-    the index-1 algebraic condition through ``check_constraint`` (raising
-    ConditionViolated on failure), then sweeps the variant residual over
-    the grid.  The third slot takes no speed vector (prolongation has
-    none); the grid may be passed there directly.
+    First samples the jet of the prolonged field at every
+    ``max(1, N // 50)``-th grid point and checks the index-1 algebraic
+    condition of ``check_constraint`` there (raising ConditionViolated on
+    failure), then evaluates the variant residual over the whole grid.
     """
-    if grid is None and isinstance(lambda_unused, GridSpec):
-        grid, lambda_unused = lambda_unused, None
-    if grid is None:
-        raise ValueError("a GridSpec is required")
-    if lambda_unused is not None:
-        raise ValueError("prolongation takes no speed vector")
     m = structure.m
     if grid.m != m:
         raise DimensionMismatch("grid and structure disagree on m")
     v = prolong_field(u1, m)
+    x, t = grid.arrays()
 
-    pts = list(grid.points())
-    stride = max(1, len(pts) // 50)
-    lam_probe = SpeedVector(np.ones(m))
-    jets = []
-    for x, t in pts[::stride]:
-        xi = np.zeros(m)
-        xi[0] = v.time_gradient(x, t)[0]
-        jets.append(EvalPoint(x, t, eta=v.value(x, t), xi=xi))
-    if not check_constraint(structure, lam_probe, jets, tol=constraint_tol):
+    stride = max(1, x.size // 50)
+    xs, ts = x[::stride], t[::stride]
+    xi = np.zeros(ts.shape)
+    xi[:, 0] = v.time_gradient(xs, ts)[:, 0]
+    gap = _constraint_gap(structure, xs, ts, v.value(xs, ts), xi)
+    if np.any(np.abs(gap) > constraint_tol):
         raise ConditionViolated(
             "index-1 condition fails on the sampled jet of the prolonged field")
 
-    residuals = _residual_loop(v, structure, pts)
-    points = np.array([[x, *t] for x, t in pts])
-    labels = ["x"] + [f"t{i + 1}" for i in range(m)]
-    return ResidualReport.from_samples(points, residuals, labels)
+    residuals = np.broadcast_to(_residual(v, structure, x, t), x.shape)
+    return ResidualReport.from_samples(np.column_stack([x, t]), residuals, grid.labels())

@@ -2,7 +2,8 @@
 
 Nothing here reuses the closed-form construction logic.  The reduction is
 re-integrated numerically from initial data, the multitime residual is
-evaluated pointwise from the jet of the candidate field, and the damped
+evaluated from the jet of the candidate field at every grid point in one
+array pass, and the damped
 single-time equation u_tt - u_xx = eps (u_t - u_t^3) is solved by a
 spectral method of lines.  Agreement between these routes and the
 constructed profiles is what the test suite certifies.
@@ -10,17 +11,16 @@ constructed profiles is what the test suite certifies.
 
 from __future__ import annotations
 
-import os
+import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline, make_interp_spline
 
-from .closed_form import SolitonProfile, as_multitime
-from .coefficients import ReducedCoeffs, Variant
+from .closed_form import SolitonProfile, _second_derivative
+from .coefficients import ReducedCoeffs, Variant, _unwrap
 from .errors import (
     BadParameters,
     BlowUp,
@@ -30,7 +30,14 @@ from .errors import (
     StiffnessFailure,
     WrongVariant,
 )
-from .geometry import FieldFunction, GridSpec, ResidualReport, _h1, residual_for
+from .geometry import (
+    FieldFunction,
+    GridSpec,
+    ResidualReport,
+    _assemble,
+    _h1,
+    _residual,
+)
 
 # terminal-event threshold for the reduction integrator
 OVERFLOW_GUARD = 1e12
@@ -41,6 +48,12 @@ _BLOWUP_FLOOR = 1e6
 
 TOL_MIN = 1e-12
 TOL_MAX = 1e-4
+
+
+def _along(fn, z: np.ndarray) -> np.ndarray:
+    """A profile callable over the phases z, broadcast to z's shape (a
+    callable that ignores its argument may return a constant)."""
+    return np.broadcast_to(np.asarray(fn(z), dtype=float), z.shape)
 
 
 def _rhs_for(coeffs: ReducedCoeffs):
@@ -81,16 +94,13 @@ class IvpSolution:
         return z
 
     def phi(self, z):
-        out = self._phi_spline(self._check(z))
-        return float(out) if out.ndim == 0 else out
+        return _unwrap(self._phi_spline(self._check(z)))
 
     def phi_prime(self, z):
-        out = self._psi_spline(self._check(z))
-        return float(out) if out.ndim == 0 else out
+        return _unwrap(self._psi_spline(self._check(z)))
 
     def phi_second(self, z):
-        out = self._psi_deriv(self._check(z))
-        return float(out) if out.ndim == 0 else out
+        return _unwrap(self._psi_deriv(self._check(z)))
 
     def csv_header(self) -> list[str]:
         return ["z", "phi", "phi_prime"]
@@ -174,7 +184,7 @@ def integrate_reduction(coeffs: ReducedCoeffs, phi0: float, phi_prime0: float,
     psi = np.concatenate([s[2] for s in segs])
     keep = np.concatenate([[True], np.diff(z) > 0])
     z, phi, psi = z[keep], phi[keep], psi[keep]
-    psi_prime = np.array([rhs(zi, (pi, qi))[1] for zi, pi, qi in zip(z, phi, psi)])
+    psi_prime = rhs(z, (phi, psi))[1]
 
     phi_spline = CubicHermiteSpline(z, phi, psi)
     psi_spline = CubicHermiteSpline(z, psi, psi_prime)
@@ -196,24 +206,22 @@ def bernoulli_chain_check(coeffs: ReducedCoeffs, profile, samples,
     """
     if coeffs.variant is not Variant.RAYLEIGH:
         raise WrongVariant("the cubic-in-psi chain applies to the B-field variant")
-    skipped = 0
-    for z in np.asarray(samples, dtype=float):
-        psi = profile.phi_prime(z)
-        if abs(psi) < skip_tol:
-            skipped += 1
-            continue
-        a, b, c = coeffs.a(z), coeffs.b(z), coeffs.c(z)
-        h = _h1(z)
-        psi_hi = profile.phi_prime(z + h)
-        psi_lo = profile.phi_prime(z - h)
-        dpsi = (psi_hi - psi_lo) / (2.0 * h)
-        dxi = (psi_hi ** -2 - psi_lo ** -2) / (2.0 * h)
-        if abs(dpsi + (c / a) * psi - (b / a) * psi ** 3) > tol:
-            return False
-        if abs(dxi - 2.0 * (c / a) * psi ** -2 + 2.0 * (b / a)) > tol:
-            return False
-    if skipped:
-        warnings.warn(f"{skipped} samples skipped where |phi'| < {skip_tol}",
+    z = np.asarray(samples, dtype=float).reshape(-1)
+    psi = _along(profile.phi_prime, z)
+    flat = np.abs(psi) < skip_tol
+    z, psi = z[~flat], psi[~flat]
+    a, b, c = coeffs.a(z), coeffs.b(z), coeffs.c(z)
+    h = _h1(z)
+    psi_hi = _along(profile.phi_prime, z + h)
+    psi_lo = _along(profile.phi_prime, z - h)
+    dpsi = (psi_hi - psi_lo) / (2.0 * h)
+    dxi = (psi_hi ** -2 - psi_lo ** -2) / (2.0 * h)
+    if np.any(np.abs(dpsi + (c / a) * psi - (b / a) * psi ** 3) > tol):
+        return False
+    if np.any(np.abs(dxi - 2.0 * (c / a) * psi ** -2 + 2.0 * (b / a)) > tol):
+        return False
+    if flat.any():
+        warnings.warn(f"{np.count_nonzero(flat)} samples skipped where |phi'| < {skip_tol}",
                       RuntimeWarning, stacklevel=2)
     return True
 
@@ -228,75 +236,50 @@ def reduction_ode_residual(coeffs: ReducedCoeffs, profile, zs,
     """
     if derivative_mode not in ("analytic", "fd"):
         raise BadParameters("derivative_mode must be 'analytic' or 'fd'")
-    zs = np.asarray(zs, dtype=float)
-    residuals = []
-    for z in zs:
-        p = profile.phi_prime(z)
-        if derivative_mode == "fd" or profile.phi_second is None:
-            h = _h1(z)
-            pp = (profile.phi_prime(z + h) - profile.phi_prime(z - h)) / (2.0 * h)
-        else:
-            pp = profile.phi_second(z)
-        if coeffs.variant is Variant.RAYLEIGH:
-            r = coeffs.a(z) * pp - coeffs.b(z) * p ** 3 + coeffs.c(z) * p
-        else:
-            r = coeffs.a(z) * pp - coeffs.d(z) * profile.phi(z) ** 2 * p + coeffs.c(z) * p
-        residuals.append(r)
-    return ResidualReport.from_samples(zs.reshape(-1, 1), residuals, ("z",))
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("MRAYLEIGH_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise BadParameters(f"MRAYLEIGH_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
+    z = np.asarray(zs, dtype=float).reshape(-1)
+    p = _along(profile.phi_prime, z)
+    if derivative_mode == "fd" or profile.phi_second is None:
+        h = _h1(z)
+        pp = (_along(profile.phi_prime, z + h) - _along(profile.phi_prime, z - h)) / (2.0 * h)
+    else:
+        pp = _along(profile.phi_second, z)
+    if coeffs.variant is Variant.RAYLEIGH:
+        cubic = coeffs.b(z) * p ** 3
+    else:
+        cubic = coeffs.d(z) * _along(profile.phi, z) ** 2 * p
+    residuals = coeffs.a(z) * pp - cubic + coeffs.c(z) * p
+    return ResidualReport.from_samples(z.reshape(-1, 1), residuals, ("z",))
 
 
 def residual_sweep(u, structure, grid: GridSpec,
                    skip_out_of_domain: bool = False) -> ResidualReport:
-    """Evaluate the variant residual of ``u`` at every grid point.
+    """Evaluate the variant residual of ``u`` at every grid point at once.
 
-    ``u`` may be a FieldFunction or a SolitonProfile (converted through its
-    own speed vector).  MRAYLEIGH_THREADS sets the worker count; results
-    are ordered by the grid regardless.  With ``skip_out_of_domain`` points
-    whose phase leaves a profile's validity interval are dropped; if every
-    point drops, EmptyDomain is raised.
+    ``u`` may be a FieldFunction or a SolitonProfile, lifted through its own
+    speed vector: its phase is computed once for the whole grid and its jet
+    (phi, phi', phi'') evaluated in one call each.  With
+    ``skip_out_of_domain`` the points whose phase lies outside the
+    profile's validity interval are dropped before evaluation; if every
+    point drops, EmptyDomain is raised.  Otherwise an out-of-domain point
+    raises DomainExceeded.
     """
+    x, t = grid.arrays()
     if isinstance(u, SolitonProfile):
-        u = as_multitime(u)
-    res = residual_for(structure)
-    pts = list(grid.points())
-    if not pts:
-        raise EmptyDomain("grid contains no points")
-
-    def one(pt):
-        x, t = pt
-        try:
-            return res(u, structure, x, t)
-        except DomainExceeded:
-            if skip_out_of_domain:
-                return None
-            raise
-
-    n = _thread_count()
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as ex:
-            vals = list(ex.map(one, pts))
+        lv = u.lam.values
+        z = u.lam.z(x, t)
+        if skip_out_of_domain:
+            keep = u.domain.contains(z)
+            if not keep.any():
+                raise EmptyDomain("every grid point fell outside the profile domain")
+            x, t, z = x[keep], t[keep], z[keep]
+        d2 = _second_derivative(u)(z)
+        residuals = _assemble(structure, x, t, u.phi(z),
+                              np.multiply.outer(u.phi_prime(z), -lv),
+                              np.multiply.outer(d2, np.outer(lv, lv)), d2)
     else:
-        vals = [one(pt) for pt in pts]
-
-    rows, residuals = [], []
-    for (x, t), v in zip(pts, vals):
-        if v is None:
-            continue
-        rows.append([x] + [float(c) for c in t])
-        residuals.append(v)
-    if not residuals:
-        raise EmptyDomain("every grid point fell outside the profile domain")
-    labels = ["x"] + [f"t{i + 1}" for i in range(grid.m)]
-    return ResidualReport.from_samples(rows, residuals, labels)
+        residuals = _residual(u, structure, x, t)
+    return ResidualReport.from_samples(np.column_stack([x, t]),
+                                       np.broadcast_to(residuals, x.shape), grid.labels())
 
 
 @dataclass(frozen=True)
@@ -310,10 +293,6 @@ class DecayResult:
     crossing_radius: float | None
     final_value: float
     limit_metadata: dict
-
-    def __iter__(self):
-        # unpacks as (ok, crossing_radius)
-        return iter((self.ok, self.crossing_radius))
 
     def to_json_dict(self) -> dict:
         return {
@@ -339,19 +318,25 @@ def decay_check(profile: SolitonProfile, direction, threshold: float = 1e-3,
     the threshold.  Known asymptotic limits recorded on the profile are
     passed through as metadata for the relevant phase direction.
     """
+    horizon, threshold = float(horizon), float(threshold)
+    for name, v in (("horizon", horizon), ("threshold", threshold)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise BadParameters(f"{name} must be finite and positive, got {v}")
+    if n_samples < 2:
+        raise BadParameters(f"n_samples must be at least 2, got {n_samples}")
     direction = np.asarray(direction, dtype=float)
     if direction.size != profile.lam.m:
         raise BadParameters("direction length must match the number of times")
     rate = float(np.dot(profile.lam.values, direction))
     if rate == 0.0:
         raise BadParameters("phase is constant along this direction")
-    s = np.linspace(0.0, float(horizon), n_samples)
+    s = np.linspace(0.0, horizon, n_samples)
     z = x - rate * s
-    inside = np.array([profile.domain.contains(zi) for zi in z])
+    inside = profile.domain.contains(z)
     if not inside.any():
         raise EmptyDomain("the ray never meets the profile domain")
     s, z = s[inside], z[inside]
-    vals = np.array([abs(profile.phi(zi)) for zi in z])
+    vals = np.abs(_along(profile.phi, z))
 
     below = vals <= threshold
     crossing = None
@@ -366,7 +351,7 @@ def decay_check(profile: SolitonProfile, direction, threshold: float = 1e-3,
     if key in profile.params:
         meta["stated_limit"] = profile.params[key]
     return DecayResult(tuple(float(v) for v in direction), threshold,
-                       float(horizon), crossing is not None, crossing,
+                       horizon, crossing is not None, crossing,
                        float(vals[-1]), meta)
 
 
@@ -388,63 +373,66 @@ class SingleTimeSolution:
     _sv: object = field(repr=False)
     _svd: object = field(repr=False)
 
-    def _check_t(self, t: float) -> float:
-        t = float(t)
+    def _check_t(self, t):
+        t = np.asarray(t, dtype=float)
         slack = 1e-12 * max(1.0, self.t_final)
-        if t < -slack or t > self.t_final + slack:
-            raise DomainExceeded(f"t = {t} outside the integrated range "
-                                 f"[0, {self.t_final}]")
+        outside = (t < -slack) | (t > self.t_final + slack)
+        if np.any(outside):
+            raise DomainExceeded(f"t = {np.ravel(t)[np.argmax(np.ravel(outside))]} "
+                                 f"outside the integrated range [0, {self.t_final}]")
         return t
 
-    def _coeffs(self, spline, t: float) -> np.ndarray:
+    def _coeffs(self, spline, t) -> np.ndarray:
+        """Complex Fourier coefficients at t, on a trailing axis."""
         row = np.asarray(spline(t))
-        half = row.size // 2
-        return row[:half] + 1j * row[half:]
+        half = row.shape[-1] // 2
+        return row[..., :half] + 1j * row[..., half:]
 
-    def _trig(self, ch: np.ndarray, x: float, order: int = 0) -> float:
-        w = np.full(ch.size, 2.0)
+    def _trig(self, ch: np.ndarray, x, order: int = 0):
+        """The order-th x-derivative of the real field with coefficients ch
+        at x; ch's leading axes broadcast against x's."""
+        w = np.full(ch.shape[-1], 2.0)
         w[0] = 1.0
         if self.n_x % 2 == 0:
             w[-1] = 1.0
         fac = (1j * self._k) ** order if order else 1.0
-        return float(np.real(np.sum(w * fac * ch * np.exp(1j * self._k * x))) / self.n_x)
+        waves = np.exp(1j * self._k * np.expand_dims(np.asarray(x, dtype=float), -1))
+        return _unwrap(np.real(np.einsum("...k,...k->...", w * fac * ch, waves)) / self.n_x)
 
-    def u(self, x: float, t: float) -> float:
+    def u(self, x, t):
         return self._trig(self._coeffs(self._su, self._check_t(t)), x)
 
-    def u_t(self, x: float, t: float) -> float:
+    def u_t(self, x, t):
         return self._trig(self._coeffs(self._sv, self._check_t(t)), x)
 
-    def u_tt(self, x: float, t: float) -> float:
+    def u_tt(self, x, t):
         return self._trig(self._coeffs(self._svd, self._check_t(t)), x)
 
-    def u_xx(self, x: float, t: float) -> float:
+    def u_xx(self, x, t):
         return self._trig(self._coeffs(self._su, self._check_t(t)), x, order=2)
 
     def as_field(self) -> FieldFunction:
+        """The solution as a one-time field; t has a trailing axis of length 1."""
+        def t1(t):
+            return np.asarray(t, dtype=float)[..., 0]
+
         return FieldFunction(
-            u=lambda x, t: self.u(x, float(np.asarray(t).reshape(-1)[0])),
-            grad_t=lambda x, t: np.array([self.u_t(x, float(np.asarray(t).reshape(-1)[0]))]),
-            hess_t=lambda x, t: np.array([[self.u_tt(x, float(np.asarray(t).reshape(-1)[0]))]]),
-            d2x=lambda x, t: self.u_xx(x, float(np.asarray(t).reshape(-1)[0])),
+            u=lambda x, t: self.u(x, t1(t)),
+            grad_t=lambda x, t: np.expand_dims(self.u_t(x, t1(t)), -1),
+            hess_t=lambda x, t: np.expand_dims(self.u_tt(x, t1(t)), (-2, -1)),
+            d2x=lambda x, t: self.u_xx(x, t1(t)),
             m=1,
         )
 
     def residual_estimate(self, n_probe_x: int = 48, n_probe_t: int = 33) -> float:
         """Max |u_tt - u_xx - eps (u_t - u_t^3)| over an off-grid probe lattice."""
         xs = np.linspace(0.1, 2.0 * np.pi - 0.1, n_probe_x)
-        ts = np.linspace(0.0, self.t_final, n_probe_t)
-        worst = 0.0
-        for t in ts:
-            cu = self._coeffs(self._su, t)
-            cv = self._coeffs(self._sv, t)
-            ca = self._coeffs(self._svd, t)
-            for x in xs:
-                ut = self._trig(cv, x)
-                r = (self._trig(ca, x) - self._trig(cu, x, order=2)
-                     - self.epsilon * (ut - ut ** 3))
-                worst = max(worst, abs(r))
-        return worst
+        ts = np.linspace(0.0, self.t_final, n_probe_t)[:, None]
+        cu, cv, ca = (self._coeffs(sp, ts) for sp in (self._su, self._sv, self._svd))
+        ut = self._trig(cv, xs)
+        r = (self._trig(ca, xs) - self._trig(cu, xs, order=2)
+             - self.epsilon * (ut - ut ** 3))
+        return float(np.max(np.abs(r)))
 
 
 def integrate_single_time_rayleigh(epsilon: float, u0, v0, t_final: float,

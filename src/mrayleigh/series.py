@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import Family, Interval, SolitonProfile, _check_domain
+from .closed_form import Family, Interval, SolitonProfile, _check_domain, _stacked
 from .coefficients import (
     DEGENERACY_TOL,
     ReducedCoeffs,
@@ -232,16 +232,19 @@ def evaluate_second(series: SeriesSolution, z: float) -> float:
 def estimate_radius(series: SeriesSolution) -> float:
     """Convergence-radius estimate from the coefficient tail.
 
-    Root test on the tail half of the coefficients: the median of
-    |alpha_n|^{-1/n} over nonzero tail entries.  When the tail carries no
-    information (constant or terminating series) the large sentinel
-    LARGE_RADIUS is returned; when b(z) is identically zero the ODE is
-    linear and the nearest zero of a(z) is used as an analytic fallback.
-    A return of 0.0 means the estimate is inconclusive.
+    Root test on the tail window [max(4, N // 2), N] of the coefficients:
+    the median of |alpha_n|^{-1/n} over nonzero tail entries.  A window of
+    fewer than 3 indices is too short to judge and returns 0.0.  When the
+    tail carries no information (constant or terminating series) the large
+    sentinel LARGE_RADIUS is returned; when b(z) is identically zero the
+    ODE is linear and the nearest zero of a(z) is used as an analytic
+    fallback.  A return of 0.0 means the estimate is inconclusive.
     """
     alpha = series.alpha
     n_top = alpha.size - 1
     start = max(4, n_top // 2)
+    if n_top - start + 1 < 3:
+        return 0.0
     tail_idx = [n for n in range(start, n_top + 1) if alpha[n] != 0.0]
     if len(tail_idx) >= 3:
         rn = [abs(alpha[n]) ** (-1.0 / n) for n in tail_idx]
@@ -269,17 +272,11 @@ def series_soliton(series: SeriesSolution, lam: SpeedVector | None = None) -> So
     der1 = np.polynomial.polynomial.polyder(series.alpha)
     der2 = np.polynomial.polynomial.polyder(series.alpha, 2)
 
-    def phi(z: float) -> float:
-        _check_domain(dom, z)
-        return float(np.polynomial.polynomial.polyval(z, series.alpha))
-
-    def phi_prime(z: float) -> float:
-        _check_domain(dom, z)
-        return float(np.polynomial.polynomial.polyval(z, der1))
-
-    def phi_second(z: float) -> float:
-        _check_domain(dom, z)
-        return float(np.polynomial.polynomial.polyval(z, der2))
+    def horner(coef):
+        def fn(z):
+            _check_domain(dom, z)
+            return np.polynomial.polynomial.polyval(z, coef)
+        return _stacked(fn)
 
     params = {
         "coeffs": list(series.coeffs.sextuple()),
@@ -288,6 +285,5 @@ def series_soliton(series: SeriesSolution, lam: SpeedVector | None = None) -> So
         "n_terms": int(series.n_terms),
         "radius_estimate": float(series.radius_estimate),
     }
-    return SolitonProfile(Family.SERIES, params, lam, dom,
-                          phi, phi_prime, phi_second,
-                          coeffs=series.coeffs.to_reduced())
+    return SolitonProfile(Family.SERIES, params, lam, dom, horner(series.alpha),
+                          horner(der1), horner(der2), coeffs=series.coeffs.to_reduced())

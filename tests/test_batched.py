@@ -1,0 +1,132 @@
+"""The batched evaluation core against pointwise references.
+
+Profiles, fields and structures evaluate a whole stack of points in one
+call; a single point still gives Python floats.  The references here are
+built one point at a time from scalar calls, as the sweep used to be.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.optimize import brentq
+
+from mrayleigh.closed_form import (
+    _first_integral_antiderivative,
+    _solve_branch,
+    soliton_arccosh,
+    soliton_arcsin,
+    soliton_arcsinh,
+    soliton_quadrature,
+    vdp_explicit,
+    vdp_implicit,
+    with_speed,
+)
+from mrayleigh.coefficients import (
+    SpeedVector,
+    Variant,
+    constant_coeffs,
+    general_coeffs,
+    synthesize_structure,
+)
+from mrayleigh.geometry import GridSpec
+from mrayleigh.oracle import residual_sweep
+from mrayleigh.series import AffineCoeffs, series_coefficients, series_soliton
+
+EXP_CO = general_coeffs(a=math.exp, c=math.exp, d=lambda z: 3.0)
+SQ2 = 1.0 / math.sqrt(2.0)
+
+
+def _families():
+    """(name, profile, x window kept inside the domain)."""
+    return [
+        ("quadrature", soliton_quadrature(constant_coeffs(1.0, 1.0, b=1.0), K=4.0,
+                                          z0=0.0, domain=(-2.0, 2.0)), (-1.5, 1.5)),
+        ("arccosh", soliton_arccosh(1.0, 1.0, 1.0, math.e), (-3.0, 0.5)),
+        ("arcsinh", soliton_arcsinh(1.0, 1.0, 1.0, 1.0), (-3.0, 3.0)),
+        ("arcsin", soliton_arcsin(1.0, -1.0, 1.0, 1.0), (0.5, 4.0)),
+        ("vdp-implicit", vdp_implicit(EXP_CO, k1=0.0, z0=0.0, phi0=SQ2,
+                                      domain=(-2.0, 2.0)), (-1.5, 1.5)),
+        ("vdp-implicit-k1", vdp_implicit(EXP_CO, k1=0.25, z0=0.0, phi0=1.0,
+                                         domain=(-2.0, 2.0)), (-1.5, 0.5)),
+        ("vdp-explicit", vdp_explicit(1.0, 1.0, 3.0, 1.0), (-3.0, 3.0)),
+        ("series", series_soliton(series_coefficients(
+            AffineCoeffs.from_sextuple((0, 0, 0, 1, 0, 1)), 0.0, 1.0, 60)), (-2.0, 2.0)),
+    ]
+
+
+def _pointwise_residual(prof, st, x, t):
+    """The sweep residual at one point from scalar calls (the unbatched formula)."""
+    lv = prof.lam.values
+    z = x - float(np.dot(lv, t))
+    eta, p1, p2 = prof.phi(z), prof.phi_prime(z), prof.phi_second(z)
+    xi = -lv * p1
+    h = np.asarray(st.h(x, t, eta, xi), float)
+    C = np.asarray(st.c_field(x, t, eta, xi), float)
+    val = float(np.einsum("ab,ab", h, np.outer(lv, lv) * p2))
+    val -= float(np.dot(C, xi))
+    if st.variant is Variant.RAYLEIGH:
+        B = np.asarray(st.b_field(x, t, eta, xi), float)
+        val += float(np.einsum("abc,a,b,c", B, xi, xi, xi))
+    else:
+        D = np.asarray(st.d_field(x, t, eta, xi), float)
+        val += eta * eta * float(np.dot(D, xi))
+    return val - p2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_batched_sweep_matches_pointwise_reference(m):
+    lam = SpeedVector(np.linspace(1.0, 0.5, m))
+    n_t = {1: (12,), 2: (4, 3), 3: (3, 2, 2)}[m]
+    for name, prof, (xlo, xhi) in _families():
+        lifted = with_speed(prof, lam)
+        st = synthesize_structure(lifted.coeffs, m, lam)
+        grid = GridSpec((xlo, xhi, 15), tuple((0.0, 0.1, k) for k in n_t))
+        rep = residual_sweep(lifted, st, grid)
+        ref = [_pointwise_residual(lifted, st, x, t) for x, t in grid.points()]
+        dev = float(np.max(np.abs(rep.residuals - ref)))
+        assert dev <= 1e-14, f"{name} m={m}: batched and pointwise differ by {dev}"
+
+
+def test_skip_drops_exactly_the_points_outside_the_domain():
+    lam = SpeedVector(np.array([1.0, 1.0]))
+    prof = with_speed(soliton_arccosh(1.0, 1.0, 1.0, math.e), lam)   # z <= 1
+    st = synthesize_structure(prof.coeffs, 2, lam)
+    grid = GridSpec((0.0, 2.5, 11), ((0.0, 0.5, 4), (0.0, 0.5, 3)))
+    rep = residual_sweep(prof, st, grid, skip_out_of_domain=True)
+    inside = [[x, *t] for x, t in grid.points() if prof.domain.contains(lam.z(x, t))]
+    dropped = grid.n_points() - len(inside)
+    assert 0 < dropped < grid.n_points()
+    assert rep.residuals.size + dropped == grid.n_points()
+    assert np.array_equal(rep.points, inside)
+
+
+def test_profile_callables_keep_the_scalar_contract():
+    extra = [("vdp-direct", vdp_implicit(EXP_CO, k1=0.0, z0=0.0, phi0=SQ2,
+                                         domain=(-2.0, 2.0), square_relation="direct"),
+              (-1.5, 0.0))]
+    for name, prof, (lo, hi) in _families() + extra:
+        zs = np.linspace(lo, hi, 7)
+        for fn in (prof.phi, prof.phi_prime, prof.phi_second):
+            for z in (float(zs[3]), zs[3]):
+                assert type(fn(z)) is float, f"{name}: {fn(z)!r}"
+            stacked = fn(zs)
+            assert isinstance(stacked, np.ndarray) and stacked.shape == zs.shape
+            assert np.array_equal(stacked, [fn(float(z)) for z in zs]), name
+
+
+@pytest.mark.parametrize("k1, phi0", [(0.25, 1.0), (0.25, 0.1), (-0.5, 1.0), (2.0, -3.0)])
+def test_branch_solver_agrees_with_brentq(k1, phi0):
+    L = _first_integral_antiderivative(k1)
+    side = 1.0 if phi0 > k1 else -1.0
+    far_scale = max(1.0, abs(k1), 4.0 * abs(phi0 - k1))
+    want = k1 + side * np.geomspace(1e-8, 1e2, 60) * far_scale
+    target = L(want)
+    got = _solve_branch(L, k1, side, far_scale, target)
+    for g, w, tg in zip(got, want, target):
+        lo, hi = sorted((k1 + side * 1e-12 * far_scale, k1 + side * 1e4 * far_scale))
+        ref = brentq(lambda p: L(p) - tg, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+        # brentq's own tolerance, plus the rounding of L over L'(phi) that
+        # leaves any root defined only to that width
+        floor = 4.0 * np.finfo(float).eps * max(1.0, abs(tg)) * abs(ref ** 3 - k1 ** 3) / 3.0
+        assert abs(g - ref) <= 1e-14 + 8.9e-16 * abs(ref) + floor, (g, ref, w)

@@ -7,6 +7,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "mrayleigh.cli", *args],
@@ -200,3 +202,33 @@ def test_prolong_undamped_case_verifies():
     assert obj["m"] == 3
     assert obj["max_abs"] <= obj["tol"]
     assert obj["tau_r"] <= 1e-4
+
+
+@pytest.mark.parametrize("family_args, name", [
+    (("--family", "arcsinh", "--a", "nan", "--b", "1", "--c", "1", "--K", "1"), "a"),
+    (("--family", "vdp-explicit", "--a", "1", "--c", "1", "--d", "3", "--K", "inf"), "K"),
+    (("--family", "quadrature", "--a", "1", "--b", "1", "--c", "1", "--K", "inf"), "K"),
+    (("--family", "vdp-implicit", "--a", "exp", "--c", "exp", "--d", "3",
+      "--k1", "nan", "--phi0", "1"), "k1"),
+])
+def test_non_finite_profile_parameters_exit_2(family_args, name):
+    r = run_cli("profile", *family_args, "--n", "3")
+    assert r.returncode == 2, r.stdout
+    assert f"{name} must be finite" in r.stderr
+    assert r.stdout == ""
+
+
+def test_decay_rejects_a_non_finite_horizon():
+    r = run_cli("decay", "--family", "arcsinh", "--a", "1", "--b=-1", "--c=-1",
+                "--K", "1", "--direction", "1,1", "--horizon", "nan")
+    assert r.returncode == 2
+    assert "horizon must be finite and positive" in r.stderr
+
+
+def test_series_profile_with_too_short_a_tail_exits_2():
+    # N = 1 leaves no tail to estimate a radius from; phi = z must not be
+    # offered on the whole line
+    r = run_cli("profile", "--family", "series", "--coeffs", "0,0,0,1,1,0",
+                "--alpha0", "0", "--alpha1", "1", "--N", "1")
+    assert r.returncode == 2
+    assert "radius estimate is inconclusive" in r.stderr

@@ -240,10 +240,10 @@ def test_check_prolongation_rejects_unbalanced_structure():
 def test_check_prolongation_grid_argument_forms():
     grid = GridSpec((0.0, 1.0, 3), ((0.0, 1.0, 2),))
     st = prolongation_structure(1, 0.0)
-    a = check_prolongation(traveling_sine(), st, None, grid)
-    b = check_prolongation(traveling_sine(), st, grid)  # grid in the legacy slot
-    assert a.max_abs == b.max_abs
-    with pytest.raises(ValueError):
+    a = check_prolongation(traveling_sine(), st, grid)
+    b = check_prolongation(traveling_sine(), st, grid=grid)
+    assert np.array_equal(a.residuals, b.residuals)
+    with pytest.raises(TypeError):
         check_prolongation(traveling_sine(), st)
 
 

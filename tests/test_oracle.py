@@ -10,6 +10,7 @@ from mrayleigh.closed_form import (
     Family,
     Interval,
     SolitonProfile,
+    as_multitime,
     soliton_arccosh,
     soliton_arcsinh,
     vdp_explicit,
@@ -29,7 +30,7 @@ from mrayleigh.errors import (
     EmptyDomain,
     WrongVariant,
 )
-from mrayleigh.geometry import GridSpec
+from mrayleigh.geometry import GridSpec, rayleigh_residual
 from mrayleigh.oracle import (
     bernoulli_chain_check,
     decay_check,
@@ -143,21 +144,21 @@ def test_missing_second_derivative_falls_back_to_differences():
     assert 0.0 < rep.max_abs <= 1e-6
 
 
-def test_residual_sweep_multitime(monkeypatch):
+def test_residual_sweep_multitime():
     lam = SpeedVector(np.array([1.0, 0.5]))
     p = with_speed(_arcsinh_profile(), lam)
     st = synthesize_structure(p.coeffs, 2, lam)
     grid = GridSpec((-2.0, 2.0, 13), ((0.0, 0.3, 4), (0.0, 0.3, 4)))
-    serial = residual_sweep(p, st, grid)
-    assert serial.max_abs <= 1e-6
+    rep = residual_sweep(p, st, grid)
+    assert rep.max_abs <= 1e-6
 
-    monkeypatch.setenv("MRAYLEIGH_THREADS", "2")
-    threaded = residual_sweep(p, st, grid)
-    assert np.array_equal(threaded.residuals, serial.residuals)
-
-    monkeypatch.setenv("MRAYLEIGH_THREADS", "abc")
-    with pytest.raises(BadParameters):
-        residual_sweep(p, st, grid)
+    # rows follow grid.points(), and each residual is the one the pointwise
+    # entry point gives for the lifted field at that row
+    u = as_multitime(p)
+    pts = list(grid.points())
+    assert np.array_equal(rep.points, [[x, *t] for x, t in pts])
+    pointwise = [rayleigh_residual(u, st, x, t) for x, t in pts]
+    assert np.max(np.abs(rep.residuals - pointwise)) <= 1e-14
 
 
 def test_residual_sweep_skip_exhaustion():
@@ -174,7 +175,7 @@ def test_decay_along_ray_with_frozen_crossing():
     p = with_speed(soliton_arcsinh(1.0, -1.0, -1.0, 1.0),
                    SpeedVector(np.array([1.0, 1.0])))
     res = decay_check(p, (1.0, 1.0))
-    ok, radius = res
+    ok, radius = res.ok, res.crossing_radius
     assert ok
     assert abs(radius - 3.501750875437719) <= 1e-12
     assert res.limit_metadata["phase_tends_to"] == "-inf"
@@ -203,6 +204,10 @@ def test_decay_guards():
     cosh_p = soliton_arccosh(1.0, 1.0, 1.0, math.e)
     with pytest.raises(EmptyDomain):
         decay_check(cosh_p, (-1.0,), x=5.0)
+    for bad in ({"horizon": math.nan}, {"horizon": -1.0}, {"threshold": math.inf},
+                {"threshold": 0.0}, {"n_samples": 1}):
+        with pytest.raises(BadParameters):
+            decay_check(p, (1.0, 1.0), **bad)
 
 
 def test_single_time_solver_reproduces_separated_solution():

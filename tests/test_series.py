@@ -109,6 +109,11 @@ def test_radius_estimates_for_known_cases():
     const = series_coefficients(LINEAR, 5.0, 0.0, 40)
     assert const.radius_estimate >= 1e299           # terminating series
 
+    # a tail window [max(4, N // 2), N] of fewer than 3 indices decides nothing
+    for n in (1, 2, 5):
+        assert series_coefficients(CUBIC, 0.0, 1.0, n).radius_estimate == 0.0
+    assert series_coefficients(LINEAR, 5.0, 0.0, 6).radius_estimate >= 1e299
+
 
 def test_recurrence_needs_nondegenerate_constant_a():
     bad = AffineCoeffs.from_sextuple((1.0, 0.0, 0.0, 0.0, 0.0, 1.0))
