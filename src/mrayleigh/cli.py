@@ -38,6 +38,7 @@ from .closed_form import (
     with_speed,
 )
 from .coefficients import (
+    AffineCoeffs,
     SpeedVector,
     Variant,
     constant_coeffs,
@@ -55,7 +56,7 @@ from .oracle import (
     reduction_ode_residual,
     residual_sweep,
 )
-from .series import AffineCoeffs, series_coefficients, series_coefficients_triple_sum, series_soliton
+from .series import series_coefficients, series_coefficients_triple_sum, series_soliton
 
 GUARD_BAND = 0.1
 

@@ -56,6 +56,7 @@ from .coefficients import (
     SpeedVector,
     Variant,
     _first,
+    _require_finite,
     coeffs_to_json_dict,
     constant_coeffs,
 )
@@ -118,12 +119,6 @@ def _stacked(fn):
             return float(fn(z.reshape(1))[0])
         return fn(z)
     return call
-
-
-def _require_finite(**values):
-    bad = [name for name, v in values.items() if not math.isfinite(v)]
-    if bad:
-        raise BadParameters(f"{', '.join(bad)} must be finite")
 
 
 @dataclass(frozen=True)
@@ -279,16 +274,35 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
 
     @_stacked
     def phi_second(z):
-        # differentiate the closed form: phi'' = (-c/a) phi' + (b/a) phi'^3
+        # differentiate the closed form: phi'' = (-c/a) phi' + (b/a) phi'^3;
+        # the Rayleigh cubic term does not read phi
         p = phi_prime(z)
-        return (-coeffs.c(z) * p + coeffs.b(z) * p ** 3) / coeffs.a(z)
+        return (-coeffs.c(z) * p + coeffs.cubic(z, None, p)) / coeffs.a(z)
 
     params = {"K": K, "z0": z0, "coeffs": _coeffs_payload(coeffs)}
     return SolitonProfile(Family.QUADRATURE, params, lam, dom,
                           phi, phi_prime, phi_second, coeffs=coeffs)
 
 
-def _arc_common(a, b, c, K, r, sigma):
+# (g, s) per arc family: the radicand under phi' is rad = g w^2 + s
+_ARC_FORMS = {
+    Family.ARCCOSH: (1.0, -1.0, np.arccosh),
+    Family.ARCSINH: (1.0, 1.0, np.arcsinh),
+    Family.ARCSIN: (-1.0, 1.0, np.arcsin),
+}
+
+
+def _arc_family(family, a, b, c, K, r, sigma, lam) -> SolitonProfile:
+    """phi = sigma (a/c) sqrt(g c/b) f(w) + r with w = K e^{-(c/a) z}.
+
+    f is arccosh, arcsinh or arcsin, with (g, s) = (1, -1), (1, 1) or
+    (-1, 1) and rad = g w^2 + s, positive inside the domain.  Then
+    phi' = -sigma sqrt(g c/b) w / sqrt(rad) and
+    phi'' = s sigma sqrt(g c/b) (c/a) w rad^-1.5.  arcsinh has rad >= 1 on
+    all of R; the other two are valid on a half-line ending at
+    (a/c) ln K, where rad <= 0, phi stays finite and phi', phi'' are
+    infinite.
+    """
     a, b, c, K, r = float(a), float(b), float(c), float(K), float(r)
     _require_finite(a=a, b=b, c=c, K=K, r=r)
     if a == 0.0 or c == 0.0 or b == 0.0:
@@ -297,45 +311,29 @@ def _arc_common(a, b, c, K, r, sigma):
         raise BadParameters("K must be positive")
     if sigma not in (1.0, -1.0, 1, -1):
         raise BadParameters("sigma must be +1 or -1")
-    return a, b, c, K, r, float(sigma)
-
-
-def _arc_profile(family, a, b, c, K, r, sigma, lam, dom, phi, phi_prime, phi_second):
-    params = {"a": a, "b": b, "c": c, "K": K, "r": r, "sigma": sigma}
-    return SolitonProfile(family, params, _default_lam(lam), dom,
-                          _stacked(phi), _stacked(phi_prime), _stacked(phi_second),
-                          coeffs=constant_coeffs(a, c, b=b))
-
-
-def _edge_family(family, a, b, c, K, r, sigma, lam) -> SolitonProfile:
-    """The arccosh (c/b > 0, w >= 1) and arcsin (c/b < 0, w <= 1) forms.
-
-    With g = +1 for arccosh and -1 for arcsin, rad = g (w^2 - 1) is positive
-    inside the domain, phi' = -sigma sqrt(g c/b) w / sqrt(rad) and
-    phi'' = -g sigma sqrt(g c/b) (c/a) w rad^-1.5; both are infinite at the
-    edge, where rad <= 0.
-    """
-    a, b, c, K, r, sigma = _arc_common(a, b, c, K, r, sigma)
-    cosh = family is Family.ARCCOSH
-    g = 1.0 if cosh else -1.0
+    sigma = float(sigma)
+    g, s, arc = _ARC_FORMS[family]
     Q = c / b
     if g * Q <= 0.0:
-        raise BadParameters(f"{family.value} family needs c/b {'>' if cosh else '<'} 0")
+        raise BadParameters(f"{family.value} family needs c/b {'>' if g > 0 else '<'} 0")
     rate = c / a
     sq = math.sqrt(g * Q)
     amp = sigma * (a / c) * sq
-    edge = (a / c) * math.log(K)
-    dom = Interval(-math.inf, edge) if (rate > 0) == cosh else Interval(edge, math.inf)
-    arc, clip = (np.arccosh, np.maximum) if cosh else (np.arcsin, np.minimum)
+    if g * s > 0.0:
+        dom = Interval(-math.inf, math.inf)
+    else:
+        edge = (a / c) * math.log(K)
+        dom = Interval(-math.inf, edge) if (rate > 0) == (g > 0) else Interval(edge, math.inf)
 
     def w(z):
         _check_domain(dom, z)
         ww = K * np.exp(-rate * z)
-        rad = g * (ww * ww - 1.0)
+        rad = g * ww * ww + s
         return ww, rad, rad <= 0.0
 
     def phi(z):
-        return amp * arc(clip(w(z)[0], 1.0)) + r
+        ww, _, at_edge = w(z)
+        return amp * arc(np.where(at_edge, 1.0, ww)) + r
 
     def phi_prime(z):
         ww, rad, at_edge = w(z)
@@ -344,10 +342,13 @@ def _edge_family(family, a, b, c, K, r, sigma, lam) -> SolitonProfile:
 
     def phi_second(z):
         ww, rad, at_edge = w(z)
-        val = -g * sigma * sq * rate * ww * np.where(at_edge, 1.0, rad) ** -1.5
-        return np.where(at_edge, sigma * rate * math.inf, val)
+        val = s * sigma * sq * rate * ww * np.where(at_edge, 1.0, rad) ** -1.5
+        return np.where(at_edge, s * sigma * rate * math.inf, val)
 
-    return _arc_profile(family, a, b, c, K, r, sigma, lam, dom, phi, phi_prime, phi_second)
+    params = {"a": a, "b": b, "c": c, "K": K, "r": r, "sigma": sigma}
+    return SolitonProfile(family, params, _default_lam(lam), dom,
+                          _stacked(phi), _stacked(phi_prime), _stacked(phi_second),
+                          coeffs=constant_coeffs(a, c, b=b))
 
 
 def soliton_arccosh(a, b, c, K, r=0.0, sigma=1.0, lam=None) -> SolitonProfile:
@@ -356,32 +357,12 @@ def soliton_arccosh(a, b, c, K, r=0.0, sigma=1.0, lam=None) -> SolitonProfile:
     Valid where w = K e^{-(c/a) z} >= 1, a half-line ending (or starting)
     at (a/c) ln K.  phi is finite at that endpoint while phi' diverges.
     """
-    return _edge_family(Family.ARCCOSH, a, b, c, K, r, sigma, lam)
+    return _arc_family(Family.ARCCOSH, a, b, c, K, r, sigma, lam)
 
 
 def soliton_arcsinh(a, b, c, K, r=0.0, sigma=1.0, lam=None) -> SolitonProfile:
     """phi = sigma (a/c) sqrt(c/b) arcsinh(K e^{-(c/a) z}) + r, on all of R."""
-    a, b, c, K, r, sigma = _arc_common(a, b, c, K, r, sigma)
-    Q = c / b
-    if Q <= 0.0:
-        raise BadParameters("arcsinh family needs c/b > 0")
-    rate = c / a
-    amp = sigma * (a / c) * math.sqrt(Q)
-    dom = Interval(-math.inf, math.inf)
-
-    def phi(z):
-        return amp * np.arcsinh(K * np.exp(-rate * z)) + r
-
-    def phi_prime(z):
-        ww = K * np.exp(-rate * z)
-        return -sigma * math.sqrt(Q) * ww / np.sqrt(ww * ww + 1.0)
-
-    def phi_second(z):
-        ww = K * np.exp(-rate * z)
-        return sigma * math.sqrt(Q) * rate * ww * (ww * ww + 1.0) ** -1.5
-
-    return _arc_profile(Family.ARCSINH, a, b, c, K, r, sigma, lam, dom,
-                        phi, phi_prime, phi_second)
+    return _arc_family(Family.ARCSINH, a, b, c, K, r, sigma, lam)
 
 
 def soliton_arcsin(a, b, c, K, r=0.0, sigma=1.0, lam=None) -> SolitonProfile:
@@ -390,7 +371,7 @@ def soliton_arcsin(a, b, c, K, r=0.0, sigma=1.0, lam=None) -> SolitonProfile:
     Valid where w = K e^{-(c/a) z} <= 1, the half-line complementary to the
     arccosh family's.  phi is finite at the endpoint, phi' diverges there.
     """
-    return _edge_family(Family.ARCSIN, a, b, c, K, r, sigma, lam)
+    return _arc_family(Family.ARCSIN, a, b, c, K, r, sigma, lam)
 
 
 def _fd_ratio_derivative(coeffs: ReducedCoeffs, z):
@@ -411,7 +392,7 @@ def _check_compatibility(coeffs: ReducedCoeffs, lo: float, hi: float,
     a, d, c = coeffs.a(z), coeffs.d(z), coeffs.c(z)
     resid = ap * d - a * dp - d * c
     scale = np.maximum(1.0, np.max(np.abs([ap * d, a * dp, d * c]), axis=0))
-    bad = np.abs(resid) > tol * scale
+    bad = ~(np.abs(resid) <= tol * scale)
     if bad.any():
         raise CompatibilityViolated(f"(a/d)' = c/d fails at z = {_first(z, bad)}: "
                                     f"residual {_first(resid, bad):.3e}")

@@ -31,6 +31,7 @@ it is constant.  Index conventions: ``h(...)[..., a, b]`` is h^{ab},
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,6 +41,7 @@ from .errors import (
     BadParameters,
     DegenerateA,
     DimensionMismatch,
+    MrayleighError,
     WrongVariant,
     ZeroLeadingSpeed,
 )
@@ -58,6 +60,12 @@ def _unwrap(v):
 def _first(z, bad) -> float:
     """The first phase flagged in ``bad``, for error messages."""
     return float(np.ravel(z)[np.argmax(np.ravel(bad))])
+
+
+def _require_finite(**values):
+    bad = [name for name, v in values.items() if not math.isfinite(v)]
+    if bad:
+        raise BadParameters(f"{', '.join(bad)} must be finite")
 
 
 class Variant(enum.Enum):
@@ -296,6 +304,16 @@ class ReducedCoeffs:
             raise WrongVariant("no d coefficient on a Rayleigh coefficient set")
         return self._apply(self.d_fn, z)
 
+    def cubic(self, z, phi, psi):
+        """The cubic damping term of the reduced ODE at z, with psi = phi'.
+
+        b(z) psi^3 (Rayleigh) or d(z) phi^2 psi (Van der Pol); only the
+        Van der Pol term reads ``phi``.
+        """
+        if self.variant is Variant.RAYLEIGH:
+            return self.b(z) * psi ** 3
+        return self.d(z) * phi * phi * psi
+
 
 def constant_coeffs(a, c, b=None, d=None) -> ReducedCoeffs:
     """Constant reduced coefficients; pass exactly one of b, d."""
@@ -305,13 +323,61 @@ def constant_coeffs(a, c, b=None, d=None) -> ReducedCoeffs:
     params = {"a": a, "c": c}
     if b is not None:
         b = params["b"] = float(b)
+        _require_finite(**params)
         return ReducedCoeffs(CoeffKind.CONSTANT, Variant.RAYLEIGH,
                              lambda z: a, lambda z: c, b_fn=lambda z: b,
                              params=params, vectorized=True)
     d = params["d"] = float(d)
+    _require_finite(**params)
     return ReducedCoeffs(CoeffKind.CONSTANT, Variant.VAN_DER_POL,
                          lambda z: a, lambda z: c, d_fn=lambda z: d,
                          params=params, vectorized=True)
+
+
+@dataclass(frozen=True)
+class AffineCoeffs:
+    """Affine Rayleigh coefficient data; sextuple order is (slopes, then constants).
+
+    a(z) = a_slope z + a_const, b(z) = b_slope z + b_const,
+    c(z) = c_slope z + c_const.  The series recurrence reads the six numbers
+    directly; ``to_reduced`` gives the coefficient functions.
+    """
+
+    a_slope: float
+    b_slope: float
+    c_slope: float
+    a_const: float
+    b_const: float
+    c_const: float
+
+    def __post_init__(self):
+        for name, v in vars(self).items():
+            object.__setattr__(self, name, float(v))
+        _require_finite(**vars(self))
+
+    @classmethod
+    def from_sextuple(cls, seq) -> "AffineCoeffs":
+        vals = list(seq)
+        if len(vals) != 6:
+            raise ValueError("need exactly six values (three slopes, three constants)")
+        return cls(*vals)
+
+    def sextuple(self) -> tuple[float, ...]:
+        return (self.a_slope, self.b_slope, self.c_slope,
+                self.a_const, self.b_const, self.c_const)
+
+    def to_reduced(self) -> ReducedCoeffs:
+        """The AFFINE-kind ReducedCoeffs with these slopes and constants."""
+        a1, b1, c1, a0, b0, c0 = self.sextuple()
+        params = {"a": [a1, a0], "b": [b1, b0], "c": [c1, c0]}
+        return ReducedCoeffs(
+            CoeffKind.AFFINE, Variant.RAYLEIGH,
+            lambda z: a1 * z + a0,
+            lambda z: c1 * z + c0,
+            b_fn=lambda z: b1 * z + b0,
+            params=params,
+            vectorized=True,
+        )
 
 
 def affine_coeffs(a_slope, b_slope, c_slope, a_const, b_const, c_const) -> ReducedCoeffs:
@@ -320,17 +386,7 @@ def affine_coeffs(a_slope, b_slope, c_slope, a_const, b_const, c_const) -> Reduc
     The argument order matches the sextuple used by the CLI and the series
     module: slopes of (a, b, c) first, then their constant terms.
     """
-    a1, b1, c1 = float(a_slope), float(b_slope), float(c_slope)
-    a0, b0, c0 = float(a_const), float(b_const), float(c_const)
-    params = {"a": [a1, a0], "b": [b1, b0], "c": [c1, c0]}
-    return ReducedCoeffs(
-        CoeffKind.AFFINE, Variant.RAYLEIGH,
-        lambda z: a1 * z + a0,
-        lambda z: c1 * z + c0,
-        b_fn=lambda z: b1 * z + b0,
-        params=params,
-        vectorized=True,
-    )
+    return AffineCoeffs(a_slope, b_slope, c_slope, a_const, b_const, c_const).to_reduced()
 
 
 def general_coeffs(a: ScalarFn, c: ScalarFn, b: ScalarFn | None = None,
@@ -393,7 +449,8 @@ def _classify(fns: dict, z_ref: float) -> tuple[CoeffKind, dict | None]:
     zs = z_ref + step * np.arange(-2.0, 3.0)
     try:
         samples = {k: np.broadcast_to(fn(zs), zs.shape) for k, fn in fns.items()}
-    except Exception:
+    except MrayleighError:
+        # e.g. a profile probe whose domain does not reach every sample
         return CoeffKind.GENERAL, None
     scale = max(1.0, *(np.max(np.abs(v)) for v in samples.values()))
     tol = 1e-12 * scale
@@ -584,7 +641,7 @@ def check_constraint(structure: GeometricStructure, lam: SpeedVector,
     if lam.m != structure.m:
         raise DimensionMismatch("lambda does not match the structure")
     for pt in _normalize_points(sample_points, structure.m):
-        if abs(_constraint_gap(structure, pt.x, pt.t, pt.eta, pt.xi)) > tol:
+        if not np.all(np.abs(_constraint_gap(structure, pt.x, pt.t, pt.eta, pt.xi)) <= tol):
             return False
     return True
 
@@ -612,6 +669,6 @@ def verify_reduction_consistency(structure: GeometricStructure, lam: SpeedVector
         for key in names:
             v1 = float(_contraction(structure, lam, key, z + lam.dot(t1), t1, 0.0, zeros))
             v2 = float(_contraction(structure, lam, key, z + lam.dot(t2), t2, 0.0, zeros))
-            if abs(v1 - v2) > tol * max(1.0, abs(v1), abs(v2)):
+            if not np.all(np.abs(v1 - v2) <= tol * max(1.0, abs(v1), abs(v2))):
                 return False
     return True

@@ -34,6 +34,7 @@ from .coefficients import (
     _constraint_gap,
     _cubic_term,
     _normalize_points,
+    _require_finite,
     _unwrap,
 )
 from .errors import ConditionViolated, DimensionMismatch, WrongVariant
@@ -129,6 +130,7 @@ class FieldFunction:
 def stationary_solution(slope: float, intercept: float) -> FieldFunction:
     """u(x, t) = slope * x + intercept, a solution for every structure."""
     slope, intercept = float(slope), float(intercept)
+    _require_finite(slope=slope, intercept=intercept)
     return FieldFunction(
         u=lambda x, t: slope * x + intercept,
         grad_t=lambda x, t: np.zeros(np.shape(t)),
@@ -192,6 +194,8 @@ class GridSpec:
         t_axes = tuple((float(lo), float(hi), int(n)) for lo, hi, n in self.t_axes)
         object.__setattr__(self, "t_axes", t_axes)
         for lo, hi, n in (self.x_axis, *self.t_axes):
+            if not np.all(np.isfinite([lo, hi])):
+                raise ValueError(f"grid axis ends must be finite, got [{lo}, {hi}]")
             if n < 1 or (n > 1 and hi < lo):
                 raise ValueError("grid axes need hi >= lo and count >= 1")
 
@@ -334,16 +338,9 @@ def check_reversibility(structure: GeometricStructure, sample_points,
     """
     for pt in _normalize_points(sample_points, structure.m):
         x, t, eta, xi = pt.x, pt.t, pt.eta, pt.xi
-        pairs = [(np.asarray(structure.c_field(x, t, eta, xi), float),
-                  np.asarray(structure.c_field(x, -t, eta, xi), float))]
-        if structure.b_field is not None:
-            pairs.append((np.asarray(structure.b_field(x, t, eta, xi), float),
-                          np.asarray(structure.b_field(x, -t, eta, xi), float)))
-        else:
-            pairs.append((np.asarray(structure.d_field(x, t, eta, xi), float),
-                          np.asarray(structure.d_field(x, -t, eta, xi), float)))
-        for plus, minus in pairs:
-            if np.max(np.abs(plus + minus)) > tol:
+        for f in (structure.c_field, structure.b_field or structure.d_field):
+            plus, minus = f(x, t, eta, xi), f(x, -t, eta, xi)
+            if not np.all(np.abs(np.asarray(plus, float) + np.asarray(minus, float)) <= tol):
                 return False
     return True
 
@@ -369,7 +366,7 @@ def check_prolongation(u1: FieldFunction, structure: GeometricStructure,
     xi = np.zeros(ts.shape)
     xi[:, 0] = v.time_gradient(xs, ts)[:, 0]
     gap = _constraint_gap(structure, xs, ts, v.value(xs, ts), xi)
-    if np.any(np.abs(gap) > constraint_tol):
+    if not np.all(np.abs(gap) <= constraint_tol):
         raise ConditionViolated(
             "index-1 condition fails on the sampled jet of the prolonged field")
 

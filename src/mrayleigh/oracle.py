@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline, make_interp_spline
 
 from .closed_form import SolitonProfile, _second_derivative
-from .coefficients import ReducedCoeffs, Variant, _unwrap
+from .coefficients import ReducedCoeffs, Variant, _require_finite, _unwrap
 from .errors import (
     BadParameters,
     BlowUp,
@@ -57,14 +57,9 @@ def _along(fn, z: np.ndarray) -> np.ndarray:
 
 
 def _rhs_for(coeffs: ReducedCoeffs):
-    if coeffs.variant is Variant.RAYLEIGH:
-        def rhs(z, y):
-            phi, psi = y
-            return [psi, (coeffs.b(z) * psi ** 3 - coeffs.c(z) * psi) / coeffs.a(z)]
-    else:
-        def rhs(z, y):
-            phi, psi = y
-            return [psi, (coeffs.d(z) * phi * phi * psi - coeffs.c(z) * psi) / coeffs.a(z)]
+    def rhs(z, y):
+        phi, psi = y
+        return [psi, (coeffs.cubic(z, phi, psi) - coeffs.c(z) * psi) / coeffs.a(z)]
     return rhs
 
 
@@ -216,9 +211,9 @@ def bernoulli_chain_check(coeffs: ReducedCoeffs, profile, samples,
     psi_lo = _along(profile.phi_prime, z - h)
     dpsi = (psi_hi - psi_lo) / (2.0 * h)
     dxi = (psi_hi ** -2 - psi_lo ** -2) / (2.0 * h)
-    if np.any(np.abs(dpsi + (c / a) * psi - (b / a) * psi ** 3) > tol):
+    if not np.all(np.abs(dpsi + (c / a) * psi - (b / a) * psi ** 3) <= tol):
         return False
-    if np.any(np.abs(dxi - 2.0 * (c / a) * psi ** -2 + 2.0 * (b / a)) > tol):
+    if not np.all(np.abs(dxi - 2.0 * (c / a) * psi ** -2 + 2.0 * (b / a)) <= tol):
         return False
     if flat.any():
         warnings.warn(f"{np.count_nonzero(flat)} samples skipped where |phi'| < {skip_tol}",
@@ -243,10 +238,7 @@ def reduction_ode_residual(coeffs: ReducedCoeffs, profile, zs,
         pp = (_along(profile.phi_prime, z + h) - _along(profile.phi_prime, z - h)) / (2.0 * h)
     else:
         pp = _along(profile.phi_second, z)
-    if coeffs.variant is Variant.RAYLEIGH:
-        cubic = coeffs.b(z) * p ** 3
-    else:
-        cubic = coeffs.d(z) * _along(profile.phi, z) ** 2 * p
+    cubic = coeffs.cubic(z, _along(profile.phi, z), p)
     residuals = coeffs.a(z) * pp - cubic + coeffs.c(z) * p
     return ResidualReport.from_samples(z.reshape(-1, 1), residuals, ("z",))
 
@@ -325,6 +317,8 @@ def decay_check(profile: SolitonProfile, direction, threshold: float = 1e-3,
     if n_samples < 2:
         raise BadParameters(f"n_samples must be at least 2, got {n_samples}")
     direction = np.asarray(direction, dtype=float)
+    if not np.all(np.isfinite(direction)):
+        raise BadParameters(f"direction must be finite, got {direction.tolist()}")
     if direction.size != profile.lam.m:
         raise BadParameters("direction length must match the number of times")
     rate = float(np.dot(profile.lam.values, direction))
@@ -443,6 +437,7 @@ def integrate_single_time_rayleigh(epsilon: float, u0, v0, t_final: float,
     ``u0`` and ``v0`` give initial displacement and velocity as functions
     of x.  Integrator failure surfaces as CFLViolation.
     """
+    _require_finite(epsilon=epsilon, t_final=t_final)
     if t_final <= 0.0:
         raise BadParameters("t_final must be positive")
     if not (TOL_MIN <= tol <= TOL_MAX):

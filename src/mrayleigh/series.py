@@ -25,12 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import Family, Interval, SolitonProfile, _check_domain, _stacked
-from .coefficients import (
-    DEGENERACY_TOL,
-    ReducedCoeffs,
-    SpeedVector,
-    affine_coeffs,
-)
+# AffineCoeffs is defined in coefficients and re-exported here, next to the
+# recurrence that consumes it
+from .coefficients import DEGENERACY_TOL, AffineCoeffs, SpeedVector, _require_finite
 from .errors import DegenerateA
 
 # returned when the tail gives no growth to measure (constant or polynomial
@@ -40,45 +37,6 @@ LARGE_RADIUS = 1e300
 # profiles built from a truncated series are restricted to this fraction of
 # the estimated convergence radius
 SAFETY_FRACTION = 0.5
-
-
-@dataclass(frozen=True)
-class AffineCoeffs:
-    """Affine coefficient data; sextuple order is (slopes, then constants).
-
-    a(z) = a_slope z + a_const, b(z) = b_slope z + b_const,
-    c(z) = c_slope z + c_const.
-    """
-
-    a_slope: float
-    b_slope: float
-    c_slope: float
-    a_const: float
-    b_const: float
-    c_const: float
-
-    @classmethod
-    def from_sextuple(cls, seq) -> "AffineCoeffs":
-        vals = [float(v) for v in seq]
-        if len(vals) != 6:
-            raise ValueError("need exactly six values (three slopes, three constants)")
-        return cls(*vals)
-
-    def sextuple(self) -> tuple[float, ...]:
-        return (self.a_slope, self.b_slope, self.c_slope,
-                self.a_const, self.b_const, self.c_const)
-
-    def to_reduced(self) -> ReducedCoeffs:
-        return affine_coeffs(*self.sextuple())
-
-    def a(self, z: float) -> float:
-        return self.a_slope * z + self.a_const
-
-    def b(self, z: float) -> float:
-        return self.b_slope * z + self.b_const
-
-    def c(self, z: float) -> float:
-        return self.c_slope * z + self.c_const
 
 
 @dataclass(frozen=True)
@@ -98,9 +56,6 @@ class SeriesSolution:
     def n_terms(self) -> int:
         return self.alpha.size - 1
 
-    # truncation order under its conventional name
-    N = n_terms
-
     def to_json_dict(self) -> dict:
         return {
             "params": list(self.coeffs.sextuple()),
@@ -112,13 +67,68 @@ class SeriesSolution:
         }
 
 
-def _cubed_derivative_coefficient(beta: np.ndarray, n: int) -> float:
-    """T(n) = [z^n] (phi')^3 via the literal triple sum; cross-check path."""
-    total = 0.0
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            total += beta[i] * beta[j] * beta[n - i - j]
-    return total
+def _convolution_terms(alpha: np.ndarray):
+    """T(n) by the running convolutions gamma = beta*beta and T = gamma*beta.
+
+    Each call extends beta, gamma and T by the terms up to n, so the whole
+    recurrence costs O(N^2).
+    """
+    beta: list[float] = []
+    gamma: list[float] = []
+    terms: list[float] = []
+
+    def t_of(n: int) -> float:
+        while len(terms) <= n:
+            k = len(terms)
+            beta.append((k + 1) * alpha[k + 1])
+            gamma.append(sum(beta[j] * beta[k - j] for j in range(k + 1)))
+            terms.append(sum(gamma[i] * beta[k - i] for i in range(k + 1)))
+        return terms[n]
+
+    return t_of
+
+
+def _triple_sum_terms(alpha: np.ndarray):
+    """T(n) = [z^n] (phi')^3 by the literal triple sum; the O(N^3) cross-check."""
+    def t_of(n: int) -> float:
+        beta = np.array([(k + 1) * alpha[k + 1] for k in range(n + 1)])
+        total = 0.0
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                total += beta[i] * beta[j] * beta[n - i - j]
+        return total
+
+    return t_of
+
+
+def _solve_recurrence(coeffs: AffineCoeffs, alpha0: float, alpha1: float,
+                      n_terms: int, terms) -> SeriesSolution:
+    """Fill alpha_2 .. alpha_{n_terms} with T(n) from ``terms(alpha)``.
+
+    Step n needs T(n), which reads alpha only up to index n + 1, already
+    known when the step runs; T(n - 1) is carried over from step n - 1.
+    """
+    if n_terms < 1:
+        raise ValueError("need n_terms >= 1")
+    a1, b1, c1 = coeffs.a_slope, coeffs.b_slope, coeffs.c_slope
+    a0, b0, c0 = coeffs.a_const, coeffs.b_const, coeffs.c_const
+    if abs(a0) <= DEGENERACY_TOL:
+        raise DegenerateA("the recurrence divides by the constant part of a")
+    alpha = np.zeros(n_terms + 1)
+    alpha[0], alpha[1] = float(alpha0), float(alpha1)
+    _require_finite(alpha0=alpha[0], alpha1=alpha[1])
+    t_of = terms(alpha)
+    t_nm1 = 0.0
+    for n in range(0, n_terms - 1):
+        t_n = t_of(n)
+        num = (b1 * t_nm1 + b0 * t_n
+               - a1 * n * (n + 1) * alpha[n + 1]
+               - c1 * n * alpha[n]
+               - c0 * (n + 1) * alpha[n + 1])
+        alpha[n + 2] = num / (a0 * (n + 1) * (n + 2))
+        t_nm1 = t_n
+    sol = SeriesSolution(coeffs, alpha, 0.0)
+    return SeriesSolution(coeffs, alpha, estimate_radius(sol))
 
 
 def series_coefficients(coeffs: AffineCoeffs, alpha0: float, alpha1: float,
@@ -129,78 +139,13 @@ def series_coefficients(coeffs: AffineCoeffs, alpha0: float, alpha1: float,
     are extended incrementally as new beta values appear.  Raises
     DegenerateA when the constant part of a vanishes.
     """
-    if n_terms < 1:
-        raise ValueError("need n_terms >= 1")
-    beta: list[float] = []
-    gamma: list[float] = []
-    t_cache: list[float] = []
-    alpha_ref: list[np.ndarray] = []
-
-    def t_of(n: int) -> float:
-        if n < 0:
-            return 0.0
-        alpha = alpha_ref[0]
-        while len(beta) <= n:
-            k = len(beta)
-            beta.append((k + 1) * alpha[k + 1])
-        while len(gamma) <= n:
-            k = len(gamma)
-            gamma.append(sum(beta[j] * beta[k - j] for j in range(k + 1)))
-        while len(t_cache) <= n:
-            k = len(t_cache)
-            t_cache.append(sum(gamma[i] * beta[k - i] for i in range(k + 1)))
-        return t_cache[n]
-
-    # _recurrence fills alpha incrementally; t_of(n) only needs alpha up to
-    # index n+1, which is already known when step n runs
-    a1, b1, c1 = coeffs.a_slope, coeffs.b_slope, coeffs.c_slope
-    a0, b0, c0 = coeffs.a_const, coeffs.b_const, coeffs.c_const
-    if abs(a0) <= DEGENERACY_TOL:
-        raise DegenerateA("the recurrence divides by the constant part of a")
-    alpha = np.zeros(n_terms + 1)
-    alpha[0], alpha[1] = float(alpha0), float(alpha1)
-    alpha_ref.append(alpha)
-    for n in range(0, n_terms - 1):
-        t_n = t_of(n)
-        t_nm1 = t_cache[n - 1] if n >= 1 else 0.0
-        num = (b1 * t_nm1 + b0 * t_n
-               - a1 * n * (n + 1) * alpha[n + 1]
-               - c1 * n * alpha[n]
-               - c0 * (n + 1) * alpha[n + 1])
-        alpha[n + 2] = num / (a0 * (n + 1) * (n + 2))
-    sol = SeriesSolution(coeffs, alpha, 0.0)
-    return SeriesSolution(coeffs, alpha, estimate_radius(sol))
+    return _solve_recurrence(coeffs, alpha0, alpha1, n_terms, _convolution_terms)
 
 
 def series_coefficients_triple_sum(coeffs: AffineCoeffs, alpha0: float,
                                    alpha1: float, n_terms: int) -> SeriesSolution:
     """Same recurrence with T(n) from the literal triple sum (O(N^3))."""
-    if n_terms < 1:
-        raise ValueError("need n_terms >= 1")
-    alpha_box: list[np.ndarray] = []
-
-    def t_of(n: int) -> float:
-        if n < 0:
-            return 0.0
-        alpha = alpha_box[0]
-        beta = np.array([(k + 1) * alpha[k + 1] for k in range(n + 1)])
-        return _cubed_derivative_coefficient(beta, n)
-
-    a1, b1, c1 = coeffs.a_slope, coeffs.b_slope, coeffs.c_slope
-    a0, b0, c0 = coeffs.a_const, coeffs.b_const, coeffs.c_const
-    if abs(a0) <= DEGENERACY_TOL:
-        raise DegenerateA("the recurrence divides by the constant part of a")
-    alpha = np.zeros(n_terms + 1)
-    alpha[0], alpha[1] = float(alpha0), float(alpha1)
-    alpha_box.append(alpha)
-    for n in range(0, n_terms - 1):
-        num = (b1 * t_of(n - 1) + b0 * t_of(n)
-               - a1 * n * (n + 1) * alpha[n + 1]
-               - c1 * n * alpha[n]
-               - c0 * (n + 1) * alpha[n + 1])
-        alpha[n + 2] = num / (a0 * (n + 1) * (n + 2))
-    sol = SeriesSolution(coeffs, alpha, 0.0)
-    return SeriesSolution(coeffs, alpha, estimate_radius(sol))
+    return _solve_recurrence(coeffs, alpha0, alpha1, n_terms, _triple_sum_terms)
 
 
 def _warn_outside(series: SeriesSolution, z: float):

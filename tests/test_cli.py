@@ -10,9 +10,9 @@ import sys
 import pytest
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run([sys.executable, "-m", "mrayleigh.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_no_subcommand_is_a_usage_error():
@@ -210,12 +210,38 @@ def test_prolong_undamped_case_verifies():
     (("--family", "quadrature", "--a", "1", "--b", "1", "--c", "1", "--K", "inf"), "K"),
     (("--family", "vdp-implicit", "--a", "exp", "--c", "exp", "--d", "3",
       "--k1", "nan", "--phi0", "1"), "k1"),
+    (("--family", "quadrature", "--a", "nan", "--b", "1", "--c", "1", "--K", "4"), "a"),
 ])
 def test_non_finite_profile_parameters_exit_2(family_args, name):
     r = run_cli("profile", *family_args, "--n", "3")
     assert r.returncode == 2, r.stdout
     assert f"{name} must be finite" in r.stderr
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize("args, message", [
+    (("series", "--coeffs", "0,0,0,1,nan,1"), "b_const must be finite"),
+    (("series", "--coeffs", "0,0,0,1,1,0", "--alpha1", "inf"), "alpha1 must be finite"),
+    (("verify", "--family", "stationary", "--a", "nan", "--b", "0"), "slope must be finite"),
+    (("decay", "--family", "arcsinh", "--a", "1", "--b=-1", "--c=-1", "--K", "1",
+      "--direction", "nan,1"), "direction must be finite"),
+    (("verify", "--family", "arcsinh", "--a", "1", "--b", "1", "--c", "1", "--K", "1",
+      "--m", "1", "--grid", "nan:1:3", "--grid", "0:1:2"), "grid axis ends must be finite"),
+])
+def test_non_finite_inputs_exit_2(args, message):
+    r = run_cli(*args)
+    assert r.returncode == 2, r.stdout
+    assert message in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("flag, name", [("--epsilon", "epsilon"), ("--t-final", "t_final")])
+def test_prolong_rejects_a_non_finite_input_without_hanging(flag, name):
+    # a NaN here once sent the time integrator into an endless loop; a
+    # finite run of this size takes about a second
+    r = run_cli("prolong", flag, "nan", "--n-x", "32", "--n-t", "11", timeout=30)
+    assert r.returncode == 2
+    assert f"{name} must be finite" in r.stderr
 
 
 def test_decay_rejects_a_non_finite_horizon():

@@ -85,6 +85,21 @@ def test_arccosh_domain_and_endpoint():
     assert abs(p.phi_prime(0.999)) > 10.0
 
 
+
+@pytest.mark.parametrize("make, b, inside", [
+    (soliton_arccosh, 1.0, -1e-3),
+    (soliton_arcsin, -1.0, 1e-3),
+])
+def test_arc_edge_derivatives_keep_the_sign_of_the_interior(make, b, inside):
+    # K = 1 puts the edge at z = 0, where w = 1 exactly and rad = 0
+    for sigma in (1.0, -1.0):
+        p = make(1.0, b, 1.0, 1.0, sigma=sigma)
+        assert 0.0 in (p.domain.lo, p.domain.hi)
+        for f in (p.phi_prime, p.phi_second):
+            edge, near = f(0.0), f(inside)
+            assert math.isinf(edge)
+            assert math.copysign(1.0, edge) == math.copysign(1.0, near)
+
 def test_arcsin_domain_and_values():
     p = soliton_arcsin(1.0, -1.0, 1.0, 1.0)
     assert p.domain.lo == 0.0 and p.domain.hi == math.inf
@@ -161,6 +176,12 @@ def test_vdp_implicit_rejects_unknown_relation_and_incompatible_data():
     with pytest.raises(CompatibilityViolated):
         vdp_implicit(constant_coeffs(1.0, 1.0, d=3.0), k1=0.0, phi0=0.7)
 
+
+
+def test_vdp_implicit_compatibility_check_fails_on_nan():
+    co = general_coeffs(math.exp, lambda z: math.nan, d=lambda z: 3.0)
+    with pytest.raises(CompatibilityViolated):
+        vdp_implicit(co, 0.0, phi0=0.5, domain=(-1.0, 1.0))
 
 def test_vdp_implicit_nonzero_k1_branch():
     co = general_coeffs(a=math.exp, c=math.exp, d=lambda z: 3.0)

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mrayleigh.closed_form import soliton_arccosh
 from mrayleigh.coefficients import (
     CoeffKind,
     EvalPoint,
@@ -187,3 +189,38 @@ def test_verify_reduction_consistency_detects_non_reducible():
     st_bad = type(st_bad)(m=2, h=h, gamma=st_bad.gamma, c_field=st_bad.c_field,
                           b_field=st_bad.b_field)
     assert not verify_reduction_consistency(st_bad, lam)
+
+
+def test_check_constraint_fails_on_a_nan_c_field():
+    st = replace(constant_structure(np.eye(2), b=1.0),
+                 c_field=lambda x, t, eta, xi: np.full(2, math.nan))
+    pt = EvalPoint(0.0, np.zeros(2), eta=0.0, xi=np.array([0.4, 0.0]))
+    assert not check_constraint(st, SpeedVector(np.array([1.0, 1.0])), [pt])
+
+
+def test_verify_reduction_consistency_fails_on_a_nan_h():
+    st = replace(constant_structure(np.eye(2), b=1.0),
+                 h=lambda x, t, eta, xi: np.full((2, 2), math.nan))
+    assert not verify_reduction_consistency(st, SpeedVector(np.array([1.0, 1.0])))
+
+
+def test_reduce_lets_a_field_type_error_propagate():
+    # C is first evaluated while classifying; a programming error there must
+    # surface instead of tagging the coefficients as general
+    def broken_c(x, t, eta, xi):
+        raise TypeError("broken field")
+
+    st = replace(constant_structure(np.eye(1), b=1.0), c_field=broken_c)
+    with pytest.raises(TypeError, match="broken field"):
+        reduce(st, SpeedVector(np.array([2.0])))
+
+
+def test_reduce_tags_a_profile_probe_past_its_domain_as_general():
+    # the arccosh half-line ends at z = 1: it holds the reference phase 0
+    # but not the classification sample at 1.4
+    prof = soliton_arccosh(1.0, 1.0, 1.0, math.e)
+    lam = SpeedVector(np.array([1.0, 1.0]))
+    st = synthesize_structure(constant_coeffs(2.0, 1.0, b=1.0), 2, lam)
+    co = reduce(st, lam, probe=prof)
+    assert co.kind is CoeffKind.GENERAL and co.params is None
+    assert abs(co.a(0.5) - 2.0) <= 1e-14

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,3 +252,17 @@ def test_prolong_field_dimension_guard():
     u3 = _sin_exp_field(3)
     with pytest.raises(DimensionMismatch):
         prolong_field(u3, 4)
+
+
+def test_reversibility_fails_on_a_nan_c_field():
+    st = replace(constant_structure(np.eye(2)),
+                 c_field=lambda x, t, eta, xi: np.full(2, math.nan))
+    assert not check_reversibility(st, [EvalPoint(0.3, np.array([0.5, -0.2]))])
+
+
+def test_check_prolongation_rejects_a_nan_index1_gap():
+    st = replace(prolongation_structure(2, 0.5),
+                 c_field=lambda x, t, eta, xi: np.full(np.shape(x) + (2,), math.nan))
+    grid = GridSpec((0.0, 1.0, 3), ((0.0, 1.0, 2), (0.0, 1.0, 2)))
+    with pytest.raises(ConditionViolated):
+        check_prolongation(traveling_sine(), st, grid=grid)

@@ -123,6 +123,15 @@ def test_chain_check_skips_flat_samples_with_warning():
         assert bernoulli_chain_check(co, flat, np.linspace(-1.0, 1.0, 7))
 
 
+
+def test_chain_check_fails_on_a_nan_slope():
+    co = constant_coeffs(1.0, 1.0, b=1.0)
+    nan = SolitonProfile(Family.QUADRATURE, {}, SpeedVector(np.array([1.0])),
+                         Interval(-math.inf, math.inf),
+                         phi=lambda z: 0.0, phi_prime=lambda z: math.nan,
+                         phi_second=lambda z: math.nan)
+    assert not bernoulli_chain_check(co, nan, np.linspace(-1.0, 1.0, 5))
+
 def test_residual_modes_and_labels():
     p = _arcsinh_profile()
     zs = np.linspace(-2.0, 2.0, 51)
