@@ -15,6 +15,13 @@ stdout (default format: json; "both" needs --out).  Status lines go to
 stderr.  Floats are printed with 17 significant digits, JSON keys are
 sorted, lines end with \n, so repeated runs are byte-identical.
 
+--config FILE reads a JSON object keyed by option name (``n_x``,
+``square_relation``) as --key=value flags placed before the command line,
+so values meet the same types and choices and explicit flags win.  null
+leaves an option unset, quiet takes true or false, lists are joined with
+commas, and grid is a list of [lo, hi, count] triples that a --grid on the
+command line replaces.  Unknown keys are an error.
+
 Exit codes: 0 success / verified, 1 verification failed, 2 invalid input.
 """
 
@@ -41,6 +48,7 @@ from .coefficients import (
     AffineCoeffs,
     SpeedVector,
     Variant,
+    _require_finite,
     constant_coeffs,
     general_coeffs,
     prolongation_structure,
@@ -125,94 +133,75 @@ def _status(ns, line: str):
         print(line, file=sys.stderr)
 
 
-def _floats(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(v) for v in str(text).split(",") if v.strip()]
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _coeff(text):
+def _coeff(text: str):
     """Coefficient value: a float, or the literal 'exp' meaning e^z."""
-    if isinstance(text, (int, float)):
-        return float(text)
-    if str(text).strip() == "exp":
-        return "exp"
-    return float(text)
+    return "exp" if text.strip() == "exp" else float(text)
 
 
-def _triple(text):
+def _triple(text: str):
     """An axis triple lo:hi:count."""
-    if isinstance(text, (list, tuple)):
-        lo, hi, n = text
-    else:
-        parts = str(text).split(":")
-        if len(parts) != 3:
-            raise ValueError(f"axis must be lo:hi:count, got {text!r}")
-        lo, hi, n = parts
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"axis must be lo:hi:count, got {text!r}")
+    lo, hi, n = parts
     return (float(lo), float(hi), int(n))
 
 
-_PROFILE_KEYS = dict(family="arcsinh", a=1.0, b=1.0, c=1.0, d=3.0, K=1.0,
-                     r=0.0, sigma=1.0, k1=0.0, phi0=None, z0=0.0,
-                     square_relation="reciprocal", lam=None,
-                     coeffs=None, alpha0=0.0, alpha1=1.0, N=40,
-                     zmin=None, zmax=None, n=201)
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
-_COMMON_KEYS = dict(out=None, format=None, quiet=False, tol=1e-6)
-
-# per-subcommand defaults; config keys must come from here
-_DEFAULTS = {
-    "profile": {**_PROFILE_KEYS, **_COMMON_KEYS},
-    "verify": {**_PROFILE_KEYS, **_COMMON_KEYS,
-               "m": 1, "grid": None, "oracle_tol": 1e-10},
-    "series": {**_COMMON_KEYS, "coeffs": None, "alpha0": 0.0, "alpha1": 1.0,
-               "N": 40, "method": "convolution"},
-    "prolong": {**_COMMON_KEYS, "tol": None, "epsilon": 0.1, "m": 2,
-                "t_final": 1.0, "amplitude": 0.1, "n_x": 256, "n_t": 101,
-                "grid_x": 25, "grid_t": 17},
-    "decay": {**_PROFILE_KEYS, **_COMMON_KEYS,
-              "direction": None, "threshold": 1e-3, "horizon": 1e3, "x": 0.0},
-}
 
 _FAMILY_DOMAIN = {"quadrature": (-10.0, 10.0), "vdp-implicit": (-5.0, 5.0)}
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON file with option values; flags win")
+def _add_common(p, tol=1e-6):
+    p.add_argument("--config", help="JSON file of option values; flags win")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--tol", type=float, help="verdict tolerance")
+    p.add_argument("--tol", type=float, default=tol, help="verdict tolerance")
     p.add_argument("--format", choices=["csv", "json", "both"],
                    help="payload selection (default: both with --out, else json)")
-    p.add_argument("--quiet", action="store_true", default=None,
+    p.add_argument("--quiet", action="store_true",
                    help="suppress the status line on stderr")
 
 
+def _add_series_params(p):
+    p.add_argument("--coeffs", type=_floats, metavar="M,P,Q,A,B,C",
+                   help="affine coefficients: three slopes then three constants")
+    p.add_argument("--alpha0", type=float, default=0.0, help="phi(0)")
+    p.add_argument("--alpha1", type=float, default=1.0, help="phi'(0)")
+    p.add_argument("--N", type=_count, default=40, help="series truncation order")
+
+
 def _add_profile_params(p, families):
-    p.add_argument("--family", choices=families)
-    p.add_argument("--a", type=_coeff, help="coefficient of phi'' (or 'exp')")
-    p.add_argument("--b", type=float, help="coefficient of phi'^3")
-    p.add_argument("--c", type=_coeff, help="coefficient of phi' (or 'exp')")
-    p.add_argument("--d", type=_coeff, help="coefficient of phi^2 phi' (or 'exp')")
-    p.add_argument("--K", type=float, help="integration constant")
-    p.add_argument("--r", type=float, help="additive constant (arc families)")
-    p.add_argument("--sigma", type=float, choices=[-1.0, 1.0],
+    p.add_argument("--family", choices=families, default="arcsinh")
+    p.add_argument("--a", type=_coeff, default=1.0, help="coefficient of phi'' (or 'exp')")
+    p.add_argument("--b", type=float, default=1.0, help="coefficient of phi'^3")
+    p.add_argument("--c", type=_coeff, default=1.0, help="coefficient of phi' (or 'exp')")
+    p.add_argument("--d", type=_coeff, default=3.0,
+                   help="coefficient of phi^2 phi' (or 'exp')")
+    p.add_argument("--K", type=float, default=1.0, help="integration constant")
+    p.add_argument("--r", type=float, default=0.0, help="additive constant (arc families)")
+    p.add_argument("--sigma", type=float, choices=[-1.0, 1.0], default=1.0,
                    help="sign choice (arc families)")
-    p.add_argument("--k1", type=float, help="constant root (vdp-implicit)")
+    p.add_argument("--k1", type=float, default=0.0, help="constant root (vdp-implicit)")
     p.add_argument("--phi0", type=float, help="value at z0 (vdp-implicit)")
-    p.add_argument("--z0", type=float, help="anchor point")
+    p.add_argument("--z0", type=float, default=0.0, help="anchor point")
     p.add_argument("--square-relation", dest="square_relation",
-                   choices=["reciprocal", "direct"],
+                   choices=["reciprocal", "direct"], default="reciprocal",
                    help="vdp-implicit k1=0 relation (direct is the known-bad form)")
     p.add_argument("--lam", type=_floats, metavar="L1,L2,...",
                    help="speed vector components")
-    p.add_argument("--coeffs", type=_floats, metavar="M,P,Q,A,B,C",
-                   help="series family: affine slopes then constants")
-    p.add_argument("--alpha0", type=float, help="series family: phi(0)")
-    p.add_argument("--alpha1", type=float, help="series family: phi'(0)")
-    p.add_argument("--N", type=int, help="series family: truncation order")
+    _add_series_params(p)
     p.add_argument("--zmin", type=float, help="left end of the working window")
     p.add_argument("--zmax", type=float, help="right end of the working window")
-    p.add_argument("--n", type=int, help="number of samples / check points")
+    p.add_argument("--n", type=_count, default=201, help="number of samples / check points")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,92 +211,96 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd")
 
     p = sub.add_parser("profile", help="construct and sample a profile")
+    p.set_defaults(run=_cmd_profile)
     _add_common(p)
     _add_profile_params(p, _PROFILE_FAMILIES)
 
     p = sub.add_parser("verify", help="check a profile several independent ways")
+    p.set_defaults(run=_cmd_verify)
     _add_common(p)
     _add_profile_params(p, _PROFILE_FAMILIES + ["stationary"])
-    p.add_argument("--m", type=int, help="number of multitime dimensions")
+    p.add_argument("--m", type=_count, default=1, help="number of multitime dimensions")
     p.add_argument("--grid", action="append", type=_triple, metavar="LO:HI:N",
                    help="axis triple, repeat m+1 times (x first, then t axes)")
-    p.add_argument("--oracle-tol", dest="oracle_tol", type=float,
+    p.add_argument("--oracle-tol", dest="oracle_tol", type=float, default=1e-10,
                    help="tolerance handed to the fresh integration")
 
     p = sub.add_parser("series", help="affine-coefficient recurrence")
+    p.set_defaults(run=_cmd_series)
     _add_common(p)
-    p.add_argument("--coeffs", type=_floats, metavar="M,P,Q,A,B,C",
-                   help="three slopes then three constants")
-    p.add_argument("--alpha0", type=float)
-    p.add_argument("--alpha1", type=float)
-    p.add_argument("--N", type=int, help="truncation order")
-    p.add_argument("--method", choices=["convolution", "triple"])
+    _add_series_params(p)
+    p.add_argument("--method", choices=["convolution", "triple"], default="convolution")
 
     p = sub.add_parser("prolong", help="single-time solve plus multitime check")
-    _add_common(p)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--m", type=int, help="number of multitime dimensions")
-    p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--amplitude", type=float, help="u(x,0) = amplitude sin x")
-    p.add_argument("--n-x", dest="n_x", type=int, help="spatial modes")
-    p.add_argument("--n-t", dest="n_t", type=int, help="stored time slices")
-    p.add_argument("--grid-x", dest="grid_x", type=int, help="check grid, x count")
-    p.add_argument("--grid-t", dest="grid_t", type=int, help="check grid, t1 count")
+    p.set_defaults(run=_cmd_prolong)
+    _add_common(p, tol=None)
+    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--m", type=_count, default=2, help="number of multitime dimensions")
+    p.add_argument("--t-final", dest="t_final", type=float, default=1.0)
+    p.add_argument("--amplitude", type=float, default=0.1, help="u(x,0) = amplitude sin x")
+    p.add_argument("--n-x", dest="n_x", type=_count, default=256, help="spatial modes")
+    p.add_argument("--n-t", dest="n_t", type=_count, default=101, help="stored time slices")
+    p.add_argument("--grid-x", dest="grid_x", type=_count, default=25,
+                   help="check grid, x count")
+    p.add_argument("--grid-t", dest="grid_t", type=_count, default=17,
+                   help="check grid, t1 count")
 
     p = sub.add_parser("decay", help="threshold crossing along a multitime ray")
+    p.set_defaults(run=_cmd_decay)
     _add_common(p)
     _add_profile_params(p, _PROFILE_FAMILIES)
     p.add_argument("--direction", type=_floats, metavar="D1,D2,...")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--x", type=float, help="spatial point")
+    p.add_argument("--threshold", type=float, default=1e-3)
+    p.add_argument("--horizon", type=float, default=1e3)
+    p.add_argument("--x", type=float, default=0.0, help="spatial point")
 
     return ap
 
 
-def _merge_config(ns) -> argparse.Namespace:
-    """config file < command line flags; unknown config keys are an error."""
-    defaults = dict(_DEFAULTS[ns.cmd])
-    merged = dict(defaults)
-    if ns.config:
-        with open(ns.config) as f:
-            cfg = json.load(f)
-        if not isinstance(cfg, dict):
-            raise ValueError("config must be a JSON object")
-        unknown = sorted(set(cfg) - set(defaults))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        for key, val in cfg.items():
-            if key in ("lam", "coeffs", "direction"):
-                val = _floats(val) if val is not None else None
-            elif key == "grid":
-                val = [_triple(t) for t in val] if val is not None else None
-            elif key in ("a", "c", "d"):
-                val = _coeff(val)
-            merged[key] = val
-    for key in defaults:
-        given = getattr(ns, key, None)
-        if given is not None:
-            merged[key] = given
-    out = argparse.Namespace(**merged)
-    out.cmd = ns.cmd
-    return out
+def _config_flags(ap, ns) -> list[str]:
+    """The --config file of subcommand ``ns.cmd`` as flags (module docstring)."""
+    with open(ns.config) as f:
+        cfg = json.load(f)
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a for a in sub.choices[ns.cmd]._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    unknown = sorted(set(cfg) - set(options))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    flags = []
+    for key, val in cfg.items():
+        if val is None or (key == "grid" and ns.grid):
+            continue
+        flag = options[key].option_strings[0]
+        if options[key].nargs == 0:
+            if not isinstance(val, bool):
+                raise ValueError(f"config key {key} must be true or false, got {val!r}")
+            if val:
+                flags.append(flag)
+        elif key == "grid":
+            flags += [f"{flag}={_flag_text(axis, ':')}" for axis in val]
+        else:
+            flags.append(f"{flag}={_flag_text(val, ',')}")
+    return flags
 
 
-def _as_fn(v):
-    return (lambda z: math.exp(z)) if v == "exp" else None
+def _flag_text(val, sep: str) -> str:
+    """A JSON value as flag text: lists joined by ``sep``, numbers round-tripping."""
+    if isinstance(val, list):
+        return sep.join(_flag_text(v, sep) for v in val)
+    return val if isinstance(val, str) else json.dumps(val)
 
 
 def _reduced(ns, names):
-    """ReducedCoeffs from flag values; 'exp' switches to the general tier."""
+    """ReducedCoeffs from flag values; 'exp' (e^z) switches to the general tier."""
     vals = {k: getattr(ns, k) for k in names}
-    if any(v == "exp" for v in vals.values()):
-        fns = {k: _as_fn(v) or (lambda z, vv=float(v): vv) for k, v in vals.items()}
-        return general_coeffs(fns["a"], fns["c"],
-                              b=fns.get("b"), d=fns.get("d"))
-    return constant_coeffs(float(vals["a"]), float(vals["c"]),
-                           b=vals.get("b") and float(vals["b"]),
-                           d=vals.get("d") and float(vals["d"]))
+    _require_finite(**{k: v for k, v in vals.items() if v != "exp"})
+    if "exp" not in vals.values():
+        return constant_coeffs(vals["a"], vals["c"], b=vals.get("b"), d=vals.get("d"))
+    fns = {k: math.exp if v == "exp" else (lambda z, v=v: v) for k, v in vals.items()}
+    return general_coeffs(fns["a"], fns["c"], b=fns.get("b"), d=fns.get("d"))
 
 
 def _require_numbers(ns, names):
@@ -325,11 +318,11 @@ def _build_profile(ns):
                    "arcsin": soliton_arcsin}[fam]
         return builder(ns.a, ns.b, ns.c, ns.K, r=ns.r, sigma=ns.sigma, lam=lam)
     if fam == "quadrature":
-        dom = _window_or(ns, _FAMILY_DOMAIN[fam])
+        dom = _window(ns, *_FAMILY_DOMAIN[fam])
         return soliton_quadrature(_reduced(ns, ("a", "b", "c")), ns.K,
                                   z0=ns.z0, domain=dom, lam=lam)
     if fam == "vdp-implicit":
-        dom = _window_or(ns, _FAMILY_DOMAIN[fam])
+        dom = _window(ns, *_FAMILY_DOMAIN[fam])
         return vdp_implicit(_reduced(ns, ("a", "c", "d")), ns.k1,
                             z0=ns.z0, phi0=ns.phi0, domain=dom,
                             square_relation=ns.square_relation, lam=lam)
@@ -345,18 +338,18 @@ def _build_profile(ns):
     raise ValueError(f"unknown family {fam!r}")
 
 
-def _window_or(ns, fallback):
-    lo = ns.zmin if ns.zmin is not None else fallback[0]
-    hi = ns.zmax if ns.zmax is not None else fallback[1]
-    return (float(lo), float(hi))
+def _window(ns, lo, hi):
+    """(--zmin, --zmax) where given, else (lo, hi); given ends must be finite."""
+    given = {k: v for k, v in (("zmin", ns.zmin), ("zmax", ns.zmax)) if v is not None}
+    _require_finite(**given)
+    return float(given.get("zmin", lo)), float(given.get("zmax", hi))
 
 
 def _sample_window(profile, ns):
     """Finite z-interval to sample on, kept a guard band inside any finite
     domain endpoint (derivatives are probed by small steps that must stay
     inside, and arc-family derivatives are singular at the edge)."""
-    lo = ns.zmin if ns.zmin is not None else max(profile.domain.lo, -10.0)
-    hi = ns.zmax if ns.zmax is not None else min(profile.domain.hi, 10.0)
+    lo, hi = _window(ns, max(profile.domain.lo, -10.0), min(profile.domain.hi, 10.0))
     dlo, dhi = profile.domain.lo, profile.domain.hi
     guard = GUARD_BAND
     if math.isfinite(dlo) and math.isfinite(dhi):
@@ -384,9 +377,13 @@ def _cmd_profile(ns) -> int:
     return 0
 
 
-def _default_grid(ns, lo, hi):
-    axes = [(lo, hi, 9)] + [(0.0, 1.0, 5)] * ns.m
-    return GridSpec(axes[0], axes[1:])
+def _grid(ns, lo, hi):
+    """The --grid axes (x first), else lo:hi:9 in x and 0:1:5 in each time."""
+    if not ns.grid:
+        return GridSpec((lo, hi, 9), [(0.0, 1.0, 5)] * ns.m)
+    if len(ns.grid) != ns.m + 1:
+        raise ValueError(f"--grid must be given m + 1 = {ns.m + 1} times, got {len(ns.grid)}")
+    return GridSpec(ns.grid[0], ns.grid[1:])
 
 
 def _cmd_verify(ns) -> int:
@@ -395,9 +392,7 @@ def _cmd_verify(ns) -> int:
         lam = SpeedVector(np.ones(ns.m))
         structure = synthesize_structure(constant_coeffs(1.0, 1.0, b=1.0),
                                          ns.m, lam)
-        grid = (GridSpec(ns.grid[0], ns.grid[1:]) if ns.grid
-                else _default_grid(ns, -5.0, 5.0))
-        rep = residual_sweep(field, structure, grid)
+        rep = residual_sweep(field, structure, _grid(ns, -5.0, 5.0))
         verified = rep.max_abs <= ns.tol
         obj = {"family": "stationary", "report": rep.to_json_dict(),
                "tol": float(ns.tol), "verified": verified}
@@ -414,6 +409,7 @@ def _cmd_verify(ns) -> int:
     prof = with_speed(prof, lam)
     lo, hi = _sample_window(prof, ns)
     zs = np.linspace(lo, hi, ns.n)
+    grid = _grid(ns, lo, hi)
 
     rep_an = reduction_ode_residual(prof.coeffs, prof, zs, "analytic")
     rep_fd = reduction_ode_residual(prof.coeffs, prof, zs, "fd")
@@ -436,8 +432,6 @@ def _cmd_verify(ns) -> int:
         chain_ok = bernoulli_chain_check(prof.coeffs, prof, chain_zs, tol=ns.tol)
 
     structure = synthesize_structure(prof.coeffs, ns.m, lam)
-    grid = (GridSpec(ns.grid[0], ns.grid[1:]) if ns.grid
-            else _default_grid(ns, lo, hi))
     sweep = residual_sweep(prof, structure, grid, skip_out_of_domain=True)
 
     verified = (sweep.max_abs <= ns.tol and rep_fd.max_abs <= ns.tol
@@ -530,24 +524,21 @@ def _cmd_decay(ns) -> int:
     return 0 if res.ok else 1
 
 
-_RUNNERS = {
-    "profile": _cmd_profile,
-    "verify": _cmd_verify,
-    "series": _cmd_series,
-    "prolong": _cmd_prolong,
-    "decay": _cmd_decay,
-}
-
-
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
     ns = ap.parse_args(argv)
     if ns.cmd is None:
         ap.print_usage(sys.stderr)
         return 2
     try:
-        merged = _merge_config(ns)
-        return _RUNNERS[ns.cmd](merged)
+        if ns.config:
+            # config flags go right after the subcommand, so the given flags win
+            at = argv.index(ns.cmd) + 1
+            ns = ap.parse_args(argv[:at] + _config_flags(ap, ns) + argv[at:])
+        if ns.tol is not None:
+            _require_finite(tol=ns.tol)
+        return ns.run(ns)
     except ConditionViolated as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return 1

@@ -163,15 +163,20 @@ def _coeffs_payload(rc: ReducedCoeffs):
         return {"kind": CoeffKind.GENERAL.value, "variant": rc.variant.value}
 
 
-def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float,
-                         max_degree: int = 1024):
+CHEB_MAX_DEGREE = 1024      # Chebyshev antiderivatives stop doubling here
+QUADRATURE_SCAN = 4001      # domain-search points of soliton_quadrature
+VDP_SCAN = 2001             # domain-search points of vdp_implicit
+COMPAT_TOL = 1e-6           # vdp_implicit's sampled check of (a/d)' = c/d
+
+
+def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float):
     """Antiderivative F(z) = int_anchor^z fn, cached as a Chebyshev series.
 
     ``fn`` is sampled at all Chebyshev points of [lo, hi] in one call (it
     takes and returns arrays); the interpolant is
     integrated term by term, and the degree doubles until the coefficient
     tail is negligible.  Smooth integrands resolve to near machine
-    precision; non-smooth ones get the highest degree and whatever accuracy
+    precision; non-smooth ones get CHEB_MAX_DEGREE and whatever accuracy
     that buys, which the downstream residual checks will expose.
     """
     half = 0.5 * (hi - lo)
@@ -182,11 +187,10 @@ def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float,
         scale = float(np.max(np.abs(coef)))
         if float(np.max(np.abs(coef[-6:]))) <= 1e-13 * max(1.0, scale):
             break
-        if deg >= max_degree:
+        if deg >= CHEB_MAX_DEGREE:
             break
         deg *= 2
-    poly = _cheb.Chebyshev(coef, domain=[lo, hi])
-    return poly.integ(1, lbnd=anchor), poly
+    return _cheb.Chebyshev(coef, domain=[lo, hi]).integ(1, lbnd=anchor)
 
 
 def _positive_run(zs: np.ndarray, vals: np.ndarray, z0: float):
@@ -215,14 +219,14 @@ def _positive_run(zs: np.ndarray, vals: np.ndarray, z0: float):
 
 
 def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
-                       domain=(-10.0, 10.0), lam=None,
-                       n_scan: int = 4001) -> SolitonProfile:
+                       domain=(-10.0, 10.0), lam=None) -> SolitonProfile:
     """Rayleigh profile by nested quadrature, anchored with phi(z0) = 0.
 
     phi'(z) = exp(-F(z)) / sqrt(K - 2 G(z)), F = int_{z0}^{z} c/a,
-    G = int_{z0}^{z} (b/a) exp(-2 F).  The radicand is scanned over the
-    requested interval and the domain shrinks to the maximal positive
-    subinterval containing z0 (EmptyDomain if the anchor itself fails).
+    G = int_{z0}^{z} (b/a) exp(-2 F).  The radicand is scanned at
+    QUADRATURE_SCAN points of the requested interval and the domain shrinks
+    to the maximal positive subinterval containing z0 (EmptyDomain if the
+    anchor itself fails).
     Antiderivatives are cached on Chebyshev grids, so evaluation is cheap
     and deterministic.
     """
@@ -240,14 +244,14 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
         raise EmptyDomain("the radicand K - 2G is nonpositive at the anchor")
 
     def build(a_lo, a_hi):
-        F, _ = _cheb_antiderivative(lambda s: coeffs.c(s) / coeffs.a(s), a_lo, a_hi, z0)
-        G, _ = _cheb_antiderivative(
+        F = _cheb_antiderivative(lambda s: coeffs.c(s) / coeffs.a(s), a_lo, a_hi, z0)
+        G = _cheb_antiderivative(
             lambda s: coeffs.b(s) / coeffs.a(s) * np.exp(-2.0 * F(s)),
             a_lo, a_hi, z0)
         return F, G
 
     F, G = build(lo, hi)
-    zs = np.linspace(lo, hi, n_scan)
+    zs = np.linspace(lo, hi, QUADRATURE_SCAN)
     radicand = K - 2.0 * G(zs)
     run = _positive_run(zs, radicand, z0)
     if run is None:
@@ -265,7 +269,7 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
             raise DomainExceeded(f"radicand nonpositive at z = {_first(z, rad <= 0.0)}")
         return np.exp(-F(z)) / np.sqrt(rad)
 
-    PHI, _ = _cheb_antiderivative(phi_prime, d_lo, d_hi, z0)
+    PHI = _cheb_antiderivative(phi_prime, d_lo, d_hi, z0)
 
     @_stacked
     def phi(z):
@@ -298,9 +302,10 @@ def _arc_family(family, a, b, c, K, r, sigma, lam) -> SolitonProfile:
     f is arccosh, arcsinh or arcsin, with (g, s) = (1, -1), (1, 1) or
     (-1, 1) and rad = g w^2 + s, positive inside the domain.  Then
     phi' = -sigma sqrt(g c/b) w / sqrt(rad) and
-    phi'' = s sigma sqrt(g c/b) (c/a) w rad^-1.5.  arcsinh has rad >= 1 on
-    all of R; the other two are valid on a half-line ending at
-    (a/c) ln K, where rad <= 0, phi stays finite and phi', phi'' are
+    phi'' = s sigma sqrt(g c/b) (c/a) w rad^-1.5.  Where rad overflows
+    (w > ~1e154), phi' = -sigma sqrt(g c/b) / sqrt(g + s / w^2).  arcsinh
+    has rad >= 1 on all of R; the other two are valid on a half-line ending
+    at (a/c) ln K, where rad <= 0, phi stays finite and phi', phi'' are
     infinite.
     """
     a, b, c, K, r = float(a), float(b), float(c), float(K), float(r)
@@ -328,7 +333,8 @@ def _arc_family(family, a, b, c, K, r, sigma, lam) -> SolitonProfile:
     def w(z):
         _check_domain(dom, z)
         ww = K * np.exp(-rate * z)
-        rad = g * ww * ww + s
+        with np.errstate(over="ignore"):    # phi_prime handles rad = inf
+            rad = g * ww * ww + s
         return ww, rad, rad <= 0.0
 
     def phi(z):
@@ -338,6 +344,9 @@ def _arc_family(family, a, b, c, K, r, sigma, lam) -> SolitonProfile:
     def phi_prime(z):
         ww, rad, at_edge = w(z)
         val = -sigma * sq * ww / np.sqrt(np.where(at_edge, 1.0, rad))
+        big = np.isinf(rad)
+        if big.any():
+            val[big] = -sigma * sq / np.sqrt(g + s * (1.0 / ww[big]) ** 2)
         return np.where(at_edge, -sigma * math.inf, val)
 
     def phi_second(z):
@@ -382,9 +391,8 @@ def _fd_ratio_derivative(coeffs: ReducedCoeffs, z):
     return (rp - rm) / (2.0 * h)
 
 
-def _check_compatibility(coeffs: ReducedCoeffs, lo: float, hi: float,
-                         tol: float) -> None:
-    """Sample a' d - a d' - d c = 0, the condition (a/d)' = c/d."""
+def _check_compatibility(coeffs: ReducedCoeffs, lo: float, hi: float) -> None:
+    """Sample a' d - a d' - d c = 0, the condition (a/d)' = c/d, within COMPAT_TOL."""
     z = np.linspace(lo, hi, 21)
     h = 1e-6 * np.maximum(1.0, np.abs(z))
     ap = (coeffs.a(z + h) - coeffs.a(z - h)) / (2.0 * h)
@@ -392,7 +400,7 @@ def _check_compatibility(coeffs: ReducedCoeffs, lo: float, hi: float,
     a, d, c = coeffs.a(z), coeffs.d(z), coeffs.c(z)
     resid = ap * d - a * dp - d * c
     scale = np.maximum(1.0, np.max(np.abs([ap * d, a * dp, d * c]), axis=0))
-    bad = ~(np.abs(resid) <= tol * scale)
+    bad = ~(np.abs(resid) <= COMPAT_TOL * scale)
     if bad.any():
         raise CompatibilityViolated(f"(a/d)' = c/d fails at z = {_first(z, bad)}: "
                                     f"residual {_first(resid, bad):.3e}")
@@ -464,8 +472,7 @@ def _solve_branch(L, k1: float, side: float, far_scale: float, target):
 
 def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
                  phi0: float | None = None, domain=(-5.0, 5.0),
-                 square_relation: str = "reciprocal", lam=None,
-                 compat_tol: float = 1e-6, n_scan: int = 2001) -> SolitonProfile:
+                 square_relation: str = "reciprocal", lam=None) -> SolitonProfile:
     """Van der Pol profile through the first integral phi^3/3 = (a/d) phi' + k.
 
     Requires the compatibility relation (a/d)' = c/d (checked by sampling,
@@ -497,9 +504,9 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
     if square_relation not in ("reciprocal", "direct"):
         raise BadParameters("square_relation must be 'reciprocal' or 'direct'")
 
-    _check_compatibility(coeffs, lo, hi, compat_tol)
-    H, _ = _cheb_antiderivative(lambda s: coeffs.d(s) / coeffs.a(s), lo, hi, z0)
-    zs = np.linspace(lo, hi, n_scan)
+    _check_compatibility(coeffs, lo, hi)
+    H = _cheb_antiderivative(lambda s: coeffs.d(s) / coeffs.a(s), lo, hi, z0)
+    zs = np.linspace(lo, hi, VDP_SCAN)
 
     def ratio(z):
         return coeffs.d(z) / coeffs.a(z)

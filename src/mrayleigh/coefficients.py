@@ -50,6 +50,8 @@ from .errors import (
 DEGENERACY_TOL = 1e-10
 # Acceptance tolerance for pointwise constraint and consistency residuals.
 CONSTRAINT_TOL = 1e-9
+# verify_reduction_consistency draws this many phases, seeded, from this range
+CONSISTENCY_SAMPLES, CONSISTENCY_SEED, CONSISTENCY_Z_RANGE = 100, 0, (-2.0, 2.0)
 
 
 def _unwrap(v):
@@ -254,9 +256,8 @@ class ReducedCoeffs:
     and affine kinds and is what serializes; general coefficients hold
     arbitrary callables and cannot round-trip through JSON.
 
-    ``vectorized`` marks callables that accept an array of phases (the
-    library's constant, affine and reduced coefficients).  The scalar
-    callables given to ``general_coeffs`` are applied once per phase.
+    The callables ``a_fn`` ... ``d_fn`` take a phase or an array of phases;
+    ``general_coeffs`` wraps scalar callables to that contract.
     """
 
     kind: CoeffKind
@@ -266,7 +267,6 @@ class ReducedCoeffs:
     b_fn: ScalarFn | None = None
     d_fn: ScalarFn | None = None
     params: dict | None = None
-    vectorized: bool = False
 
     def __post_init__(self):
         if (self.b_fn is None) == (self.d_fn is None):
@@ -279,9 +279,8 @@ class ReducedCoeffs:
         if isinstance(z, (int, float)) or np.ndim(z) == 0:
             return float(fn(float(z)))
         z = np.asarray(z, dtype=float)
-        if self.vectorized:
-            return np.broadcast_to(np.asarray(fn(z), dtype=float), z.shape)
-        return np.fromiter(map(fn, z.ravel().tolist()), float, z.size).reshape(z.shape)
+        val = np.asarray(fn(z), dtype=float)
+        return val if val.shape == z.shape else np.broadcast_to(val, z.shape)
 
     def a(self, z):
         val = self._apply(self.a_fn, z)
@@ -326,12 +325,12 @@ def constant_coeffs(a, c, b=None, d=None) -> ReducedCoeffs:
         _require_finite(**params)
         return ReducedCoeffs(CoeffKind.CONSTANT, Variant.RAYLEIGH,
                              lambda z: a, lambda z: c, b_fn=lambda z: b,
-                             params=params, vectorized=True)
+                             params=params)
     d = params["d"] = float(d)
     _require_finite(**params)
     return ReducedCoeffs(CoeffKind.CONSTANT, Variant.VAN_DER_POL,
                          lambda z: a, lambda z: c, d_fn=lambda z: d,
-                         params=params, vectorized=True)
+                         params=params)
 
 
 @dataclass(frozen=True)
@@ -376,7 +375,6 @@ class AffineCoeffs:
             lambda z: c1 * z + c0,
             b_fn=lambda z: b1 * z + b0,
             params=params,
-            vectorized=True,
         )
 
 
@@ -399,7 +397,15 @@ def general_coeffs(a: ScalarFn, c: ScalarFn, b: ScalarFn | None = None,
     if (b is None) == (d is None):
         raise BadParameters("pass exactly one of b and d")
     variant = Variant.RAYLEIGH if b is not None else Variant.VAN_DER_POL
-    return ReducedCoeffs(CoeffKind.GENERAL, variant, a, c, b_fn=b, d_fn=d)
+    b_fn, d_fn = (None if f is None else _per_phase(f) for f in (b, d))
+    return ReducedCoeffs(CoeffKind.GENERAL, variant, _per_phase(a), _per_phase(c),
+                         b_fn=b_fn, d_fn=d_fn)
+
+
+def _per_phase(fn: ScalarFn):
+    """``fn`` applied to each phase of an array; a float goes straight to ``fn``."""
+    return lambda z: (fn(z) if isinstance(z, float) else
+                      np.fromiter(map(fn, z.ravel().tolist()), float, z.size).reshape(z.shape))
 
 
 def coeffs_to_json_dict(rc: ReducedCoeffs) -> dict:
@@ -527,12 +533,10 @@ def reduce(structure: GeometricStructure, lam: SpeedVector,
         b_fn=fns.get("b"),
         d_fn=fns.get("d"),
         params=params,
-        vectorized=True,
     )
 
 
-def synthesize_structure(target: ReducedCoeffs, m: int, lam: SpeedVector,
-                         variant: Variant | None = None) -> GeometricStructure:
+def synthesize_structure(target: ReducedCoeffs, m: int, lam: SpeedVector) -> GeometricStructure:
     """Realize prescribed reduced coefficients by a canonical structure.
 
     The member chosen from the infinite family: h diagonal with
@@ -542,9 +546,6 @@ def synthesize_structure(target: ReducedCoeffs, m: int, lam: SpeedVector,
     (or D^1 = d(z)/lambda_1), and Gamma identically zero.  ``reduce`` of
     the result with the same lambda returns the target coefficients.
     """
-    if variant is not None and variant is not target.variant:
-        raise WrongVariant("requested variant does not match the coefficients")
-    variant = target.variant
     if lam.m != m:
         raise DimensionMismatch(f"lambda has {lam.m} components, m = {m}")
     lam1 = float(lam.values[0])
@@ -568,7 +569,7 @@ def synthesize_structure(target: ReducedCoeffs, m: int, lam: SpeedVector,
         return field
 
     gamma = _constant_field(np.zeros((m, m, m)))
-    if variant is Variant.RAYLEIGH:
+    if target.variant is Variant.RAYLEIGH:
         return GeometricStructure(m=m, h=h, gamma=gamma, c_field=leading(target.c, lam1, 1),
                                   b_field=leading(target.b, lam1 ** 3, 3))
     return GeometricStructure(m=m, h=h, gamma=gamma, c_field=leading(target.c, lam1, 1),
@@ -584,6 +585,8 @@ def prolongation_structure(m: int, epsilon: float,
     index-1 algebraic condition h^{ab} Gamma^1_{ab} xi_1 = C^1 xi_1 -
     B^{111} xi_1^3 (or its eta^2 D^1 counterpart) holds identically.
     """
+    if m < 1:
+        raise DimensionMismatch(f"m must be at least 1, got {m}")
     eps = float(epsilon)
     h = _constant_field(np.eye(m))
     c_arr = np.zeros(m)
@@ -630,45 +633,44 @@ def _constraint_gap(structure: GeometricStructure, x, t, eta, xi):
 
 
 def check_constraint(structure: GeometricStructure, lam: SpeedVector,
-                     sample_points, tol: float = CONSTRAINT_TOL) -> bool:
+                     sample_points) -> bool:
     """Check h^{ab} Gamma^g_{ab} xi_g = C^g xi_g - B^{abc} xi_a xi_b xi_c.
 
     For the Van der Pol variant the right-hand side is
     C^g xi_g - eta^2 D^g xi_g.  True iff the pointwise residual stays
-    within ``tol`` at every sample.  ``lam`` only fixes dimensional
+    within CONSTRAINT_TOL at every sample.  ``lam`` only fixes dimensional
     validation; the constraint itself does not involve the speeds.
     """
     if lam.m != structure.m:
         raise DimensionMismatch("lambda does not match the structure")
     for pt in _normalize_points(sample_points, structure.m):
-        if not np.all(np.abs(_constraint_gap(structure, pt.x, pt.t, pt.eta, pt.xi)) <= tol):
+        gap = _constraint_gap(structure, pt.x, pt.t, pt.eta, pt.xi)
+        if not np.all(np.abs(gap) <= CONSTRAINT_TOL):
             return False
     return True
 
 
-def verify_reduction_consistency(structure: GeometricStructure, lam: SpeedVector,
-                                 n_samples: int = 100, seed: int = 0,
-                                 z_range=(-2.0, 2.0),
-                                 tol: float = CONSTRAINT_TOL) -> bool:
+def verify_reduction_consistency(structure: GeometricStructure, lam: SpeedVector) -> bool:
     """Check that the contractions depend on (x, t) only through z.
 
-    Draws phases z and pairs of time points t, t' with matching phase
-    (x adjusted so x - lambda.t = z) and compares the contractions; any
-    relative disagreement above ``tol`` means the structure does not reduce
-    to well-defined coefficient functions of z along this lambda.
+    Draws CONSISTENCY_SAMPLES phases z from CONSISTENCY_Z_RANGE and pairs of
+    time points t, t' with matching phase (x adjusted so x - lambda.t = z)
+    and compares the contractions; any relative disagreement above
+    CONSTRAINT_TOL means the structure does not reduce to well-defined
+    coefficient functions of z along this lambda.
     """
     if lam.m != structure.m:
         raise DimensionMismatch("lambda does not match the structure")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CONSISTENCY_SEED)
     zeros = np.zeros(structure.m)
     names = ("a", "c", "b" if structure.variant is Variant.RAYLEIGH else "d")
-    for _ in range(n_samples):
-        z = rng.uniform(*z_range)
+    for _ in range(CONSISTENCY_SAMPLES):
+        z = rng.uniform(*CONSISTENCY_Z_RANGE)
         t1 = rng.uniform(-3.0, 3.0, structure.m)
         t2 = rng.uniform(-3.0, 3.0, structure.m)
         for key in names:
             v1 = float(_contraction(structure, lam, key, z + lam.dot(t1), t1, 0.0, zeros))
             v2 = float(_contraction(structure, lam, key, z + lam.dot(t2), t2, 0.0, zeros))
-            if not np.all(np.abs(v1 - v2) <= tol * max(1.0, abs(v1), abs(v2))):
+            if not np.all(np.abs(v1 - v2) <= CONSTRAINT_TOL * max(1.0, abs(v1), abs(v2))):
                 return False
     return True

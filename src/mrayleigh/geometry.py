@@ -329,9 +329,8 @@ def residual_for(structure: GeometricStructure):
     return rayleigh_residual if structure.variant is Variant.RAYLEIGH else vdp_residual
 
 
-def check_reversibility(structure: GeometricStructure, sample_points,
-                        tol: float = CONSTRAINT_TOL) -> bool:
-    """True iff C and B (or D) are odd under t -> -t at every sample.
+def check_reversibility(structure: GeometricStructure, sample_points) -> bool:
+    """True iff C and B (or D) are odd under t -> -t, within CONSTRAINT_TOL.
 
     Multitime reversibility: u(x, -t) solves the equation whenever u(x, t)
     does exactly when the damping fields flip sign with time.
@@ -339,21 +338,21 @@ def check_reversibility(structure: GeometricStructure, sample_points,
     for pt in _normalize_points(sample_points, structure.m):
         x, t, eta, xi = pt.x, pt.t, pt.eta, pt.xi
         for f in (structure.c_field, structure.b_field or structure.d_field):
-            plus, minus = f(x, t, eta, xi), f(x, -t, eta, xi)
-            if not np.all(np.abs(np.asarray(plus, float) + np.asarray(minus, float)) <= tol):
+            odd_gap = np.asarray(f(x, t, eta, xi), float) + np.asarray(f(x, -t, eta, xi), float)
+            if not np.all(np.abs(odd_gap) <= CONSTRAINT_TOL):
                 return False
     return True
 
 
 def check_prolongation(u1: FieldFunction, structure: GeometricStructure,
-                       grid: GridSpec,
-                       constraint_tol: float = CONSTRAINT_TOL) -> ResidualReport:
+                       grid: GridSpec) -> ResidualReport:
     """Verify that v(x, t) = u1(x, t^1) solves the multitime equation.
 
     First samples the jet of the prolonged field at every
     ``max(1, N // 50)``-th grid point and checks the index-1 algebraic
-    condition of ``check_constraint`` there (raising ConditionViolated on
-    failure), then evaluates the variant residual over the whole grid.
+    condition of ``check_constraint`` there within CONSTRAINT_TOL (raising
+    ConditionViolated on failure), then evaluates the variant residual over
+    the whole grid.
     """
     m = structure.m
     if grid.m != m:
@@ -366,7 +365,7 @@ def check_prolongation(u1: FieldFunction, structure: GeometricStructure,
     xi = np.zeros(ts.shape)
     xi[:, 0] = v.time_gradient(xs, ts)[:, 0]
     gap = _constraint_gap(structure, xs, ts, v.value(xs, ts), xi)
-    if not np.all(np.abs(gap) <= constraint_tol):
+    if not np.all(np.abs(gap) <= CONSTRAINT_TOL):
         raise ConditionViolated(
             "index-1 condition fails on the sampled jet of the prolonged field")
 

@@ -48,6 +48,9 @@ _BLOWUP_FLOOR = 1e6
 
 TOL_MIN = 1e-12
 TOL_MAX = 1e-4
+CHAIN_SKIP_TOL = 1e-12      # the chain check skips |phi'| below this
+DECAY_SAMPLES = 2000        # decay_check's samples along the ray
+SPECTRAL_TOL = 1e-10        # rtol = atol of the single-time integrator
 
 
 def _along(fn, z: np.ndarray) -> np.ndarray:
@@ -139,19 +142,14 @@ def _integrate_one_way(rhs, z0, z1, y0, tol):
 def integrate_reduction(coeffs: ReducedCoeffs, phi0: float, phi_prime0: float,
                         span: tuple[float, float] = (-10.0, 10.0),
                         z0: float | None = None,
-                        tol: float = 1e-10,
-                        variant: Variant | None = None) -> IvpSolution:
+                        tol: float = 1e-10) -> IvpSolution:
     """Integrate the reduced ODE as a first-order system in (phi, phi').
 
     Initial data is posed at ``z0`` (default: the left end of ``span``) and
-    the solver runs toward both ends when z0 is interior.  ``variant``, if
-    given, must agree with what the coefficients carry.  Tolerance outside
+    the solver runs toward both ends when z0 is interior.  Tolerance outside
     [1e-12, 1e-4] raises BadParameters.  Escape past 1e12 raises BlowUp
     with the z reached, other integrator failures raise StiffnessFailure.
     """
-    if variant is not None and variant is not coeffs.variant:
-        raise WrongVariant(f"coefficients are {coeffs.variant.value}, "
-                           f"not {variant.value}")
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise BadParameters(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
     lo, hi = float(span[0]), float(span[1])
@@ -188,22 +186,21 @@ def integrate_reduction(coeffs: ReducedCoeffs, phi0: float, phi_prime0: float,
 
 
 def bernoulli_chain_check(coeffs: ReducedCoeffs, profile, samples,
-                          tol: float = 1e-6,
-                          skip_tol: float = 1e-12) -> bool:
+                          tol: float = 1e-6) -> bool:
     """Check both stages of the order reduction along a profile.
 
     psi = phi' must satisfy psi' = -(c/a) psi + (b/a) psi^3, and
     xi = psi^-2 the linear equation xi' - 2 (c/a) xi = -2 (b/a).  Both
     derivatives come from central finite differences of the profile, so
     neither route trusts a supplied second derivative.  Samples where
-    |phi'| < ``skip_tol`` are skipped with a warning (xi is undefined
+    |phi'| < CHAIN_SKIP_TOL are skipped with a warning (xi is undefined
     there); if every sample is skipped the answer is vacuously true.
     """
     if coeffs.variant is not Variant.RAYLEIGH:
         raise WrongVariant("the cubic-in-psi chain applies to the B-field variant")
     z = np.asarray(samples, dtype=float).reshape(-1)
     psi = _along(profile.phi_prime, z)
-    flat = np.abs(psi) < skip_tol
+    flat = np.abs(psi) < CHAIN_SKIP_TOL
     z, psi = z[~flat], psi[~flat]
     a, b, c = coeffs.a(z), coeffs.b(z), coeffs.c(z)
     h = _h1(z)
@@ -216,7 +213,7 @@ def bernoulli_chain_check(coeffs: ReducedCoeffs, profile, samples,
     if not np.all(np.abs(dxi - 2.0 * (c / a) * psi ** -2 + 2.0 * (b / a)) <= tol):
         return False
     if flat.any():
-        warnings.warn(f"{np.count_nonzero(flat)} samples skipped where |phi'| < {skip_tol}",
+        warnings.warn(f"{np.count_nonzero(flat)} samples skipped where |phi'| < {CHAIN_SKIP_TOL}",
                       RuntimeWarning, stacklevel=2)
     return True
 
@@ -300,22 +297,21 @@ class DecayResult:
 
 
 def decay_check(profile: SolitonProfile, direction, threshold: float = 1e-3,
-                horizon: float = 1e3, x: float = 0.0,
-                n_samples: int = 2000) -> DecayResult:
+                horizon: float = 1e3, x: float = 0.0) -> DecayResult:
     """Does |phi| fall below ``threshold`` along t = s * direction, s -> horizon?
 
-    The phase is z = x - s (lambda . direction); the ray is sampled up to
-    the horizon, restricted to the profile's validity interval.  ok means
-    a crossing radius exists past which every remaining sample stays under
-    the threshold.  Known asymptotic limits recorded on the profile are
-    passed through as metadata for the relevant phase direction.
+    The phase is z = x - s (lambda . direction); the ray is sampled at
+    DECAY_SAMPLES points up to the horizon, restricted to the profile's
+    validity interval.  ok means a crossing radius exists past which every
+    remaining sample stays under the threshold.  Known asymptotic limits
+    recorded on the profile are passed through as metadata for the relevant
+    phase direction.
     """
-    horizon, threshold = float(horizon), float(threshold)
+    horizon, threshold, x = float(horizon), float(threshold), float(x)
     for name, v in (("horizon", horizon), ("threshold", threshold)):
         if not (math.isfinite(v) and v > 0.0):
             raise BadParameters(f"{name} must be finite and positive, got {v}")
-    if n_samples < 2:
-        raise BadParameters(f"n_samples must be at least 2, got {n_samples}")
+    _require_finite(x=x)
     direction = np.asarray(direction, dtype=float)
     if not np.all(np.isfinite(direction)):
         raise BadParameters(f"direction must be finite, got {direction.tolist()}")
@@ -324,7 +320,7 @@ def decay_check(profile: SolitonProfile, direction, threshold: float = 1e-3,
     rate = float(np.dot(profile.lam.values, direction))
     if rate == 0.0:
         raise BadParameters("phase is constant along this direction")
-    s = np.linspace(0.0, horizon, n_samples)
+    s = np.linspace(0.0, horizon, DECAY_SAMPLES)
     z = x - rate * s
     inside = profile.domain.contains(z)
     if not inside.any():
@@ -430,18 +426,20 @@ class SingleTimeSolution:
 
 
 def integrate_single_time_rayleigh(epsilon: float, u0, v0, t_final: float,
-                                   n_x: int = 512, n_t: int = 201,
-                                   tol: float = 1e-10) -> SingleTimeSolution:
+                                   n_x: int = 512, n_t: int = 201) -> SingleTimeSolution:
     """Solve the damped wave equation on the periodic circle, spectrally.
 
     ``u0`` and ``v0`` give initial displacement and velocity as functions
-    of x.  Integrator failure surfaces as CFLViolation.
+    of x; ``n_x`` modes are integrated with tolerance SPECTRAL_TOL and
+    ``n_t`` time slices are stored.  Integrator failure surfaces as
+    CFLViolation.
     """
     _require_finite(epsilon=epsilon, t_final=t_final)
     if t_final <= 0.0:
         raise BadParameters("t_final must be positive")
-    if not (TOL_MIN <= tol <= TOL_MAX):
-        raise BadParameters(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
+    if n_x < 1 or n_t < 6:
+        raise BadParameters("n_x must be at least 1 and n_t at least 6 (a quintic "
+                            f"spline in t), got n_x = {n_x}, n_t = {n_t}")
     x = np.linspace(0.0, 2.0 * np.pi, n_x, endpoint=False)
     k = np.fft.rfftfreq(n_x, d=1.0 / n_x)
     u_init = np.array([u0(xi) for xi in x], dtype=float)
@@ -455,7 +453,7 @@ def integrate_single_time_rayleigh(epsilon: float, u0, v0, t_final: float,
 
     ts = np.linspace(0.0, t_final, n_t)
     sol = solve_ivp(rhs, (0.0, t_final), y0, method="DOP853",
-                    rtol=tol, atol=tol, t_eval=ts)
+                    rtol=SPECTRAL_TOL, atol=SPECTRAL_TOL, t_eval=ts)
     if not sol.success:
         raise CFLViolation(f"time integration failed: {sol.message}")
 

@@ -227,6 +227,13 @@ def test_non_finite_profile_parameters_exit_2(family_args, name):
       "--direction", "nan,1"), "direction must be finite"),
     (("verify", "--family", "arcsinh", "--a", "1", "--b", "1", "--c", "1", "--K", "1",
       "--m", "1", "--grid", "nan:1:3", "--grid", "0:1:2"), "grid axis ends must be finite"),
+    (("profile", "--zmin", "nan"), "zmin must be finite"),
+    (("decay", "--family", "arcsinh", "--a", "1", "--b=-1", "--c=-1", "--K", "1",
+      "--direction", "1,1", "--x", "nan"), "x must be finite"),
+    (("profile", "--family", "quadrature", "--a", "exp", "--b", "1", "--c", "nan",
+      "--K", "4"), "c must be finite"),
+    (("verify", "--tol", "nan"), "tol must be finite"),
+    (("prolong", "--tol", "nan"), "tol must be finite"),
 ])
 def test_non_finite_inputs_exit_2(args, message):
     r = run_cli(*args)
@@ -258,3 +265,54 @@ def test_series_profile_with_too_short_a_tail_exits_2():
                 "--alpha0", "0", "--alpha1", "1", "--N", "1")
     assert r.returncode == 2
     assert "radius estimate is inconclusive" in r.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (("prolong", "--m", "0"), "argument --m: must be at least 1"),
+    (("prolong", "--n-x", "0"), "argument --n-x: must be at least 1"),
+    (("prolong", "--n-x", "32", "--n-t", "3"), "n_t at least 6"),
+    (("verify", "--m", "1", "--grid", "0:1:3"), "--grid must be given m + 1 = 2 times"),
+    (("profile", "--n", "0"), "argument --n: must be at least 1"),
+])
+def test_out_of_range_counts_exit_2(args, message):
+    r = run_cli(*args)
+    assert r.returncode == 2, r.stdout
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("cmd, key, value", [
+    ("profile", "format", "xml"),
+    ("series", "method", "bogus"),
+    ("profile", "quiet", "no"),
+    ("profile", "n", "abc"),
+])
+def test_config_values_are_validated_like_flags(tmp_path, cmd, key, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    r = run_cli(cmd, "--coeffs", "0,0,0,1,0,1", "--config", str(cfg))
+    assert r.returncode == 2, r.stdout
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+def test_command_line_grid_replaces_the_config_grid(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"grid": [[-1, 1, 3], [0, 1, 2]], "quiet": True}))
+    base = ("verify", "--m", "1", "--config", str(cfg))
+    r = run_cli(*base)
+    assert r.returncode == 0 and r.stderr == ""         # quiet came from the config
+    assert len(json.loads(r.stdout)["report"]["points"]) == 3 * 2
+    r = run_cli(*base, "--grid=-1:1:4", "--grid", "0:1:3")
+    assert r.returncode == 0, r.stderr
+    assert len(json.loads(r.stdout)["report"]["points"]) == 4 * 3
+
+
+def test_config_null_leaves_the_default(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": None, "K": None, "zmin": None, "quiet": True}))
+    r = run_cli("profile", "--config", str(cfg))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == run_cli("profile").stdout
+    assert json.loads(r.stdout)["n"] == 201

@@ -6,6 +6,7 @@ with the independent ODE evaluator in two derivative modes.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,17 @@ def test_arc_edge_derivatives_keep_the_sign_of_the_interior(make, b, inside):
             edge, near = f(0.0), f(inside)
             assert math.isinf(edge)
             assert math.copysign(1.0, edge) == math.copysign(1.0, near)
+
+
+@pytest.mark.parametrize("make", [soliton_arcsinh, soliton_arccosh])
+def test_arc_slope_survives_an_overflowing_radicand(make):
+    # at z = -400, w = e^400 and rad = w^2 +- 1 overflows; phi' -> -sqrt(c/b)
+    p = make(1.0, 1.0, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert p.phi_prime(-400.0) == -1.0
+        assert p.phi_prime(np.array([-400.0]))[0] == -1.0
+
 
 def test_arcsin_domain_and_values():
     p = soliton_arcsin(1.0, -1.0, 1.0, 1.0)

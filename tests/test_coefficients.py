@@ -153,13 +153,6 @@ def test_synthesize_needs_leading_speed():
         synthesize_structure(target, 2, SpeedVector(np.array([0.0, 1.0])))
 
 
-def test_synthesize_variant_mismatch():
-    target = constant_coeffs(1.0, 1.0, b=1.0)
-    with pytest.raises(WrongVariant):
-        synthesize_structure(target, 1, SpeedVector(np.array([1.0])),
-                             variant=Variant.VAN_DER_POL)
-
-
 def test_prolongation_structure_satisfies_index1_condition():
     lam2 = SpeedVector(np.array([1.0, 1.0]))
     for variant in (Variant.RAYLEIGH, Variant.VAN_DER_POL):
@@ -169,6 +162,8 @@ def test_prolongation_structure_satisfies_index1_condition():
                          eta=rng.normal(), xi=np.array([rng.normal(), 0.0]))
                for _ in range(25)]
         assert check_constraint(st, lam2, pts)
+    with pytest.raises(DimensionMismatch, match="m must be at least 1"):
+        prolongation_structure(0, 0.3)
 
 
 def test_check_constraint_fails_for_unbalanced_damping():

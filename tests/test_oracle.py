@@ -18,7 +18,6 @@ from mrayleigh.closed_form import (
 )
 from mrayleigh.coefficients import (
     SpeedVector,
-    Variant,
     constant_coeffs,
     constant_structure,
     synthesize_structure,
@@ -94,8 +93,6 @@ def test_integration_parameter_guards():
         integrate_reduction(co, 0.0, 0.5, span=(1.0, 1.0))
     with pytest.raises(BadParameters):
         integrate_reduction(co, 0.0, 0.5, span=(0.0, 1.0), z0=2.0)
-    with pytest.raises(WrongVariant):
-        integrate_reduction(co, 0.0, 0.5, variant=Variant.VAN_DER_POL)
 
 
 def test_blow_up_is_reported_with_location():
@@ -214,7 +211,7 @@ def test_decay_guards():
     with pytest.raises(EmptyDomain):
         decay_check(cosh_p, (-1.0,), x=5.0)
     for bad in ({"horizon": math.nan}, {"horizon": -1.0}, {"threshold": math.inf},
-                {"threshold": 0.0}, {"n_samples": 1}):
+                {"threshold": 0.0}, {"x": math.nan}):
         with pytest.raises(BadParameters):
             decay_check(p, (1.0, 1.0), **bad)
 
@@ -238,3 +235,6 @@ def test_single_time_solver_interface_and_equilibrium():
         sol.u(0.0, 0.6)
     with pytest.raises(BadParameters):
         integrate_single_time_rayleigh(0.0, math.sin, lambda x: 0.0, -1.0)
+    for counts in ({"n_x": 0}, {"n_t": 5}):     # the t spline is quintic
+        with pytest.raises(BadParameters, match="n_x must be at least 1 and n_t at least 6"):
+            integrate_single_time_rayleigh(0.0, math.sin, lambda x: 0.0, 1.0, **counts)
