@@ -161,10 +161,9 @@ def _count(text: str) -> int:
 _FAMILY_DOMAIN = {"quadrature": (-10.0, 10.0), "vdp-implicit": (-5.0, 5.0)}
 
 
-def _add_common(p, tol=1e-6):
+def _add_common(p):
     p.add_argument("--config", help="JSON file of option values; flags win")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--tol", type=float, default=tol, help="verdict tolerance")
     p.add_argument("--format", choices=["csv", "json", "both"],
                    help="payload selection (default: both with --out, else json)")
     p.add_argument("--quiet", action="store_true",
@@ -219,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_verify)
     _add_common(p)
     _add_profile_params(p, _PROFILE_FAMILIES + ["stationary"])
+    p.add_argument("--tol", type=float, default=1e-6, help="verdict tolerance")
     p.add_argument("--m", type=_count, default=1, help="number of multitime dimensions")
     p.add_argument("--grid", action="append", type=_triple, metavar="LO:HI:N",
                    help="axis triple, repeat m+1 times (x first, then t axes)")
@@ -233,7 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prolong", help="single-time solve plus multitime check")
     p.set_defaults(run=_cmd_prolong)
-    _add_common(p, tol=None)
+    _add_common(p)
+    p.add_argument("--tol", type=float,
+                   help="verdict tolerance (default: 10 x the single-time residual floor)")
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--m", type=_count, default=2, help="number of multitime dimensions")
     p.add_argument("--t-final", dest="t_final", type=float, default=1.0)
@@ -367,7 +369,7 @@ def _cmd_profile(ns) -> int:
     prof = _build_profile(ns)
     lo, hi = _sample_window(prof, ns)
     zs = np.linspace(lo, hi, ns.n)
-    z, phi, dphi = prof.sample(zs, skip_out_of_domain=True)
+    z, phi, dphi = prof.sample(zs)
     obj = prof.to_json_dict()
     obj["window"] = [lo, hi]
     obj["n"] = int(len(z))
@@ -536,7 +538,7 @@ def main(argv=None) -> int:
             # config flags go right after the subcommand, so the given flags win
             at = argv.index(ns.cmd) + 1
             ns = ap.parse_args(argv[:at] + _config_flags(ap, ns) + argv[at:])
-        if ns.tol is not None:
+        if getattr(ns, "tol", None) is not None:     # verify and prolong only
             _require_finite(tol=ns.tol)
         return ns.run(ns)
     except ConditionViolated as e:

@@ -68,7 +68,7 @@ from .errors import (
     NoBracket,
     WrongVariant,
 )
-from .geometry import FieldFunction, _h2
+from .geometry import FieldFunction
 
 
 class Family(str, enum.Enum):
@@ -131,14 +131,13 @@ class SolitonProfile:
     domain: Interval
     phi: Callable
     phi_prime: Callable
-    phi_second: Callable | None = None
+    phi_second: Callable
     coeffs: ReducedCoeffs | None = None
 
-    def sample(self, zs, skip_out_of_domain: bool = True):
+    def sample(self, zs):
         """Evaluate (z, phi, phi') over a grid, dropping out-of-domain z."""
         zs = np.asarray(zs, dtype=float).reshape(-1)
-        if skip_out_of_domain:
-            zs = zs[self.domain.contains(zs)]
+        zs = zs[self.domain.contains(zs)]
         return zs, self.phi(zs), self.phi_prime(zs)
 
     def to_json_dict(self) -> dict:
@@ -177,13 +176,25 @@ def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float):
     integrated term by term, and the degree doubles until the coefficient
     tail is negligible.  Smooth integrands resolve to near machine
     precision; non-smooth ones get CHEB_MAX_DEGREE and whatever accuracy
-    that buys, which the downstream residual checks will expose.
+    that buys, which the downstream residual checks will expose.  A sample
+    that is not finite raises BadParameters.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
+
+    def samples(us):
+        zs = mid + half * us
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = fn(zs)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise BadParameters(f"integrand not finite at z = {_first(zs, bad)} "
+                                f"on the window [{lo}, {hi}]")
+        return vals
+
     deg = 64
     while True:
-        coef = _cheb.chebinterpolate(lambda us: fn(mid + half * us), deg)
+        coef = _cheb.chebinterpolate(samples, deg)
         scale = float(np.max(np.abs(coef)))
         if float(np.max(np.abs(coef[-6:]))) <= 1e-13 * max(1.0, scale):
             break
@@ -511,6 +522,14 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
     def ratio(z):
         return coeffs.d(z) / coeffs.a(z)
 
+    # phi' from the first integral, and its derivative; k1 = 0 included
+    def prime_from(p, z):
+        return ratio(z) * (p ** 3 - k1 ** 3) / 3.0
+
+    def second_from(p, z, dp):
+        return (_fd_ratio_derivative(coeffs, z) * (p ** 3 - k1 ** 3) / 3.0
+                + ratio(z) * p * p * dp)
+
     def profile(params, dom, phi, prime_from, second_from):
         """The profile whose phi' and phi'' reuse one evaluation of phi."""
         def phi_prime(z):
@@ -548,22 +567,19 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
                                      f"nonpositive at z = {_first(z, P <= 0.0)}")
             return sgn / np.sqrt(P) if reciprocal else sgn * np.sqrt(P)
 
+        params = {"k1": 0.0, "square_relation": square_relation}
         if reciprocal:
-            def prime_from(p, z):
-                return ratio(z) * p ** 3 / 3.0
+            return profile(params, dom, phi, prime_from, second_from)
 
-            def second_from(p, z, dp):
-                return _fd_ratio_derivative(coeffs, z) * p ** 3 / 3.0 + ratio(z) * p * p * dp
-        else:
-            def prime_from(p, z):
-                return -ratio(z) / (3.0 * p)
+        # the negative control differentiates its own relation
+        def direct_prime(p, z):
+            return -ratio(z) / (3.0 * p)
 
-            def second_from(p, z, dp):
-                return (-_fd_ratio_derivative(coeffs, z) / (3.0 * p)
-                        + ratio(z) * dp / (3.0 * p * p))
+        def direct_second(p, z, dp):
+            return (-_fd_ratio_derivative(coeffs, z) / (3.0 * p)
+                    + ratio(z) * dp / (3.0 * p * p))
 
-        return profile({"k1": 0.0, "square_relation": square_relation}, dom,
-                       phi, prime_from, second_from)
+        return profile(params, dom, phi, direct_prime, direct_second)
 
     # k1 != 0: implicit relation L(phi) = H(z) + C on a monotone branch
     if phi0 == k1:
@@ -590,13 +606,6 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
         if np.any(escaped):
             raise DomainExceeded(f"branch escapes to infinity before z = {_first(z, escaped)}")
         return _solve_branch(L, k1, side, far_scale, target)
-
-    def prime_from(p, z):
-        return ratio(z) * (p ** 3 - k1 ** 3) / 3.0
-
-    def second_from(p, z, dp):
-        return (_fd_ratio_derivative(coeffs, z) * (p ** 3 - k1 ** 3) / 3.0
-                + ratio(z) * p * p * dp)
 
     return profile({"k1": k1, "branch": "above" if side > 0 else "below"}, dom,
                    phi, prime_from, second_from)
@@ -697,28 +706,16 @@ def vdp_explicit(a, c, d, K, lam=None) -> SolitonProfile:
                           coeffs=constant_coeffs(a, c, d=d))
 
 
-def _second_derivative(profile: SolitonProfile):
-    """phi'', or central differences of phi' when the profile carries none."""
-    if profile.phi_second is not None:
-        return profile.phi_second
-
-    def second(z):
-        h = _h2(z)
-        return (profile.phi_prime(z + h) - profile.phi_prime(z - h)) / (2.0 * h)
-
-    return second
-
-
-def as_multitime(profile: SolitonProfile, lam: SpeedVector | None = None) -> FieldFunction:
+def as_multitime(profile: SolitonProfile) -> FieldFunction:
     """Lift a profile to the field u(x, t) = phi(x - lambda_alpha t^alpha).
 
+    lambda is the profile's own speed vector (``with_speed`` changes it).
     Chain-rule partials are attached analytically: du/dt^a = -lambda_a phi',
     d2u/dt^a dt^b = lambda_a lambda_b phi'', d2u/dx2 = phi''.  Points whose
     phase leaves the profile domain raise DomainExceeded.
     """
-    lam = profile.lam if lam is None else lam
+    lam, second = profile.lam, profile.phi_second
     lv = lam.values
-    second = _second_derivative(profile)
     return FieldFunction(
         u=lambda x, t: profile.phi(lam.z(x, t)),
         grad_t=lambda x, t: np.multiply.outer(profile.phi_prime(lam.z(x, t)), -lv),

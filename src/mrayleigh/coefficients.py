@@ -449,10 +449,10 @@ def _cubic_term(structure: GeometricStructure, x, t, eta, xi):
     return eta * eta * np.einsum("...g,...g->...", structure.d_field(x, t, eta, xi), xi)
 
 
-def _classify(fns: dict, z_ref: float) -> tuple[CoeffKind, dict | None]:
-    """Sample the contraction closures to tag them constant/affine/general."""
+def _classify(fns: dict) -> tuple[CoeffKind, dict | None]:
+    """Sample the contraction closures around z = 0 to tag them constant/affine/general."""
     step = 0.7
-    zs = z_ref + step * np.arange(-2.0, 3.0)
+    zs = step * np.arange(-2.0, 3.0)
     try:
         samples = {k: np.broadcast_to(fn(zs), zs.shape) for k, fn in fns.items()}
     except MrayleighError:
@@ -476,55 +476,39 @@ def reduce(structure: GeometricStructure, lam: SpeedVector,
     """Contract a structure with lambda into reduced ODE coefficients.
 
     The returned coefficients are functions of the phase z, evaluated on
-    the traveling-wave foliation.  ``probe`` fixes the jet data used during
-    evaluation: None takes t = 0, eta = 0, xi = 0; an EvalPoint pins
-    (t, eta, xi) and anchors the degeneracy probe at its own phase; an
-    object with ``phi``/``phi_prime`` attributes (a soliton profile) makes
-    the jet follow the ansatz, eta = phi(z) and xi = -lambda phi'(z).
+    the traveling-wave foliation at t = 0, so x = z.  The jet (eta, xi) is
+    zero when ``probe`` is None; a soliton profile as ``probe`` makes it
+    follow the ansatz, eta = phi(z) and xi = -lambda phi'(z).  Structures
+    that ignore the jet, such as synthesized ones, reduce to the same
+    coefficients either way.
 
-    Raises DegenerateA when |a| <= DEGENERACY_TOL at the probed phase.
+    Raises DegenerateA when |a(0)| <= DEGENERACY_TOL.
     """
     if lam.m != structure.m:
         raise DimensionMismatch(
             f"lambda has {lam.m} components, structure has m = {structure.m}")
 
-    t0, z_ref = np.zeros(structure.m), 0.0
-    if probe is None:
-        def jet(z):
-            return 0.0, np.zeros(np.shape(z) + (structure.m,))
-
-    elif hasattr(probe, "phi") and hasattr(probe, "phi_prime"):
-        prof = probe
-
-        def jet(z):
-            return prof.phi(z), np.multiply.outer(prof.phi_prime(z), -lam.values)
-
-    else:
-        pt = probe if isinstance(probe, EvalPoint) else EvalPoint(*probe)
-        if pt.m != structure.m:
-            raise DimensionMismatch("probe point has the wrong number of times")
-        t0 = pt.t
-        z_ref = lam.z(pt.x, pt.t)
-
-        def jet(z):
-            return pt.eta, np.broadcast_to(pt.xi, np.shape(z) + (structure.m,))
+    def jet(z):
+        if probe is None:
+            return 0.0, np.zeros(z.shape + (structure.m,))
+        return probe.phi(z), np.multiply.outer(probe.phi_prime(z), -lam.values)
 
     def coeff(name):
         def fn(z):
             z = np.asarray(z, dtype=float)
-            t = np.broadcast_to(t0, z.shape + (structure.m,))
-            return _contraction(structure, lam, name, z + lam.dot(t0), t, *jet(z))
+            return _contraction(structure, lam, name, z, np.zeros(z.shape + (structure.m,)),
+                                *jet(z))
         return fn
 
     names = ("a", "c", "b" if structure.variant is Variant.RAYLEIGH else "d")
     fns = {k: coeff(k) for k in names}
 
-    # construction-time degeneracy probe at the reference phase
-    a_ref = float(fns["a"](z_ref))
+    # construction-time degeneracy probe at the anchor phase
+    a_ref = float(fns["a"](0.0))
     if abs(a_ref) <= DEGENERACY_TOL:
-        raise DegenerateA(f"a({z_ref}) = {a_ref} at the probed point")
+        raise DegenerateA(f"a(0.0) = {a_ref} at the probed point")
 
-    kind, params = _classify(fns, z_ref)
+    kind, params = _classify(fns)
     return ReducedCoeffs(
         kind=kind,
         variant=structure.variant,

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline, make_interp_spline
 
-from .closed_form import SolitonProfile, _second_derivative
+from .closed_form import Interval, SolitonProfile, _check_domain
 from .coefficients import ReducedCoeffs, Variant, _require_finite, _unwrap
 from .errors import (
     BadParameters,
@@ -74,7 +74,6 @@ class IvpSolution:
     nodes: np.ndarray
     phi_values: np.ndarray
     phi_prime_values: np.ndarray
-    tolerance_used: float
     _phi_spline: CubicHermiteSpline = field(repr=False)
     _psi_spline: CubicHermiteSpline = field(repr=False)
     _psi_deriv: object = field(repr=False)
@@ -85,10 +84,7 @@ class IvpSolution:
 
     def _check(self, z):
         z = np.asarray(z, dtype=float)
-        lo, hi = self.span
-        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-        if np.any(z < lo - slack) or np.any(z > hi + slack):
-            raise DomainExceeded(f"z outside the integrated interval [{lo}, {hi}]")
+        _check_domain(Interval(*self.span), z)
         return z
 
     def phi(self, z):
@@ -99,13 +95,6 @@ class IvpSolution:
 
     def phi_second(self, z):
         return _unwrap(self._psi_deriv(self._check(z)))
-
-    def csv_header(self) -> list[str]:
-        return ["z", "phi", "phi_prime"]
-
-    def csv_rows(self):
-        for z, p, q in zip(self.nodes, self.phi_values, self.phi_prime_values):
-            yield [float(z), float(p), float(q)]
 
 
 def _integrate_one_way(rhs, z0, z1, y0, tol):
@@ -181,7 +170,7 @@ def integrate_reduction(coeffs: ReducedCoeffs, phi0: float, phi_prime0: float,
 
     phi_spline = CubicHermiteSpline(z, phi, psi)
     psi_spline = CubicHermiteSpline(z, psi, psi_prime)
-    return IvpSolution(coeffs, z, phi, psi, tol,
+    return IvpSolution(coeffs, z, phi, psi,
                        phi_spline, psi_spline, psi_spline.derivative())
 
 
@@ -230,7 +219,7 @@ def reduction_ode_residual(coeffs: ReducedCoeffs, profile, zs,
         raise BadParameters("derivative_mode must be 'analytic' or 'fd'")
     z = np.asarray(zs, dtype=float).reshape(-1)
     p = _along(profile.phi_prime, z)
-    if derivative_mode == "fd" or profile.phi_second is None:
+    if derivative_mode == "fd":
         h = _h1(z)
         pp = (_along(profile.phi_prime, z + h) - _along(profile.phi_prime, z - h)) / (2.0 * h)
     else:
@@ -261,7 +250,7 @@ def residual_sweep(u, structure, grid: GridSpec,
             if not keep.any():
                 raise EmptyDomain("every grid point fell outside the profile domain")
             x, t, z = x[keep], t[keep], z[keep]
-        d2 = _second_derivative(u)(z)
+        d2 = u.phi_second(z)
         residuals = _assemble(structure, x, t, u.phi(z),
                               np.multiply.outer(u.phi_prime(z), -lv),
                               np.multiply.outer(d2, np.outer(lv, lv)), d2)

@@ -168,12 +168,6 @@ def evaluate_prime(series: SeriesSolution, z: float) -> float:
     return float(np.polynomial.polynomial.polyval(z, der))
 
 
-def evaluate_second(series: SeriesSolution, z: float) -> float:
-    _warn_outside(series, z)
-    der2 = np.polynomial.polynomial.polyder(series.alpha, 2)
-    return float(np.polynomial.polynomial.polyval(z, der2))
-
-
 def estimate_radius(series: SeriesSolution) -> float:
     """Convergence-radius estimate from the coefficient tail.
 

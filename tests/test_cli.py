@@ -316,3 +316,48 @@ def test_config_null_leaves_the_default(tmp_path):
     assert r.returncode == 0, r.stderr
     assert r.stdout == run_cli("profile").stdout
     assert json.loads(r.stdout)["n"] == 201
+
+
+@pytest.mark.parametrize("args", [
+    ("profile",),
+    ("series", "--coeffs", "0,0,0,1,0,1"),
+    ("decay", "--family", "arcsinh", "--a", "1", "--b=-1", "--c=-1", "--K", "1",
+     "--direction", "1,1"),
+])
+def test_tol_is_only_accepted_where_a_verdict_reads_it(args):
+    assert run_cli(*args, "--quiet").returncode == 0
+    r = run_cli(*args, "--tol", "1e-6")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --tol" in r.stderr
+    assert r.stdout == ""
+
+
+def test_a_config_tol_is_unknown_to_series(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"tol": 1e-6}))
+    r = run_cli("series", "--coeffs", "0,0,0,1,0,1", "--config", str(cfg))
+    assert r.returncode == 2
+    assert "unknown config keys: tol" in r.stderr
+
+
+def test_verify_and_prolong_read_tol():
+    r = run_cli("verify", "--tol", "1e-6", "--quiet")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["tol"] == 1e-6
+    assert run_cli("verify", "--tol", "1e-30", "--quiet").returncode == 1
+    r = run_cli("prolong", "--tol", "1", "--n-x", "32", "--n-t", "11", "--quiet")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["tol"] == 1.0
+
+
+def test_quadrature_with_an_overflowing_integrand_exits_2_without_warnings():
+    args = ("profile", "--family", "quadrature", "--a", "exp", "--b", "1", "--c", "1",
+            "--K", "4", "--quiet")
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert "integrand not finite at z = " in r.stderr
+    assert "on the window [-10.0, 10.0]" in r.stderr
+    assert "RuntimeWarning" not in r.stderr
+    assert r.stdout == ""
+    r = run_cli(*args, "--zmin", "-2", "--zmax", "2")
+    assert r.returncode == 0, r.stderr

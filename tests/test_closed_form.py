@@ -238,6 +238,16 @@ def test_vdp_explicit_domain_analysis():
         vdp_explicit(0.0, 1.0, 3.0, 1.0)
 
 
+def test_quadrature_rejects_a_non_finite_integrand():
+    # with a = e^z the G integrand (b/a) exp(-2F) overflows near z = -10
+    co = general_coeffs(math.exp, lambda z: 1.0, b=lambda z: 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParameters, match=r"integrand not finite at z = .* "
+                                                r"on the window \[-10.0, 10.0\]"):
+            soliton_quadrature(co, 4.0)
+
+
 def test_as_multitime_chain_rule():
     lam = SpeedVector(np.array([1.0, 2.0]))
     ident = SolitonProfile(Family.QUADRATURE, {}, lam,
@@ -267,5 +277,3 @@ def test_sample_drops_points_outside_domain():
     zs, vals, ders = p.sample(np.linspace(-1.0, 2.0, 31))
     assert zs.max() <= 1.0
     assert len(zs) == len(vals) == len(ders) < 31
-    with pytest.raises(DomainExceeded):
-        p.sample(np.linspace(-1.0, 2.0, 31), skip_out_of_domain=False)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mrayleigh.closed_form import soliton_arccosh
+from mrayleigh.closed_form import soliton_arccosh, soliton_arcsinh
 from mrayleigh.coefficients import (
     CoeffKind,
     EvalPoint,
@@ -145,6 +145,37 @@ def test_synthesize_reduce_round_trip_general():
     for z in np.linspace(-2, 2, 40):
         assert abs(got.a(z) - target.a(z)) <= 1e-12
         assert abs(got.d(z) - target.d(z)) <= 1e-12
+
+
+def test_synthesize_reduce_round_trip_over_speeds_and_kinds():
+    # constant Rayleigh, constant Van der Pol and affine Rayleigh targets come
+    # back from their canonical structure at random speeds; a synthesized
+    # structure ignores the jet, so a profile probe changes nothing
+    gen = np.random.default_rng(0)
+    prof = soliton_arcsinh(1.0, 1.0, 1.0, 1.0)
+    zs = np.linspace(-3.0, 3.0, 50)
+    for trial in range(300):
+        m = int(gen.integers(1, 5))
+        lam_vals = gen.uniform(-2.0, 2.0, m)
+        lam_vals[0] = gen.choice([-1.0, 1.0]) * gen.uniform(0.3, 2.0)
+        lam = SpeedVector(lam_vals)
+        a, c, cubic = gen.uniform(0.5, 3.0), gen.uniform(-2.0, 2.0), gen.uniform(-2.0, 2.0)
+        if trial % 3 == 0:
+            target, slot = constant_coeffs(a, c, b=cubic), "b"
+        elif trial % 3 == 1:
+            target, slot = constant_coeffs(a, c, d=cubic), "d"
+        else:
+            slopes = gen.choice([-1.0, 1.0], 3) * gen.uniform(0.05, 0.3, 3)
+            target, slot = affine_coeffs(*slopes, a + 1.0, c, cubic), "b"
+        st = synthesize_structure(target, m, lam)
+        got = reduce(st, lam)
+        probed = reduce(st, lam, probe=prof)
+        assert got.kind is probed.kind is target.kind
+        for name in ("a", "c", slot):
+            want = getattr(target, name)(zs)
+            vals = getattr(got, name)(zs)
+            assert np.all(np.abs(vals - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+            assert np.array_equal(getattr(probed, name)(zs), vals)
 
 
 def test_synthesize_needs_leading_speed():

@@ -71,9 +71,6 @@ def test_ivp_solution_interface():
     co = constant_coeffs(1.0, 1.0, b=1.0)
     ivp = integrate_reduction(co, 0.0, 0.5, span=(-1.0, 2.0), z0=0.0)
     assert ivp.span == (-1.0, 2.0)
-    assert ivp.csv_header() == ["z", "phi", "phi_prime"]
-    rows = list(ivp.csv_rows())
-    assert len(rows[0]) == 3
     # second derivative must agree with the ODE right-hand side
     z = 0.7
     rhs = (ivp.coeffs.b(z) * ivp.phi_prime(z) ** 3
@@ -139,15 +136,6 @@ def test_residual_modes_and_labels():
     assert fd.max_abs <= 1e-6
     with pytest.raises(BadParameters):
         reduction_ode_residual(p.coeffs, p, zs, "spectral")
-
-
-def test_missing_second_derivative_falls_back_to_differences():
-    base = _arcsinh_profile()
-    bare = SolitonProfile(base.family, base.params, base.lam, base.domain,
-                          base.phi, base.phi_prime, None, coeffs=base.coeffs)
-    rep = reduction_ode_residual(bare.coeffs, bare, np.linspace(-2.0, 2.0, 31),
-                                 "analytic")
-    assert 0.0 < rep.max_abs <= 1e-6
 
 
 def test_residual_sweep_multitime():
