@@ -472,8 +472,9 @@ def _cmd_series(ns) -> int:
     sol = runner(ac, ns.alpha0, ns.alpha1, ns.N)
     rows = [[n, v] for n, v in enumerate(sol.alpha)]
     _emit(ns, sol.to_json_dict(), (["n", "alpha_n"], rows))
-    _status(ns, f"{sol.n_terms + 1} coefficients, radius estimate "
-                f"{fmt17(sol.radius_estimate)}")
+    # estimate_radius returns 0.0 when it cannot judge the tail
+    radius = fmt17(sol.radius_estimate) if sol.radius_estimate else "inconclusive"
+    _status(ns, f"{sol.n_terms + 1} coefficients, radius estimate {radius}")
     return 0
 
 

@@ -7,6 +7,12 @@ array pass, and the damped
 single-time equation u_tt - u_xx = eps (u_t - u_t^3) is solved by a
 spectral method of lines.  Agreement between these routes and the
 constructed profiles is what the test suite certifies.
+
+scipy is a dependency but loads on the first call of integrate_reduction
+or integrate_single_time_rayleigh, so `import mrayleigh` costs about a
+numpy import and the CLI's profile, series, decay and verify --family
+stationary never load scipy.  Keep the scipy imports inside those two
+functions.
 """
 
 from __future__ import annotations
@@ -16,8 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline, make_interp_spline
 
 from .closed_form import Interval, SolitonProfile, _check_domain
 from .coefficients import ReducedCoeffs, Variant, _require_finite, _unwrap
@@ -74,8 +78,8 @@ class IvpSolution:
     nodes: np.ndarray
     phi_values: np.ndarray
     phi_prime_values: np.ndarray
-    _phi_spline: CubicHermiteSpline = field(repr=False)
-    _psi_spline: CubicHermiteSpline = field(repr=False)
+    _phi_spline: object = field(repr=False)
+    _psi_spline: object = field(repr=False)
     _psi_deriv: object = field(repr=False)
 
     @property
@@ -99,6 +103,8 @@ class IvpSolution:
 
 def _integrate_one_way(rhs, z0, z1, y0, tol):
     """solve_ivp leg with blow-up classification and 3-point node refinement."""
+    from scipy.integrate import solve_ivp
+
     def overflow(z, y):
         return OVERFLOW_GUARD - float(np.max(np.abs(y)))
     overflow.terminal = True
@@ -139,6 +145,8 @@ def integrate_reduction(coeffs: ReducedCoeffs, phi0: float, phi_prime0: float,
     [1e-12, 1e-4] raises BadParameters.  Escape past 1e12 raises BlowUp
     with the z reached, other integrator failures raise StiffnessFailure.
     """
+    from scipy.interpolate import CubicHermiteSpline
+
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise BadParameters(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
     lo, hi = float(span[0]), float(span[1])
@@ -423,6 +431,9 @@ def integrate_single_time_rayleigh(epsilon: float, u0, v0, t_final: float,
     ``n_t`` time slices are stored.  Integrator failure surfaces as
     CFLViolation.
     """
+    from scipy.integrate import solve_ivp
+    from scipy.interpolate import make_interp_spline
+
     _require_finite(epsilon=epsilon, t_final=t_final)
     if t_final <= 0.0:
         raise BadParameters("t_final must be positive")

@@ -164,6 +164,14 @@ def test_series_methods_agree():
     assert conv["alpha"] == trip["alpha"]
 
 
+def test_series_with_too_short_a_tail_says_the_radius_is_inconclusive():
+    # estimate_radius's 0.0 sentinel is not a radius; the payload keeps it
+    r = run_cli("series", "--coeffs", "0,0,0,1,0,1", "--N", "1")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["radius_estimate"] == 0
+    assert "radius estimate inconclusive" in r.stderr
+
+
 def test_decay_exit_codes_and_crossing():
     r = run_cli("decay", "--family", "arcsinh", "--a", "1", "--b=-1", "--c=-1",
                 "--K", "1", "--direction", "1,1")
@@ -361,3 +369,36 @@ def test_quadrature_with_an_overflowing_integrand_exits_2_without_warnings():
     assert r.stdout == ""
     r = run_cli(*args, "--zmin", "-2", "--zmax", "2")
     assert r.returncode == 0, r.stderr
+
+
+_IMPORT_PATH_SCRIPT = """
+import sys
+import mrayleigh
+from mrayleigh import cli
+
+out = sys.argv[1]
+closed = ["--family", "arcsinh", "--a", "1", "--b", "1", "--c", "1", "--K", "1"]
+def run(i, *args):
+    return cli.main([*args, "--quiet", "--out", f"{out}/{i}"])
+
+codes = [run(0, "profile", *closed),
+         run(1, "series", "--coeffs", "0,0,0,1,0,1"),
+         run(2, "decay", "--family", "arcsinh", "--a", "1", "--b=-1", "--c=-1",
+             "--K", "1", "--direction", "1,1", "--format", "json"),
+         run(3, "verify", "--family", "stationary", "--m", "1")]
+assert codes == [0, 0, 0, 0], codes
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded[:5]
+assert run(4, "verify", *closed, "--m", "1") == 0
+assert run(5, "prolong", "--n-x", "32", "--n-t", "11") == 0
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_only_the_integrating_commands_import_scipy(tmp_path):
+    # one cold process: the package import and profile/series/decay/stationary
+    # verify stay off scipy, and the integrating routes still load it lazily
+    r = subprocess.run([sys.executable, "-c", _IMPORT_PATH_SCRIPT, str(tmp_path)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "5" / "prolong.json").exists()
