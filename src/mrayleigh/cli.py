@@ -10,10 +10,11 @@ Subcommands:
     decay     follow a profile along a ray in multitime
 
 --out names a directory; each command writes <command>.json / <command>.csv
-there per --format (default: both).  Without --out the payload goes to
-stdout (default format: json; "both" needs --out).  Status lines go to
-stderr.  Floats are printed with 17 significant digits, JSON keys are
-sorted, lines end with \n, so repeated runs are byte-identical.
+there per --format (default: both, or json for decay, which has no CSV).
+Without --out the payload goes to stdout (default format: json; "both"
+needs --out).  Status lines go to stderr.  Floats are printed with 17
+significant digits, JSON keys are sorted, lines end with \n, so repeated
+runs are byte-identical.
 
 --config FILE reads a JSON object keyed by option name (``n_x``,
 ``square_relation``) as --key=value flags placed before the command line,
@@ -22,7 +23,8 @@ leaves an option unset, quiet takes true or false, lists are joined with
 commas, and grid is a list of [lo, hi, count] triples that a --grid on the
 command line replaces.  Unknown keys are an error.
 
-Exit codes: 0 success / verified, 1 verification failed, 2 invalid input.
+Exit codes: 0 success / verified, 1 verification failed, 2 invalid input
+(and a series coefficient that overflows).
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def csv_text(header, rows) -> str:
 
 def _emit(ns, json_obj, csv_payload):
     """Route payload per --format/--out.  csv_payload is (header, rows) or None."""
-    fmt = ns.format or ("both" if ns.out else "json")
+    fmt = ns.format or ("both" if ns.out and csv_payload is not None else "json")
     if fmt in ("csv", "both") and csv_payload is None:
         raise ValueError(f"the {ns.cmd} subcommand emits json only")
     if fmt == "both" and not ns.out:
@@ -165,7 +167,8 @@ def _add_common(p):
     p.add_argument("--config", help="JSON file of option values; flags win")
     p.add_argument("--out", help="output directory")
     p.add_argument("--format", choices=["csv", "json", "both"],
-                   help="payload selection (default: both with --out, else json)")
+                   help="payload selection (default: both with --out, json for decay "
+                        "or without --out)")
     p.add_argument("--quiet", action="store_true",
                    help="suppress the status line on stderr")
 

@@ -50,7 +50,7 @@ class StiffnessFailure(MrayleighError):
 
 
 class BlowUp(MrayleighError):
-    """The integrated state exceeded the overflow guard."""
+    """An integrated state or a series coefficient left the float range."""
 
     def __init__(self, message, z_reached=None):
         super().__init__(message)

@@ -15,10 +15,18 @@ beta_k = (k+1) alpha_{k+1} by two convolution stages,
 
 which keeps the whole recurrence O(N^2).  A literal triple-sum evaluator
 of T is kept as a cross-check path.
+
+The kernels (both T evaluators and Horner evaluation) are array operations
+that keep the left-to-right summation order of plain Python loops: np.cumsum,
+never np.dot or np.sum, whose pairwise or BLAS order moves the last digits.
+Every coefficient, radius and value is the double the loops give, so output
+stays byte-stable (acceptance criteria 4 and 9); tests/test_series.py keeps
+the loops as the exact reference.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -28,7 +36,7 @@ from .closed_form import Family, Interval, SolitonProfile, _check_domain, _stack
 # AffineCoeffs is defined in coefficients and re-exported here, next to the
 # recurrence that consumes it
 from .coefficients import DEGENERACY_TOL, AffineCoeffs, SpeedVector, _require_finite
-from .errors import DegenerateA
+from .errors import BlowUp, DegenerateA
 
 # returned when the tail gives no growth to measure (constant or polynomial
 # truncations are entire); finite so that reports stay strict JSON
@@ -70,33 +78,34 @@ class SeriesSolution:
 def _convolution_terms(alpha: np.ndarray):
     """T(n) by the running convolutions gamma = beta*beta and T = gamma*beta.
 
-    Each call extends beta, gamma and T by the terms up to n, so the whole
-    recurrence costs O(N^2).
+    Call n = 0, 1, 2, ... in order: step n appends beta_n and gamma_n, so the
+    whole recurrence costs O(N^2).  Each sum is the last entry of a cumsum
+    (left to right, as sum() adds); sum() starts from +0, so adding 0.0
+    turns a -0.0 total into the +0.0 that sum() returns.
     """
-    beta: list[float] = []
-    gamma: list[float] = []
-    terms: list[float] = []
+    beta = np.zeros(alpha.size - 1)
+    gamma = np.zeros(alpha.size - 1)
 
     def t_of(n: int) -> float:
-        while len(terms) <= n:
-            k = len(terms)
-            beta.append((k + 1) * alpha[k + 1])
-            gamma.append(sum(beta[j] * beta[k - j] for j in range(k + 1)))
-            terms.append(sum(gamma[i] * beta[k - i] for i in range(k + 1)))
-        return terms[n]
+        beta[n] = (n + 1) * alpha[n + 1]
+        rev = beta[n::-1]
+        gamma[n] = np.cumsum(beta[:n + 1] * rev)[-1] + 0.0
+        return np.cumsum(gamma[:n + 1] * rev)[-1] + 0.0
 
     return t_of
 
 
 def _triple_sum_terms(alpha: np.ndarray):
-    """T(n) = [z^n] (phi')^3 by the literal triple sum; the O(N^3) cross-check."""
+    """T(n) = [z^n] (phi')^3 by the literal triple sum; the O(N^3) cross-check.
+
+    Every triple (i, j, n - i - j) is enumerated with i outer and j inner and
+    summed left to right; nothing is shared with the convolution route.
+    """
     def t_of(n: int) -> float:
-        beta = np.array([(k + 1) * alpha[k + 1] for k in range(n + 1)])
-        total = 0.0
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                total += beta[i] * beta[j] * beta[n - i - j]
-        return total
+        beta = np.arange(1, n + 2) * alpha[1:n + 2]
+        row, col = np.triu_indices(n + 1)       # i = row, j = col - row
+        prods = (beta[row] * beta[col - row]) * beta[n - col]
+        return np.cumsum(prods)[-1] + 0.0
 
     return t_of
 
@@ -107,6 +116,7 @@ def _solve_recurrence(coeffs: AffineCoeffs, alpha0: float, alpha1: float,
 
     Step n needs T(n), which reads alpha only up to index n + 1, already
     known when the step runs; T(n - 1) is carried over from step n - 1.
+    Raises BlowUp at the first alpha_n that leaves the float range.
     """
     if n_terms < 1:
         raise ValueError("need n_terms >= 1")
@@ -119,14 +129,18 @@ def _solve_recurrence(coeffs: AffineCoeffs, alpha0: float, alpha1: float,
     _require_finite(alpha0=alpha[0], alpha1=alpha[1])
     t_of = terms(alpha)
     t_nm1 = 0.0
-    for n in range(0, n_terms - 1):
-        t_n = t_of(n)
-        num = (b1 * t_nm1 + b0 * t_n
-               - a1 * n * (n + 1) * alpha[n + 1]
-               - c1 * n * alpha[n]
-               - c0 * (n + 1) * alpha[n + 1])
-        alpha[n + 2] = num / (a0 * (n + 1) * (n + 2))
-        t_nm1 = t_n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(0, n_terms - 1):
+            t_n = t_of(n)
+            num = (b1 * t_nm1 + b0 * t_n
+                   - a1 * n * (n + 1) * alpha[n + 1]
+                   - c1 * n * alpha[n]
+                   - c0 * (n + 1) * alpha[n + 1])
+            alpha[n + 2] = num / (a0 * (n + 1) * (n + 2))
+            if not math.isfinite(alpha[n + 2]):
+                raise BlowUp(f"the series recurrence to N = {n_terms} overflows: "
+                             f"alpha_{n + 2} is not finite")
+            t_nm1 = t_n
     sol = SeriesSolution(coeffs, alpha, 0.0)
     return SeriesSolution(coeffs, alpha, estimate_radius(sol))
 
@@ -156,16 +170,26 @@ def _warn_outside(series: SeriesSolution, z: float):
             RuntimeWarning, stacklevel=3)
 
 
+def _horner(coef: np.ndarray, z: float) -> float:
+    """sum_n coef[n] z^n in Python floats, in numpy polyval's order."""
+    c = coef.tolist()
+    acc = c[-1] + z * 0
+    for cn in c[-2::-1]:
+        acc = cn + acc * z
+    return acc
+
+
 def evaluate(series: SeriesSolution, z: float) -> float:
     """Horner evaluation of phi at z (warns outside the radius estimate)."""
     _warn_outside(series, z)
-    return float(np.polynomial.polynomial.polyval(z, series.alpha))
+    return _horner(series.alpha, float(z))
 
 
 def evaluate_prime(series: SeriesSolution, z: float) -> float:
     _warn_outside(series, z)
-    der = np.polynomial.polynomial.polyder(series.alpha)
-    return float(np.polynomial.polynomial.polyval(z, der))
+    # n alpha_n, as polyder forms it
+    der = np.arange(1, series.alpha.size) * series.alpha[1:]
+    return _horner(der, float(z))
 
 
 def estimate_radius(series: SeriesSolution) -> float:

@@ -67,6 +67,14 @@ def test_out_directory_names_files_and_is_deterministic(tmp_path):
         assert len(b1) > 0
 
 
+def test_decay_out_writes_its_json_payload(tmp_path):
+    r = run_cli("decay", "--family", "arcsinh", "--a", "1", "--b=-1", "--c=-1",
+                "--K", "1", "--direction", "1,1", "--out", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    assert json.loads((tmp_path / "decay.json").read_text())["ok"] is True
+    assert not (tmp_path / "decay.csv").exists()
+
+
 def test_series_profile_tracks_the_exponential():
     r = run_cli("profile", "--family", "series", "--coeffs", "0,0,0,1,0,1",
                 "--alpha0", "0", "--alpha1", "1", "--N", "30",
@@ -162,6 +170,14 @@ def test_series_methods_agree():
     conv = json.loads(run_cli(*args, "--method", "convolution").stdout)
     trip = json.loads(run_cli(*args, "--method", "triple").stdout)
     assert conv["alpha"] == trip["alpha"]
+
+
+def test_series_overflow_exits_2_naming_the_first_bad_coefficient():
+    r = run_cli("series", "--coeffs", "0,0,0,1,1,0", "--alpha1", "5", "--N", "2000")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "N = 2000" in r.stderr and "alpha_182 is not finite" in r.stderr
+    assert "Warning" not in r.stderr
 
 
 def test_series_with_too_short_a_tail_says_the_radius_is_inconclusive():

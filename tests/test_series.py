@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from mrayleigh.coefficients import SpeedVector, synthesize_structure
-from mrayleigh.errors import DegenerateA
+from mrayleigh.errors import BlowUp, DegenerateA
 from mrayleigh.geometry import GridSpec
 from mrayleigh.oracle import reduction_ode_residual, residual_sweep
 from mrayleigh.series import (
     LARGE_RADIUS,
     AffineCoeffs,
     SeriesSolution,
+    _solve_recurrence,
     estimate_radius,
     evaluate,
     evaluate_prime,
@@ -82,6 +83,71 @@ def test_convolution_route_equals_triple_sum_route():
         slow = series_coefficients_triple_sum(ac, a0, a1, 20)
         scale = np.maximum(np.abs(slow.alpha), 1.0)
         assert np.max(np.abs(fast.alpha - slow.alpha) / scale) <= 1e-13
+
+
+def _loop_convolution_terms(alpha):
+    # the reference: Python sum() loops, which add left to right; the array
+    # kernels must match them bit for bit, which np.dot or np.sum would not
+    beta, gamma, terms = [], [], []
+
+    def t_of(n):
+        while len(terms) <= n:
+            k = len(terms)
+            beta.append((k + 1) * alpha[k + 1])
+            gamma.append(sum(beta[j] * beta[k - j] for j in range(k + 1)))
+            terms.append(sum(gamma[i] * beta[k - i] for i in range(k + 1)))
+        return terms[n]
+
+    return t_of
+
+
+def _loop_triple_sum_terms(alpha):
+    def t_of(n):
+        beta = np.array([(k + 1) * alpha[k + 1] for k in range(n + 1)])
+        total = 0.0
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                total += beta[i] * beta[j] * beta[n - i - j]
+        return total
+
+    return t_of
+
+
+def test_array_kernels_equal_the_sum_loops_bit_for_bit():
+    draws = np.random.default_rng(77)
+    # alpha1 = -0.0 here makes cumsum total -0.0 where sum() gives +0.0
+    cases = [(AffineCoeffs.from_sextuple((1, 1, -1, 1, -1, 1)), 0.0, -0.0)]
+    for _ in range(12):
+        vals = draws.uniform(-1.0, 1.0, size=6)
+        vals[3] = draws.uniform(0.5, 2.0)
+        cases.append((AffineCoeffs.from_sextuple(vals), *draws.uniform(-1.5, 1.5, size=2)))
+    for ac, a0, a1 in cases:
+        for n_terms in (1, 2, 3, 7, 40, 200):
+            fast = series_coefficients(ac, a0, a1, n_terms)
+            ref = _solve_recurrence(ac, a0, a1, n_terms, _loop_convolution_terms)
+            assert fast.alpha.tobytes() == ref.alpha.tobytes()   # -0.0 too
+            assert fast.radius_estimate == ref.radius_estimate
+        for n_terms in (1, 5, 30):
+            slow = series_coefficients_triple_sum(ac, a0, a1, n_terms)
+            ref = _solve_recurrence(ac, a0, a1, n_terms, _loop_triple_sum_terms)
+            assert slow.alpha.tobytes() == ref.alpha.tobytes()
+            assert slow.radius_estimate == ref.radius_estimate
+
+
+def test_evaluation_equals_polyval_exactly():
+    poly = np.polynomial.polynomial
+    sol = series_coefficients(AffineCoeffs.from_sextuple((0, 0, 0, 1.0, 0.3, 0.9)), 0.1, 1.0, 400)
+    der = poly.polyder(sol.alpha)
+    for z in np.linspace(-0.5, 0.5, 101) * sol.radius_estimate:
+        assert evaluate(sol, z) == float(poly.polyval(z, sol.alpha))
+        assert evaluate_prime(sol, z) == float(poly.polyval(z, der))
+
+
+def test_overflowing_recurrence_raises_at_the_first_bad_index():
+    with pytest.raises(BlowUp, match=r"N = 2000 .*alpha_182 is not finite"):
+        series_coefficients(CUBIC, 0.0, 5.0, 2000)
+    with pytest.raises(BlowUp, match="alpha_182"):
+        series_coefficients_triple_sum(CUBIC, 0.0, 5.0, 190)
 
 
 def test_coefficients_satisfy_recurrence_on_resubstitution():
