@@ -482,6 +482,10 @@ def _cmd_series(ns) -> int:
 
 
 def _cmd_prolong(ns) -> int:
+    if ns.n_x < 3:
+        # amplitude * sin x samples to zero on one or two points
+        raise ValueError(f"--n-x must be at least 3, got {ns.n_x}")
+    _require_finite(amplitude=ns.amplitude)
     sol = integrate_single_time_rayleigh(ns.epsilon,
                                          lambda x: ns.amplitude * math.sin(x),
                                          lambda x: 0.0, ns.t_final,

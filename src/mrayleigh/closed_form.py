@@ -710,19 +710,21 @@ def as_multitime(profile: SolitonProfile) -> FieldFunction:
     """Lift a profile to the field u(x, t) = phi(x - lambda_alpha t^alpha).
 
     lambda is the profile's own speed vector (``with_speed`` changes it).
-    Chain-rule partials are attached analytically: du/dt^a = -lambda_a phi',
-    d2u/dt^a dt^b = lambda_a lambda_b phi'', d2u/dx2 = phi''.  Points whose
-    phase leaves the profile domain raise DomainExceeded.
+    The jet follows by the chain rule: du/dt^a = -lambda_a phi',
+    d2u/dt^a dt^b = lambda_a lambda_b phi'', d2u/dx2 = phi''.  The phase is
+    computed once per call and phi, phi', phi'' are evaluated once each.
+    Points whose phase leaves the profile domain raise DomainExceeded.
     """
-    lam, second = profile.lam, profile.phi_second
+    lam = profile.lam
     lv = lam.values
-    return FieldFunction(
-        u=lambda x, t: profile.phi(lam.z(x, t)),
-        grad_t=lambda x, t: np.multiply.outer(profile.phi_prime(lam.z(x, t)), -lv),
-        hess_t=lambda x, t: np.multiply.outer(second(lam.z(x, t)), np.outer(lv, lv)),
-        d2x=lambda x, t: second(lam.z(x, t)),
-        m=lam.m,
-    )
+
+    def jet(x, t):
+        z = lam.z(x, t)
+        phi, d1, d2 = profile.phi(z), profile.phi_prime(z), profile.phi_second(z)
+        return (phi, np.multiply.outer(d1, -lv),
+                np.multiply.outer(d2, np.outer(lv, lv)), d2)
+
+    return FieldFunction(jet, m=lam.m)
 
 
 def with_speed(profile: SolitonProfile, lam: SpeedVector) -> SolitonProfile:

@@ -10,14 +10,11 @@ equations verified here read, in residual form,
     rayleigh:    h^{ab} u_{ab} - C^g u_g + B^{abc} u_a u_b u_c - u_xx
     van der pol: h^{ab} u_{ab} - C^g u_g + u^2 D^g u_g - u_xx
 
-with u_a = du/dt^a.  Every field and residual here is evaluated at one
-point (x a float, t of shape (m,)) or at a stack of N points (x of shape
-(N,), t of shape (N, m)) through the same code.  Fields may carry analytic
-partials; anything missing falls back to central finite differences whose
-steps scale with the coordinate (first order 1e-5 * max(1, |coord|), second
-order 5e-5 * max(1, |coord|); the larger second-order step keeps the
-roundoff part of the difference quotient well below the 1e-6 residual
-budget).
+with u_a = du/dt^a.  The operator is second order, so every residual reads
+the same 2-jet of u: (u, du/dt^a, d2u/dt^a dt^b, d2u/dx2).  A field is the
+one callable that returns that jet, at one point (x a float, t of shape
+(m,)) or at a stack of N points (x of shape (N,), t of shape (N, m))
+through the same code.  Nothing here differentiates numerically.
 """
 
 from __future__ import annotations
@@ -39,17 +36,6 @@ from .coefficients import (
 )
 from .errors import ConditionViolated, DimensionMismatch, WrongVariant
 
-FD_STEP_FIRST = 1e-5
-FD_STEP_SECOND = 5e-5
-
-
-def _h1(coord):
-    return FD_STEP_FIRST * np.maximum(1.0, np.abs(coord))
-
-
-def _h2(coord):
-    return FD_STEP_SECOND * np.maximum(1.0, np.abs(coord))
-
 
 def _points(x, t):
     """x as a float or an (N,) array, t as an (m,) or (N, m) array."""
@@ -59,122 +45,65 @@ def _points(x, t):
 
 @dataclass(frozen=True)
 class FieldFunction:
-    """Scalar field u(x, t) with optional analytic partial derivatives.
+    """Scalar field u(x, t), given by its 2-jet.
 
-    Every callable takes one point (x a float, t of shape (m,)) or a stack
-    of N points (x of shape (N,), t of shape (N, m)), indexing t with
-    ``...``.  ``u`` and ``d2x`` return the value and d2u/dx2, ``grad_t``
-    du/dt^a with a trailing (m,) axis and ``hess_t`` the second time
-    partials with a trailing (m, m).  Each partial may be None, in which
-    case central differences of ``u`` are used.  At one point ``value``
-    and ``second_x`` return Python floats.
+    ``jet(x, t)`` returns (u, du/dt^a, d2u/dt^a dt^b, d2u/dx2) at one point
+    (x a float, t of shape (m,)) or at a stack of N points (x of shape
+    (N,), t of shape (N, m)), indexing t with ``...``: the time gradient
+    carries a trailing (m,) axis and the time Hessian a trailing (m, m).
+    ``m`` is the number of times, or None for a field that takes any.
     """
 
-    u: Callable
-    grad_t: Callable | None = None
-    hess_t: Callable | None = None
-    d2x: Callable | None = None
+    jet: Callable
     m: int | None = None
 
-    def value(self, x, t):
+    def at(self, x, t):
+        """The jet at (x, t); at one point u and d2u/dx2 are Python floats."""
         x, t = _points(x, t)
-        return _unwrap(self.u(x, t))
-
-    def time_gradient(self, x, t) -> np.ndarray:
-        x, t = _points(x, t)
-        if self.grad_t is not None:
-            return np.asarray(self.grad_t(x, t), dtype=float)
-        out = np.empty(t.shape)
-        for a in range(t.shape[-1]):
-            h = _h1(t[..., a])
-            tp, tm = t.copy(), t.copy()
-            tp[..., a] += h
-            tm[..., a] -= h
-            out[..., a] = (self.u(x, tp) - self.u(x, tm)) / (2.0 * h)
-        return out
-
-    def time_hessian(self, x, t) -> np.ndarray:
-        x, t = _points(x, t)
-        if self.hess_t is not None:
-            return np.asarray(self.hess_t(x, t), dtype=float)
-        n = t.shape[-1]
-        out = np.empty(t.shape + (n,))
-        u0 = self.u(x, t)
-        for a in range(n):
-            ha = _h2(t[..., a])
-            tp, tm = t.copy(), t.copy()
-            tp[..., a] += ha
-            tm[..., a] -= ha
-            out[..., a, a] = (self.u(x, tp) - 2.0 * u0 + self.u(x, tm)) / (ha * ha)
-        for a in range(n):
-            for bb in range(a + 1, n):
-                ha, hb = _h2(t[..., a]), _h2(t[..., bb])
-                tpp, tpm, tmp, tmm = t.copy(), t.copy(), t.copy(), t.copy()
-                tpp[..., a] += ha; tpp[..., bb] += hb
-                tpm[..., a] += ha; tpm[..., bb] -= hb
-                tmp[..., a] -= ha; tmp[..., bb] += hb
-                tmm[..., a] -= ha; tmm[..., bb] -= hb
-                val = (self.u(x, tpp) - self.u(x, tpm)
-                       - self.u(x, tmp) + self.u(x, tmm)) / (4.0 * ha * hb)
-                out[..., a, bb] = out[..., bb, a] = val
-        return out
-
-    def second_x(self, x, t):
-        x, t = _points(x, t)
-        if self.d2x is not None:
-            return _unwrap(self.d2x(x, t))
-        h = _h2(x)
-        return _unwrap((self.u(x + h, t) - 2.0 * self.u(x, t) + self.u(x - h, t)) / (h * h))
+        u, grad, hess, d2x = self.jet(x, t)
+        return (_unwrap(u), np.asarray(grad, dtype=float),
+                np.asarray(hess, dtype=float), _unwrap(d2x))
 
 
 def stationary_solution(slope: float, intercept: float) -> FieldFunction:
     """u(x, t) = slope * x + intercept, a solution for every structure."""
     slope, intercept = float(slope), float(intercept)
     _require_finite(slope=slope, intercept=intercept)
-    return FieldFunction(
-        u=lambda x, t: slope * x + intercept,
-        grad_t=lambda x, t: np.zeros(np.shape(t)),
-        hess_t=lambda x, t: np.zeros(np.shape(t) + np.shape(t)[-1:]),
-        d2x=lambda x, t: np.zeros(np.shape(x)),
-        m=None,
-    )
+    return FieldFunction(lambda x, t: (slope * x + intercept, np.zeros(np.shape(t)),
+                                       np.zeros(np.shape(t) + np.shape(t)[-1:]),
+                                       np.zeros(np.shape(x))))
 
 
 def traveling_sine() -> FieldFunction:
     """u(x, t) = sin(x - t), the d'Alembert solution of u_tt = u_xx (m = 1)."""
-    return FieldFunction(
-        u=lambda x, t: np.sin(x - t[..., 0]),
-        grad_t=lambda x, t: np.expand_dims(-np.cos(x - t[..., 0]), -1),
-        hess_t=lambda x, t: np.expand_dims(-np.sin(x - t[..., 0]), (-2, -1)),
-        d2x=lambda x, t: -np.sin(x - t[..., 0]),
-        m=1,
-    )
+    def jet(x, t):
+        s = np.sin(x - t[..., 0])
+        return (s, np.expand_dims(-np.cos(x - t[..., 0]), -1),
+                np.expand_dims(-s, (-2, -1)), -s)
+
+    return FieldFunction(jet, m=1)
 
 
 def prolong_field(u1: FieldFunction, m: int) -> FieldFunction:
     """Lift a single-time field to m times via v(x, t) = u(x, t^1).
 
-    Analytic partials of ``u1`` carry over; index-1 slots hold the
-    single-time derivatives and all others vanish identically.
+    Index-1 slots of the jet hold the single-time derivatives and all
+    others vanish identically.
     """
     if u1.m not in (None, 1):
         raise DimensionMismatch("can only prolong a single-time field")
     if m < 1:
         raise DimensionMismatch("need m >= 1")
 
-    def grad(x, t):
-        out = np.zeros(np.shape(t))
-        out[..., 0] = u1.time_gradient(x, t[..., :1])[..., 0]
-        return out
+    def jet(x, t):
+        u, g1, h1, d2x = u1.at(x, t[..., :1])
+        grad = np.zeros(np.shape(t))
+        grad[..., 0] = g1[..., 0]
+        hess = np.zeros(np.shape(t) + (m,))
+        hess[..., 0, 0] = h1[..., 0, 0]
+        return u, grad, hess, d2x
 
-    def hess(x, t):
-        out = np.zeros(np.shape(t) + (m,))
-        out[..., 0, 0] = u1.time_hessian(x, t[..., :1])[..., 0, 0]
-        return out
-
-    return FieldFunction(u=lambda x, t: u1.value(x, t[..., :1]), grad_t=grad,
-                         hess_t=hess, d2x=lambda x, t: u1.second_x(x, t[..., :1]),
-                         m=m)
+    return FieldFunction(jet, m=m)
 
 
 @dataclass(frozen=True)
@@ -272,42 +201,40 @@ class ResidualReport:
             yield [float(v) for v in row] + [float(r)]
 
 
-def hessian(u: FieldFunction, structure: GeometricStructure, x, t) -> np.ndarray:
-    """Connection-corrected Hessian (d2u/dt^a dt^b - Gamma^g_{ab} du/dt^g)."""
+def _jet_at(u: FieldFunction, structure: GeometricStructure, x, t):
+    """x, t and the jet of u there, after checking t against the structure."""
     x, t = _points(x, t)
     if t.shape[-1:] != (structure.m,):
         raise DimensionMismatch("t has the wrong number of components")
-    eta = u.value(x, t)
-    xi = u.time_gradient(x, t)
-    g = structure.gamma(x, t, eta, xi)
-    return u.time_hessian(x, t) - np.einsum("...gab,...g->...ab", g, xi)
+    return (x, t, *u.at(x, t))
+
+
+def _hessian(structure: GeometricStructure, x, t, eta, xi, hess):
+    return hess - np.einsum("...gab,...g->...ab", structure.gamma(x, t, eta, xi), xi)
+
+
+def hessian(u: FieldFunction, structure: GeometricStructure, x, t) -> np.ndarray:
+    """Connection-corrected Hessian (d2u/dt^a dt^b - Gamma^g_{ab} du/dt^g)."""
+    x, t, eta, xi, hess, _ = _jet_at(u, structure, x, t)
+    return _hessian(structure, x, t, eta, xi, hess)
 
 
 def box(u: FieldFunction, structure: GeometricStructure, x, t):
     """h-trace of the corrected Hessian, h^{ab} (Hess u)_{ab}."""
-    x, t = _points(x, t)
-    eta = u.value(x, t)
-    xi = u.time_gradient(x, t)
-    h = structure.h(x, t, eta, xi)
-    return _unwrap(np.einsum("...ab,...ab->...", h, hessian(u, structure, x, t)))
-
-
-def _assemble(structure: GeometricStructure, x, t, eta, xi, hess, d2x):
-    """h^{ab} u_{ab} - C^g u_g + (cubic term) - u_xx from the jet of u."""
-    h = structure.h(x, t, eta, xi)
-    C = structure.c_field(x, t, eta, xi)
-    return (np.einsum("...ab,...ab->...", h, hess)
-            - np.einsum("...g,...g->...", C, xi)
-            + _cubic_term(structure, x, t, eta, xi)
-            - d2x)
+    x, t, eta, xi, hess, _ = _jet_at(u, structure, x, t)
+    return _unwrap(np.einsum("...ab,...ab->...", structure.h(x, t, eta, xi),
+                             _hessian(structure, x, t, eta, xi, hess)))
 
 
 def _residual(u: FieldFunction, structure: GeometricStructure, x, t):
-    x, t = _points(x, t)
-    if t.shape[-1:] != (structure.m,):
-        raise DimensionMismatch("t has the wrong number of components")
-    return _unwrap(_assemble(structure, x, t, u.value(x, t), u.time_gradient(x, t),
-                             u.time_hessian(x, t), u.second_x(x, t)))
+    """h^{ab} u_{ab} - C^g u_g + (cubic term) - u_xx from the jet of u."""
+    x, t, eta, xi, hess, d2x = _jet_at(u, structure, x, t)
+    h = structure.h(x, t, eta, xi)
+    C = structure.c_field(x, t, eta, xi)
+    return _unwrap(np.einsum("...ab,...ab->...", h, hess)
+                   - np.einsum("...g,...g->...", C, xi)
+                   + _cubic_term(structure, x, t, eta, xi)
+                   - d2x)
 
 
 def rayleigh_residual(u: FieldFunction, structure: GeometricStructure, x, t):
@@ -362,9 +289,8 @@ def check_prolongation(u1: FieldFunction, structure: GeometricStructure,
 
     stride = max(1, x.size // 50)
     xs, ts = x[::stride], t[::stride]
-    xi = np.zeros(ts.shape)
-    xi[:, 0] = v.time_gradient(xs, ts)[:, 0]
-    gap = _constraint_gap(structure, xs, ts, v.value(xs, ts), xi)
+    eta, xi, _, _ = v.at(xs, ts)
+    gap = _constraint_gap(structure, xs, ts, eta, xi)
     if not np.all(np.abs(gap) <= CONSTRAINT_TOL):
         raise ConditionViolated(
             "index-1 condition fails on the sampled jet of the prolonged field")

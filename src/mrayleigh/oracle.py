@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_form import Interval, SolitonProfile, _check_domain
+from .closed_form import Interval, SolitonProfile, _check_domain, as_multitime
 from .coefficients import ReducedCoeffs, Variant, _require_finite, _unwrap
 from .errors import (
     BadParameters,
@@ -34,14 +34,7 @@ from .errors import (
     StiffnessFailure,
     WrongVariant,
 )
-from .geometry import (
-    FieldFunction,
-    GridSpec,
-    ResidualReport,
-    _assemble,
-    _h1,
-    _residual,
-)
+from .geometry import FieldFunction, GridSpec, ResidualReport, _residual
 
 # terminal-event threshold for the reduction integrator
 OVERFLOW_GUARD = 1e12
@@ -55,6 +48,11 @@ TOL_MAX = 1e-4
 CHAIN_SKIP_TOL = 1e-12      # the chain check skips |phi'| below this
 DECAY_SAMPLES = 2000        # decay_check's samples along the ray
 SPECTRAL_TOL = 1e-10        # rtol = atol of the single-time integrator
+FD_STEP_FIRST = 1e-5        # central-difference step, scaled by max(1, |z|)
+
+
+def _h1(z):
+    return FD_STEP_FIRST * np.maximum(1.0, np.abs(z))
 
 
 def _along(fn, z: np.ndarray) -> np.ndarray:
@@ -241,9 +239,8 @@ def residual_sweep(u, structure, grid: GridSpec,
                    skip_out_of_domain: bool = False) -> ResidualReport:
     """Evaluate the variant residual of ``u`` at every grid point at once.
 
-    ``u`` may be a FieldFunction or a SolitonProfile, lifted through its own
-    speed vector: its phase is computed once for the whole grid and its jet
-    (phi, phi', phi'') evaluated in one call each.  With
+    ``u`` may be a FieldFunction or a SolitonProfile, which is lifted by
+    ``as_multitime`` through its own speed vector.  With
     ``skip_out_of_domain`` the points whose phase lies outside the
     profile's validity interval are dropped before evaluation; if every
     point drops, EmptyDomain is raised.  Otherwise an out-of-domain point
@@ -251,19 +248,13 @@ def residual_sweep(u, structure, grid: GridSpec,
     """
     x, t = grid.arrays()
     if isinstance(u, SolitonProfile):
-        lv = u.lam.values
-        z = u.lam.z(x, t)
         if skip_out_of_domain:
-            keep = u.domain.contains(z)
+            keep = u.domain.contains(u.lam.z(x, t))
             if not keep.any():
                 raise EmptyDomain("every grid point fell outside the profile domain")
-            x, t, z = x[keep], t[keep], z[keep]
-        d2 = u.phi_second(z)
-        residuals = _assemble(structure, x, t, u.phi(z),
-                              np.multiply.outer(u.phi_prime(z), -lv),
-                              np.multiply.outer(d2, np.outer(lv, lv)), d2)
-    else:
-        residuals = _residual(u, structure, x, t)
+            x, t = x[keep], t[keep]
+        u = as_multitime(u)
+    residuals = _residual(u, structure, x, t)
     return ResidualReport.from_samples(np.column_stack([x, t]),
                                        np.broadcast_to(residuals, x.shape), grid.labels())
 
@@ -347,8 +338,8 @@ class SingleTimeSolution:
     """Spectral method-of-lines solution of u_tt - u_xx = eps (u_t - u_t^3).
 
     Periodic on x in [0, 2 pi).  Fourier coefficients of u and u_t are
-    splined over t (quintic), so the field and the derivatives entering the
-    residual are all available at arbitrary (x, t): u_t and u_tt from the
+    splined over t (quintic), so ``jet`` gives the field and the derivatives
+    entering the residual at arbitrary (x, t): u_t and u_tt from the
     velocity spline and its derivative, u_xx by wavenumber multiplication.
     """
 
@@ -386,30 +377,23 @@ class SingleTimeSolution:
         waves = np.exp(1j * self._k * np.expand_dims(np.asarray(x, dtype=float), -1))
         return _unwrap(np.real(np.einsum("...k,...k->...", w * fac * ch, waves)) / self.n_x)
 
-    def u(self, x, t):
-        return self._trig(self._coeffs(self._su, self._check_t(t)), x)
-
-    def u_t(self, x, t):
-        return self._trig(self._coeffs(self._sv, self._check_t(t)), x)
-
-    def u_tt(self, x, t):
-        return self._trig(self._coeffs(self._svd, self._check_t(t)), x)
-
-    def u_xx(self, x, t):
-        return self._trig(self._coeffs(self._su, self._check_t(t)), x, order=2)
+    def jet(self, x, t):
+        """(u, u_t, u_tt, u_xx) at x and t, which broadcast together."""
+        t = self._check_t(t)
+        cu = self._coeffs(self._su, t)
+        u, u_xx = self._trig(cu, x), self._trig(cu, x, order=2)
+        del cu                  # one coefficient set alive at a time
+        u_t = self._trig(self._coeffs(self._sv, t), x)
+        u_tt = self._trig(self._coeffs(self._svd, t), x)
+        return u, u_t, u_tt, u_xx
 
     def as_field(self) -> FieldFunction:
         """The solution as a one-time field; t has a trailing axis of length 1."""
-        def t1(t):
-            return np.asarray(t, dtype=float)[..., 0]
+        def jet(x, t):
+            u, u_t, u_tt, u_xx = self.jet(x, np.asarray(t, dtype=float)[..., 0])
+            return u, np.expand_dims(u_t, -1), np.expand_dims(u_tt, (-2, -1)), u_xx
 
-        return FieldFunction(
-            u=lambda x, t: self.u(x, t1(t)),
-            grad_t=lambda x, t: np.expand_dims(self.u_t(x, t1(t)), -1),
-            hess_t=lambda x, t: np.expand_dims(self.u_tt(x, t1(t)), (-2, -1)),
-            d2x=lambda x, t: self.u_xx(x, t1(t)),
-            m=1,
-        )
+        return FieldFunction(jet, m=1)
 
     def residual_estimate(self, n_probe_x: int = 48, n_probe_t: int = 33) -> float:
         """Max |u_tt - u_xx - eps (u_t - u_t^3)| over an off-grid probe lattice."""
@@ -428,8 +412,8 @@ def integrate_single_time_rayleigh(epsilon: float, u0, v0, t_final: float,
 
     ``u0`` and ``v0`` give initial displacement and velocity as functions
     of x; ``n_x`` modes are integrated with tolerance SPECTRAL_TOL and
-    ``n_t`` time slices are stored.  Integrator failure surfaces as
-    CFLViolation.
+    ``n_t`` time slices are stored.  Integrator failure, overflow
+    included, surfaces as CFLViolation without a RuntimeWarning.
     """
     from scipy.integrate import solve_ivp
     from scipy.interpolate import make_interp_spline
@@ -452,8 +436,11 @@ def integrate_single_time_rayleigh(epsilon: float, u0, v0, t_final: float,
         return np.concatenate([v, uxx + epsilon * (v - v ** 3)])
 
     ts = np.linspace(0.0, t_final, n_t)
-    sol = solve_ivp(rhs, (0.0, t_final), y0, method="DOP853",
-                    rtol=SPECTRAL_TOL, atol=SPECTRAL_TOL, t_eval=ts)
+    # a solution that overflows makes the step controller give up, which
+    # raises below; the overflow itself is not worth a warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sol = solve_ivp(rhs, (0.0, t_final), y0, method="DOP853",
+                        rtol=SPECTRAL_TOL, atol=SPECTRAL_TOL, t_eval=ts)
     if not sol.success:
         raise CFLViolation(f"time integration failed: {sol.message}")
 

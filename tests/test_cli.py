@@ -266,13 +266,22 @@ def test_non_finite_inputs_exit_2(args, message):
     assert r.stdout == ""
 
 
-@pytest.mark.parametrize("flag, name", [("--epsilon", "epsilon"), ("--t-final", "t_final")])
+@pytest.mark.parametrize("flag, name", [("--epsilon", "epsilon"), ("--t-final", "t_final"),
+                                        ("--amplitude", "amplitude")])
 def test_prolong_rejects_a_non_finite_input_without_hanging(flag, name):
     # a NaN here once sent the time integrator into an endless loop; a
     # finite run of this size takes about a second
     r = run_cli("prolong", flag, "nan", "--n-x", "32", "--n-t", "11", timeout=30)
     assert r.returncode == 2
     assert f"{name} must be finite" in r.stderr
+
+
+def test_prolong_overflow_is_an_error_without_warnings():
+    r = run_cli("prolong", "--amplitude", "1e200", "--n-x", "32", "--n-t", "11", "--quiet")
+    assert r.returncode == 2
+    assert "time integration failed" in r.stderr
+    assert "RuntimeWarning" not in r.stderr
+    assert r.stdout == ""
 
 
 def test_decay_rejects_a_non_finite_horizon():
@@ -294,6 +303,7 @@ def test_series_profile_with_too_short_a_tail_exits_2():
 @pytest.mark.parametrize("args, message", [
     (("prolong", "--m", "0"), "argument --m: must be at least 1"),
     (("prolong", "--n-x", "0"), "argument --n-x: must be at least 1"),
+    (("prolong", "--n-x", "2"), "--n-x must be at least 3"),
     (("prolong", "--n-x", "32", "--n-t", "3"), "n_t at least 6"),
     (("verify", "--m", "1", "--grid", "0:1:3"), "--grid must be given m + 1 = 2 times"),
     (("profile", "--n", "0"), "argument --n: must be at least 1"),

@@ -256,10 +256,11 @@ def test_as_multitime_chain_rule():
                            phi_second=lambda z: 0.0)
     u = as_multitime(ident)
     t = np.array([0.3, -0.2])
-    assert abs(u.value(1.0, t) - (1.0 - 0.3 + 0.4)) <= 1e-14
-    assert np.allclose(u.time_gradient(1.0, t), [-1.0, -2.0])
-    assert np.max(np.abs(u.time_hessian(1.0, t))) == 0.0
-    assert u.second_x(1.0, t) == 0.0
+    value, grad, hess, d2x = u.at(1.0, t)
+    assert abs(value - (1.0 - 0.3 + 0.4)) <= 1e-14
+    assert np.allclose(grad, [-1.0, -2.0])
+    assert np.max(np.abs(hess)) == 0.0
+    assert d2x == 0.0
 
 
 def test_multitime_field_constant_on_phase_planes():
@@ -268,8 +269,8 @@ def test_multitime_field_constant_on_phase_planes():
     u = as_multitime(p)
     x, t = 0.7, np.array([0.2, -0.1])
     for delta in (np.array([0.3, 0.0]), np.array([-0.1, 0.4])):
-        shifted = u.value(x + 0.5 * delta[0] + 1.5 * delta[1], t + delta)
-        assert abs(shifted - u.value(x, t)) <= 1e-14
+        shifted = u.at(x + 0.5 * delta[0] + 1.5 * delta[1], t + delta)[0]
+        assert abs(shifted - u.at(x, t)[0]) <= 1e-14
 
 
 def test_sample_drops_points_outside_domain():

@@ -42,30 +42,22 @@ def _random_constant_structure(m, variant="rayleigh"):
 
 
 def _sin_exp_field(m):
-    """u = sin(x + t1) * exp(0.3 t_m), with full analytic partials."""
+    """u = sin(x + t1) * exp(0.3 t_m), with its analytic jet."""
 
-    def u(x, t):
-        return math.sin(x + t[0]) * math.exp(0.3 * t[-1])
-
-    def grad(x, t):
-        out = np.zeros(m)
-        out[0] += math.cos(x + t[0]) * math.exp(0.3 * t[-1])
-        out[-1] += 0.3 * u(x, t)
-        return out
-
-    def hess(x, t):
-        out = np.zeros((m, m))
+    def jet(x, t):
         e = math.exp(0.3 * t[-1])
-        out[0, 0] += -math.sin(x + t[0]) * e
-        out[0, -1] += 0.3 * math.cos(x + t[0]) * e
-        out[-1, 0] += 0.3 * math.cos(x + t[0]) * e
-        out[-1, -1] += 0.09 * u(x, t)
-        return out
+        u = math.sin(x + t[0]) * e
+        grad = np.zeros(m)
+        grad[0] += math.cos(x + t[0]) * e
+        grad[-1] += 0.3 * u
+        hess = np.zeros((m, m))
+        hess[0, 0] += -math.sin(x + t[0]) * e
+        hess[0, -1] += 0.3 * math.cos(x + t[0]) * e
+        hess[-1, 0] += 0.3 * math.cos(x + t[0]) * e
+        hess[-1, -1] += 0.09 * u
+        return u, grad, hess, -math.sin(x + t[0]) * e
 
-    def d2x(x, t):
-        return -math.sin(x + t[0]) * math.exp(0.3 * t[-1])
-
-    return FieldFunction(u=u, grad_t=grad, hess_t=hess, d2x=d2x, m=m)
+    return FieldFunction(jet, m=m)
 
 
 def test_stationary_solution_gives_exactly_zero_residual():
@@ -86,16 +78,8 @@ def test_box_is_linear_for_analytic_fields():
     v = stationary_solution(0.5, 2.0)
     al, be = 1.3, -0.7
 
-    def w_val(x, t):
-        return al * u.value(x, t) + be * v.value(x, t)
-
-    w = FieldFunction(
-        u=w_val,
-        grad_t=lambda x, t: al * u.time_gradient(x, t) + be * v.time_gradient(x, t),
-        hess_t=lambda x, t: al * u.time_hessian(x, t) + be * v.time_hessian(x, t),
-        d2x=lambda x, t: al * u.second_x(x, t) + be * v.second_x(x, t),
-        m=m,
-    )
+    w = FieldFunction(lambda x, t: tuple(al * p + be * q
+                                         for p, q in zip(u.at(x, t), v.at(x, t))), m=m)
     for _ in range(10):
         x, t = rng.normal(), rng.normal(size=m)
         lhs = box(w, st, x, t)
@@ -109,21 +93,6 @@ def test_hessian_symmetry():
     u = _sin_exp_field(m)
     H = hessian(u, st, 0.3, np.array([0.1, -0.2, 0.5]))
     assert np.max(np.abs(H - H.T)) <= 1e-9
-    # finite-difference fallback should stay symmetric to FD noise
-    u_fd = FieldFunction(u=u.value, m=m)
-    H2 = hessian(u_fd, st, 0.3, np.array([0.1, -0.2, 0.5]))
-    assert np.max(np.abs(H2 - H2.T)) <= 1e-6
-
-
-def test_fd_fallback_matches_analytic_partials():
-    m = 2
-    ana = _sin_exp_field(m)
-    fd = FieldFunction(u=ana.value, m=m)
-    for _ in range(8):
-        x, t = rng.normal(), rng.normal(size=m)
-        assert np.max(np.abs(fd.time_gradient(x, t) - ana.time_gradient(x, t))) <= 1e-8
-        assert np.max(np.abs(fd.time_hessian(x, t) - ana.time_hessian(x, t))) <= 1e-5
-        assert abs(fd.second_x(x, t) - ana.second_x(x, t)) <= 1e-5
 
 
 def test_reversibility_parity():
@@ -166,13 +135,12 @@ def test_reversibility_reflects_residuals():
                             gamma=lambda *a: np.zeros((m, m, m)),
                             c_field=odd_c, b_field=odd_b)
     u = _sin_exp_field(m)
-    refl = FieldFunction(
-        u=lambda x, t: u.value(x, -t),
-        grad_t=lambda x, t: -u.time_gradient(x, -t),
-        hess_t=lambda x, t: u.time_hessian(x, -t),
-        d2x=lambda x, t: u.second_x(x, -t),
-        m=m,
-    )
+
+    def refl_jet(x, t):
+        eta, xi, hess, d2x = u.at(x, -t)
+        return eta, -xi, hess, d2x
+
+    refl = FieldFunction(refl_jet, m=m)
     for _ in range(10):
         x, t = rng.normal(), rng.normal(size=m)
         r_orig = rayleigh_residual(u, st, x, -t)
@@ -183,10 +151,8 @@ def test_reversibility_reflects_residuals():
 def test_vdp_residual_uses_eta_squared_damping():
     m = 1
     st = constant_structure(np.array([[2.0]]), c=0.0, d=np.array([1.0]))
-    u = FieldFunction(u=lambda x, t: t[0] ** 2,
-                      grad_t=lambda x, t: np.array([2.0 * t[0]]),
-                      hess_t=lambda x, t: np.array([[2.0]]),
-                      d2x=lambda x, t: 0.0, m=1)
+    u = FieldFunction(lambda x, t: (t[0] ** 2, np.array([2.0 * t[0]]),
+                                    np.array([[2.0]]), 0.0), m=1)
     # residual = h u_tt + u^2 d u_t - u_xx = 4 + t^4 * 2t
     got = vdp_residual(u, st, 0.0, np.array([1.5]))
     want = 4.0 + (1.5 ** 2) ** 2 * (2.0 * 1.5)

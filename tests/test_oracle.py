@@ -20,16 +20,23 @@ from mrayleigh.coefficients import (
     SpeedVector,
     constant_coeffs,
     constant_structure,
+    prolongation_structure,
     synthesize_structure,
 )
 from mrayleigh.errors import (
     BadParameters,
     BlowUp,
+    DimensionMismatch,
     DomainExceeded,
     EmptyDomain,
     WrongVariant,
 )
-from mrayleigh.geometry import GridSpec, rayleigh_residual
+from mrayleigh.geometry import (
+    GridSpec,
+    prolong_field,
+    rayleigh_residual,
+    stationary_solution,
+)
 from mrayleigh.oracle import (
     bernoulli_chain_check,
     decay_check,
@@ -165,6 +172,17 @@ def test_residual_sweep_skip_exhaustion():
         residual_sweep(p, st, grid)
 
 
+@pytest.mark.parametrize("u", [
+    with_speed(soliton_arcsinh(1.0, 1.0, 1.0, 1.0), SpeedVector(np.array([1.0, 1.0]))),
+    stationary_solution(1.0, 0.0),
+], ids=["profile", "field"])
+def test_residual_sweep_rejects_a_structure_of_another_m(u):
+    st = constant_structure(np.eye(3), c=1.0, b=1.0)
+    grid = GridSpec((-1.0, 1.0, 3), ((0.0, 0.1, 2), (0.0, 0.1, 2)))
+    with pytest.raises(DimensionMismatch):
+        residual_sweep(u, st, grid)
+
+
 def test_decay_along_ray_with_frozen_crossing():
     p = with_speed(soliton_arcsinh(1.0, -1.0, -1.0, 1.0),
                    SpeedVector(np.array([1.0, 1.0])))
@@ -208,21 +226,39 @@ def test_single_time_solver_reproduces_separated_solution():
     # epsilon = 0: u = sin(x) cos(t) solves the undamped equation
     sol = integrate_single_time_rayleigh(0.0, math.sin, lambda x: 0.0, 1.0)
     xs = np.linspace(0.0, 2.0 * math.pi, 17)
-    err = max(abs(sol.u(x, 1.0) - math.sin(x) * math.cos(1.0)) for x in xs)
+    err = max(abs(sol.jet(x, 1.0)[0] - math.sin(x) * math.cos(1.0)) for x in xs)
     assert err <= 1e-5
     assert sol.residual_estimate() <= 1e-4
 
 
 def test_single_time_solver_interface_and_equilibrium():
     sol = integrate_single_time_rayleigh(0.4, lambda x: 3.3, lambda x: 0.0, 0.5)
-    assert abs(sol.u(1.0, 0.5) - 3.3) <= 1e-12
+    assert abs(sol.jet(1.0, 0.5)[0] - 3.3) <= 1e-12
     f = sol.as_field()
     assert f.m == 1
-    assert abs(f.value(1.0, np.array([0.25])) - 3.3) <= 1e-12
+    assert abs(f.at(1.0, np.array([0.25]))[0] - 3.3) <= 1e-12
     with pytest.raises(DomainExceeded):
-        sol.u(0.0, 0.6)
+        sol.jet(0.0, 0.6)
     with pytest.raises(BadParameters):
         integrate_single_time_rayleigh(0.0, math.sin, lambda x: 0.0, -1.0)
     for counts in ({"n_x": 0}, {"n_t": 5}):     # the t spline is quintic
         with pytest.raises(BadParameters, match="n_x must be at least 1 and n_t at least 6"):
             integrate_single_time_rayleigh(0.0, math.sin, lambda x: 0.0, 1.0, **counts)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_prolonged_jet_gives_the_single_time_residual(m):
+    # under prolongation_structure the multitime residual of v(x, t) =
+    # u(x, t^1) is u_tt - u_xx - eps (u_t - u_t^3), read from the same jet
+    eps = 0.3
+    sol = integrate_single_time_rayleigh(eps, lambda x: 0.5 * math.sin(x),
+                                         lambda x: 0.0, 1.0, n_x=64, n_t=51)
+    rng = np.random.default_rng(17)
+    x = rng.uniform(0.0, 2.0 * math.pi, 40)
+    t = rng.uniform(0.0, 1.0, (40, m))
+    multi = rayleigh_residual(prolong_field(sol.as_field(), m),
+                              prolongation_structure(m, eps), x, t)
+    u, u_t, u_tt, u_xx = sol.jet(x, t[:, 0])
+    single = u_tt - u_xx - eps * (u_t - u_t ** 3)
+    assert np.max(np.abs(single)) >= 1e-7      # the comparison is not of zeros
+    assert np.max(np.abs(multi - single)) <= 1e-15
