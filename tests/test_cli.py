@@ -303,10 +303,10 @@ def test_series_profile_with_too_short_a_tail_exits_2():
 @pytest.mark.parametrize("args, message", [
     (("prolong", "--m", "0"), "argument --m: must be at least 1"),
     (("prolong", "--n-x", "0"), "argument --n-x: must be at least 1"),
-    (("prolong", "--n-x", "2"), "--n-x must be at least 3"),
     (("prolong", "--n-x", "32", "--n-t", "3"), "n_t at least 6"),
     (("verify", "--m", "1", "--grid", "0:1:3"), "--grid must be given m + 1 = 2 times"),
     (("profile", "--n", "0"), "argument --n: must be at least 1"),
+    (("prolong", "--n-x", "2"), "--n-x must be at least 3"),
 ])
 def test_out_of_range_counts_exit_2(args, message):
     r = run_cli(*args)
