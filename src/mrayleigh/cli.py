@@ -59,6 +59,8 @@ from .coefficients import (
 from .errors import BlowUp, ConditionViolated, MrayleighError, StiffnessFailure
 from .geometry import GridSpec, check_prolongation, stationary_solution
 from .oracle import (
+    TOL_MAX,
+    TOL_MIN,
     bernoulli_chain_check,
     decay_check,
     integrate_reduction,
@@ -393,6 +395,7 @@ def _grid(ns, lo, hi):
 
 def _cmd_verify(ns) -> int:
     if ns.family == "stationary":
+        _require_numbers(ns, ("a",))
         field = stationary_solution(float(ns.a), float(ns.b))
         lam = SpeedVector(np.ones(ns.m))
         structure = synthesize_structure(constant_coeffs(1.0, 1.0, b=1.0),
@@ -406,6 +409,9 @@ def _cmd_verify(ns) -> int:
                     f"{fmt17(rep.max_abs)} against tol {fmt17(ns.tol)}")
         return 0 if verified else 1
 
+    # the stationary check above never integrates, so it ignores --oracle-tol
+    if not TOL_MIN <= ns.oracle_tol <= TOL_MAX:
+        raise ValueError(f"--oracle-tol must lie in [{TOL_MIN}, {TOL_MAX}]")
     prof = _build_profile(ns)
     lam = (SpeedVector(np.asarray(ns.lam, dtype=float)) if ns.lam
            else SpeedVector(np.ones(ns.m)))

@@ -31,10 +31,14 @@ on a reported validity interval.  Families:
 ``series``
     truncated power series (constructed by the series module).
 
-Profiles carry phi, phi' and an analytic phi''.  Each takes z of shape
-(N,) and returns an array of the same shape, or a Python float for a
-scalar z.  Lifting to a multitime field via ``as_multitime`` uses the chain
-rule du/dt^a = -lambda_a phi'.
+Profiles carry phi, phi' and phi''.  The arc families, ``vdp_explicit``
+and ``series`` differentiate their closed form; ``quadrature`` reads phi''
+off the solved ODE (``ReducedCoeffs.second``); ``vdp_implicit`` applies the
+chain rule to its first integral, with a central difference of d/a.  Each
+callable checks its domain, then takes z of shape (N,) and returns an array
+of the same shape, or a Python float for a scalar z.  Lifting to a
+multitime field via ``as_multitime`` uses the chain rule
+du/dt^a = -lambda_a phi'.
 Evaluation outside the domain raises DomainExceeded; at finite endpoints
 phi itself stays finite for the arc-family profiles while phi' may be
 unbounded there, which is why residual testing keeps a guard band.
@@ -55,6 +59,7 @@ from .coefficients import (
     ReducedCoeffs,
     SpeedVector,
     Variant,
+    _central,
     _first,
     _require_finite,
     coeffs_to_json_dict,
@@ -111,10 +116,12 @@ def _check_domain(dom: Interval, z):
                              f"interval [{dom.lo}, {dom.hi}]")
 
 
-def _stacked(fn):
-    """Profile callable over z of shape (N,); a scalar z gives a Python float."""
+def _stacked(dom: Interval, fn):
+    """Profile callable over z of shape (N,) that raises DomainExceeded for z
+    outside ``dom`` before ``fn`` runs; a scalar z gives a Python float."""
     def call(z):
         z = np.asarray(z, dtype=float)
+        _check_domain(dom, z)
         if z.ndim == 0:
             return float(fn(z.reshape(1))[0])
         return fn(z)
@@ -166,6 +173,7 @@ CHEB_MAX_DEGREE = 1024      # Chebyshev antiderivatives stop doubling here
 QUADRATURE_SCAN = 4001      # domain-search points of soliton_quadrature
 VDP_SCAN = 2001             # domain-search points of vdp_implicit
 COMPAT_TOL = 1e-6           # vdp_implicit's sampled check of (a/d)' = c/d
+COMPAT_STEP = 1e-6          # vdp_implicit's central-difference step on a, d and d/a
 
 
 def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float):
@@ -272,31 +280,23 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
         F, G = build(d_lo, d_hi)
     dom = Interval(d_lo, d_hi)
 
-    @_stacked
     def phi_prime(z):
-        _check_domain(dom, z)
         rad = K - 2.0 * G(z)
         if np.any(rad <= 0.0):
             raise DomainExceeded(f"radicand nonpositive at z = {_first(z, rad <= 0.0)}")
         return np.exp(-F(z)) / np.sqrt(rad)
 
+    # the Chebyshev points lie inside the domain, so phi' is sampled unchecked
     PHI = _cheb_antiderivative(phi_prime, d_lo, d_hi, z0)
 
-    @_stacked
-    def phi(z):
-        _check_domain(dom, z)
-        return PHI(z)
-
-    @_stacked
     def phi_second(z):
-        # differentiate the closed form: phi'' = (-c/a) phi' + (b/a) phi'^3;
         # the Rayleigh cubic term does not read phi
-        p = phi_prime(z)
-        return (-coeffs.c(z) * p + coeffs.cubic(z, None, p)) / coeffs.a(z)
+        return coeffs.second(z, None, phi_prime(z))
 
     params = {"K": K, "z0": z0, "coeffs": _coeffs_payload(coeffs)}
-    return SolitonProfile(Family.QUADRATURE, params, lam, dom,
-                          phi, phi_prime, phi_second, coeffs=coeffs)
+    return SolitonProfile(Family.QUADRATURE, params, lam, dom, _stacked(dom, PHI),
+                          _stacked(dom, phi_prime), _stacked(dom, phi_second),
+                          coeffs=coeffs)
 
 
 # (g, s) per arc family: the radicand under phi' is rad = g w^2 + s
@@ -342,7 +342,6 @@ def _arc_family(family, a, b, c, K, r, sigma, lam) -> SolitonProfile:
         dom = Interval(-math.inf, edge) if (rate > 0) == (g > 0) else Interval(edge, math.inf)
 
     def w(z):
-        _check_domain(dom, z)
         ww = K * np.exp(-rate * z)
         with np.errstate(over="ignore"):    # phi_prime handles rad = inf
             rad = g * ww * ww + s
@@ -366,8 +365,8 @@ def _arc_family(family, a, b, c, K, r, sigma, lam) -> SolitonProfile:
         return np.where(at_edge, s * sigma * rate * math.inf, val)
 
     params = {"a": a, "b": b, "c": c, "K": K, "r": r, "sigma": sigma}
-    return SolitonProfile(family, params, _default_lam(lam), dom,
-                          _stacked(phi), _stacked(phi_prime), _stacked(phi_second),
+    return SolitonProfile(family, params, _default_lam(lam), dom, _stacked(dom, phi),
+                          _stacked(dom, phi_prime), _stacked(dom, phi_second),
                           coeffs=constant_coeffs(a, c, b=b))
 
 
@@ -394,20 +393,11 @@ def soliton_arcsin(a, b, c, K, r=0.0, sigma=1.0, lam=None) -> SolitonProfile:
     return _arc_family(Family.ARCSIN, a, b, c, K, r, sigma, lam)
 
 
-def _fd_ratio_derivative(coeffs: ReducedCoeffs, z):
-    """(d/a)'(z) by a central difference on the coefficient callables."""
-    h = 1e-6 * np.maximum(1.0, np.abs(z))
-    rp = coeffs.d(z + h) / coeffs.a(z + h)
-    rm = coeffs.d(z - h) / coeffs.a(z - h)
-    return (rp - rm) / (2.0 * h)
-
-
 def _check_compatibility(coeffs: ReducedCoeffs, lo: float, hi: float) -> None:
     """Sample a' d - a d' - d c = 0, the condition (a/d)' = c/d, within COMPAT_TOL."""
     z = np.linspace(lo, hi, 21)
-    h = 1e-6 * np.maximum(1.0, np.abs(z))
-    ap = (coeffs.a(z + h) - coeffs.a(z - h)) / (2.0 * h)
-    dp = (coeffs.d(z + h) - coeffs.d(z - h)) / (2.0 * h)
+    ap = _central(coeffs.a, z, COMPAT_STEP)
+    dp = _central(coeffs.d, z, COMPAT_STEP)
     a, d, c = coeffs.a(z), coeffs.d(z), coeffs.c(z)
     resid = ap * d - a * dp - d * c
     scale = np.maximum(1.0, np.max(np.abs([ap * d, a * dp, d * c]), axis=0))
@@ -527,7 +517,7 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
         return ratio(z) * (p ** 3 - k1 ** 3) / 3.0
 
     def second_from(p, z, dp):
-        return (_fd_ratio_derivative(coeffs, z) * (p ** 3 - k1 ** 3) / 3.0
+        return (_central(ratio, z, COMPAT_STEP) * (p ** 3 - k1 ** 3) / 3.0
                 + ratio(z) * p * p * dp)
 
     def profile(params, dom, phi, prime_from, second_from):
@@ -541,8 +531,9 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
 
         params = {**params, "z0": float(z0), "phi0": phi0,
                   "coeffs": _coeffs_payload(coeffs)}
-        return SolitonProfile(Family.VDP_IMPLICIT, params, lam, dom, _stacked(phi),
-                              _stacked(phi_prime), _stacked(phi_second), coeffs=coeffs)
+        return SolitonProfile(Family.VDP_IMPLICIT, params, lam, dom, _stacked(dom, phi),
+                              _stacked(dom, phi_prime), _stacked(dom, phi_second),
+                              coeffs=coeffs)
 
     if k1 == 0.0:
         if phi0 == 0.0:
@@ -560,7 +551,6 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
         dom = Interval(run[0], run[1])
 
         def phi(z):
-            _check_domain(dom, z)
             P = squared(z)
             if np.any(P <= 0.0):
                 raise DomainExceeded(f"phi{'^-2' if reciprocal else '^2'} "
@@ -576,7 +566,7 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
             return -ratio(z) / (3.0 * p)
 
         def direct_second(p, z, dp):
-            return (-_fd_ratio_derivative(coeffs, z) / (3.0 * p)
+            return (-_central(ratio, z, COMPAT_STEP) / (3.0 * p)
                     + ratio(z) * dp / (3.0 * p * p))
 
         return profile(params, dom, phi, direct_prime, direct_second)
@@ -600,7 +590,6 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
     dom = Interval(run[0], run[1])
 
     def phi(z):
-        _check_domain(dom, z)
         target = H(z) + C
         escaped = ~solvable(target)
         if np.any(escaped):
@@ -655,7 +644,6 @@ def vdp_explicit(a, c, d, K, lam=None) -> SolitonProfile:
         """(e, tail, t): e = K e^{t} + off with t = ln|K| + rate z, and the
         points (K > 0 only) where t alone decides the value, whose e may be
         infinite.  Raises where e <= 0 off the tail."""
-        _check_domain(dom, z)
         if K == 0.0:
             return np.full(z.shape, off), np.zeros(z.shape, bool), np.zeros(z.shape)
         t = log_abs_k + rate * z
@@ -701,8 +689,8 @@ def vdp_explicit(a, c, d, K, lam=None) -> SolitonProfile:
         "limit_pos_inf": tail_limit(e_plus) if math.isinf(dom.hi) else None,
         "limit_neg_inf": tail_limit(e_minus) if math.isinf(dom.lo) else None,
     }
-    return SolitonProfile(Family.VDP_EXPLICIT, params, lam, dom, _stacked(phi),
-                          _stacked(phi_prime), _stacked(phi_second),
+    return SolitonProfile(Family.VDP_EXPLICIT, params, lam, dom, _stacked(dom, phi),
+                          _stacked(dom, phi_prime), _stacked(dom, phi_second),
                           coeffs=constant_coeffs(a, c, d=d))
 
 

@@ -64,6 +64,12 @@ def _first(z, bad) -> float:
     return float(np.ravel(z)[np.argmax(np.ravel(bad))])
 
 
+def _central(fn, z, step):
+    """Central difference (fn(z + h) - fn(z - h)) / 2h, h = step max(1, |z|)."""
+    h = step * np.maximum(1.0, np.abs(z))
+    return (fn(z + h) - fn(z - h)) / (2.0 * h)
+
+
 def _require_finite(**values):
     bad = [name for name, v in values.items() if not math.isfinite(v)]
     if bad:
@@ -312,6 +318,10 @@ class ReducedCoeffs:
         if self.variant is Variant.RAYLEIGH:
             return self.b(z) * psi ** 3
         return self.d(z) * phi * phi * psi
+
+    def second(self, z, phi, psi):
+        """phi'' from the solved reduced ODE: (cubic - c psi) / a, with psi = phi'."""
+        return (self.cubic(z, phi, psi) - self.c(z) * psi) / self.a(z)
 
 
 def constant_coeffs(a, c, b=None, d=None) -> ReducedCoeffs:

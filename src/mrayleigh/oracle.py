@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .closed_form import Interval, SolitonProfile, _check_domain, as_multitime
-from .coefficients import ReducedCoeffs, Variant, _require_finite, _unwrap
+from .closed_form import Interval, SolitonProfile, _stacked, as_multitime
+from .coefficients import ReducedCoeffs, Variant, _central, _require_finite, _unwrap
 from .errors import (
     BadParameters,
     BlowUp,
@@ -51,10 +52,6 @@ SPECTRAL_TOL = 1e-10        # rtol = atol of the single-time integrator
 FD_STEP_FIRST = 1e-5        # central-difference step, scaled by max(1, |z|)
 
 
-def _h1(z):
-    return FD_STEP_FIRST * np.maximum(1.0, np.abs(z))
-
-
 def _along(fn, z: np.ndarray) -> np.ndarray:
     """A profile callable over the phases z, broadcast to z's shape (a
     callable that ignores its argument may return a constant)."""
@@ -64,39 +61,30 @@ def _along(fn, z: np.ndarray) -> np.ndarray:
 def _rhs_for(coeffs: ReducedCoeffs):
     def rhs(z, y):
         phi, psi = y
-        return [psi, (coeffs.cubic(z, phi, psi) - coeffs.c(z) * psi) / coeffs.a(z)]
+        return [psi, coeffs.second(z, phi, psi)]
     return rhs
 
 
 @dataclass
 class IvpSolution:
-    """Dense numerical solution of the reduced ODE on one z-interval."""
+    """Dense numerical solution of the reduced ODE on one z-interval.
+
+    ``phi`` and ``phi_prime`` are cubic Hermite splines through the nodes,
+    ``phi_second`` is the derivative of the phi' spline; like a profile's
+    callables, each raises DomainExceeded for z outside ``span``.
+    """
 
     coeffs: ReducedCoeffs
     nodes: np.ndarray
     phi_values: np.ndarray
     phi_prime_values: np.ndarray
-    _phi_spline: object = field(repr=False)
-    _psi_spline: object = field(repr=False)
-    _psi_deriv: object = field(repr=False)
+    phi: Callable = field(repr=False)
+    phi_prime: Callable = field(repr=False)
+    phi_second: Callable = field(repr=False)
 
     @property
     def span(self) -> tuple[float, float]:
         return float(self.nodes[0]), float(self.nodes[-1])
-
-    def _check(self, z):
-        z = np.asarray(z, dtype=float)
-        _check_domain(Interval(*self.span), z)
-        return z
-
-    def phi(self, z):
-        return _unwrap(self._phi_spline(self._check(z)))
-
-    def phi_prime(self, z):
-        return _unwrap(self._psi_spline(self._check(z)))
-
-    def phi_second(self, z):
-        return _unwrap(self._psi_deriv(self._check(z)))
 
 
 def _integrate_one_way(rhs, z0, z1, y0, tol):
@@ -174,10 +162,10 @@ def integrate_reduction(coeffs: ReducedCoeffs, phi0: float, phi_prime0: float,
     z, phi, psi = z[keep], phi[keep], psi[keep]
     psi_prime = rhs(z, (phi, psi))[1]
 
-    phi_spline = CubicHermiteSpline(z, phi, psi)
+    dom = Interval(float(z[0]), float(z[-1]))
     psi_spline = CubicHermiteSpline(z, psi, psi_prime)
-    return IvpSolution(coeffs, z, phi, psi,
-                       phi_spline, psi_spline, psi_spline.derivative())
+    return IvpSolution(coeffs, z, phi, psi, _stacked(dom, CubicHermiteSpline(z, phi, psi)),
+                       _stacked(dom, psi_spline), _stacked(dom, psi_spline.derivative()))
 
 
 def bernoulli_chain_check(coeffs: ReducedCoeffs, profile, samples,
@@ -198,11 +186,13 @@ def bernoulli_chain_check(coeffs: ReducedCoeffs, profile, samples,
     flat = np.abs(psi) < CHAIN_SKIP_TOL
     z, psi = z[~flat], psi[~flat]
     a, b, c = coeffs.a(z), coeffs.b(z), coeffs.c(z)
-    h = _h1(z)
-    psi_hi = _along(profile.phi_prime, z + h)
-    psi_lo = _along(profile.phi_prime, z - h)
-    dpsi = (psi_hi - psi_lo) / (2.0 * h)
-    dxi = (psi_hi ** -2 - psi_lo ** -2) / (2.0 * h)
+
+    def psi_xi(s):
+        p = _along(profile.phi_prime, s)
+        return np.stack([p, p ** -2])
+
+    # one difference of the pair reads phi' twice per sample
+    dpsi, dxi = _central(psi_xi, z, FD_STEP_FIRST)
     if not np.all(np.abs(dpsi + (c / a) * psi - (b / a) * psi ** 3) <= tol):
         return False
     if not np.all(np.abs(dxi - 2.0 * (c / a) * psi ** -2 + 2.0 * (b / a)) <= tol):
@@ -226,8 +216,7 @@ def reduction_ode_residual(coeffs: ReducedCoeffs, profile, zs,
     z = np.asarray(zs, dtype=float).reshape(-1)
     p = _along(profile.phi_prime, z)
     if derivative_mode == "fd":
-        h = _h1(z)
-        pp = (_along(profile.phi_prime, z + h) - _along(profile.phi_prime, z - h)) / (2.0 * h)
+        pp = _central(lambda s: _along(profile.phi_prime, s), z, FD_STEP_FIRST)
     else:
         pp = _along(profile.phi_second, z)
     cubic = coeffs.cubic(z, _along(profile.phi, z), p)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import Family, Interval, SolitonProfile, _check_domain, _stacked
+from .closed_form import Family, Interval, SolitonProfile, _default_lam, _stacked
 # AffineCoeffs is defined in coefficients and re-exported here, next to the
 # recurrence that consumes it
 from .coefficients import DEGENERACY_TOL, AffineCoeffs, SpeedVector, _require_finite
@@ -170,13 +170,19 @@ def _warn_outside(series: SeriesSolution, z: float):
             RuntimeWarning, stacklevel=3)
 
 
-def _horner(coef: np.ndarray, z: float) -> float:
-    """sum_n coef[n] z^n in Python floats, in numpy polyval's order."""
+def _horner(coef: np.ndarray, z):
+    """sum_n coef[n] z^n for a float or an array z, by Horner's rule from the
+    top coefficient down, the order numpy evaluates in."""
     c = coef.tolist()
     acc = c[-1] + z * 0
     for cn in c[-2::-1]:
         acc = cn + acc * z
     return acc
+
+
+def _derivative(coef: np.ndarray) -> np.ndarray:
+    """Coefficients n coef[n] of the derivative, the products numpy forms."""
+    return np.arange(1, coef.size) * coef[1:]
 
 
 def evaluate(series: SeriesSolution, z: float) -> float:
@@ -187,9 +193,7 @@ def evaluate(series: SeriesSolution, z: float) -> float:
 
 def evaluate_prime(series: SeriesSolution, z: float) -> float:
     _warn_outside(series, z)
-    # n alpha_n, as polyder forms it
-    der = np.arange(1, series.alpha.size) * series.alpha[1:]
-    return _horner(der, float(z))
+    return _horner(_derivative(series.alpha), float(z))
 
 
 def estimate_radius(series: SeriesSolution) -> float:
@@ -225,21 +229,17 @@ def estimate_radius(series: SeriesSolution) -> float:
 
 def series_soliton(series: SeriesSolution, lam: SpeedVector | None = None) -> SolitonProfile:
     """Wrap a truncated series as a profile on |z| < 0.5 * radius estimate."""
-    if lam is None:
-        lam = SpeedVector(np.array([1.0]))
     rho = SAFETY_FRACTION * series.radius_estimate
     if rho <= 0.0:
         raise DegenerateA(
             "radius estimate is inconclusive; cannot bound a validity interval")
     dom = Interval(-rho, rho)
-    der1 = np.polynomial.polynomial.polyder(series.alpha)
-    der2 = np.polynomial.polynomial.polyder(series.alpha, 2)
+    der1 = _derivative(series.alpha)
+    # numpy's second derivative of a linear series is alpha_0 * 0
+    der2 = _derivative(der1) if der1.size > 1 else series.alpha[:1] * 0.0
 
     def horner(coef):
-        def fn(z):
-            _check_domain(dom, z)
-            return np.polynomial.polynomial.polyval(z, coef)
-        return _stacked(fn)
+        return _stacked(dom, lambda z: _horner(coef, z))
 
     params = {
         "coeffs": list(series.coeffs.sextuple()),
@@ -248,5 +248,6 @@ def series_soliton(series: SeriesSolution, lam: SpeedVector | None = None) -> So
         "n_terms": int(series.n_terms),
         "radius_estimate": float(series.radius_estimate),
     }
-    return SolitonProfile(Family.SERIES, params, lam, dom, horner(series.alpha),
-                          horner(der1), horner(der2), coeffs=series.coeffs.to_reduced())
+    return SolitonProfile(Family.SERIES, params, _default_lam(lam), dom,
+                          horner(series.alpha), horner(der1), horner(der2),
+                          coeffs=series.coeffs.to_reduced())

@@ -258,6 +258,10 @@ def test_non_finite_profile_parameters_exit_2(family_args, name):
       "--K", "4"), "c must be finite"),
     (("verify", "--tol", "nan"), "tol must be finite"),
     (("prolong", "--tol", "nan"), "tol must be finite"),
+    (("verify", "--oracle-tol", "1e-3"), "--oracle-tol must lie in [1e-12, 0.0001]"),
+    (("verify", "--oracle-tol", "nan"), "--oracle-tol must lie in [1e-12, 0.0001]"),
+    (("verify", "--family", "stationary", "--a", "exp"),
+     "--a must be a number for family stationary"),
 ])
 def test_non_finite_inputs_exit_2(args, message):
     r = run_cli(*args)

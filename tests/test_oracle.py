@@ -83,7 +83,14 @@ def test_ivp_solution_interface():
     rhs = (ivp.coeffs.b(z) * ivp.phi_prime(z) ** 3
            - ivp.coeffs.c(z) * ivp.phi_prime(z)) / ivp.coeffs.a(z)
     assert abs(ivp.phi_second(z) - rhs) <= 1e-7
-    with pytest.raises(DomainExceeded):
+    # a scalar gives a float, an array the same values bit for bit
+    zs = np.linspace(-1.0, 2.0, 13)
+    for fn in (ivp.phi, ivp.phi_prime, ivp.phi_second):
+        scalars = [fn(float(v)) for v in zs]
+        assert all(type(v) is float for v in scalars)
+        assert fn(zs).tobytes() == np.array(scalars).tobytes()
+    with pytest.raises(DomainExceeded,
+                       match=r"z = 2\.5 outside validity interval \[-1\.0, 2\.0\]"):
         ivp.phi(2.5)
 
 

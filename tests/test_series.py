@@ -141,6 +141,15 @@ def test_evaluation_equals_polyval_exactly():
     for z in np.linspace(-0.5, 0.5, 101) * sol.radius_estimate:
         assert evaluate(sol, z) == float(poly.polyval(z, sol.alpha))
         assert evaluate_prime(sol, z) == float(poly.polyval(z, der))
+    # the profile's phi, phi', phi'' are numpy's k-th derivative polynomials
+    prof = series_soliton(sol)
+    zs = np.linspace(-0.45, 0.45, 101) * sol.radius_estimate
+    for k, fn in enumerate((prof.phi, prof.phi_prime, prof.phi_second)):
+        vals = fn(zs)
+        assert vals.tobytes() == poly.polyval(zs, poly.polyder(sol.alpha, k)).tobytes()
+        for i in range(0, zs.size, 10):
+            v = fn(float(zs[i]))
+            assert type(v) is float and v == vals[i]
 
 
 def test_overflowing_recurrence_raises_at_the_first_bad_index():
