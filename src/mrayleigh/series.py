@@ -36,7 +36,7 @@ from .closed_form import Family, Interval, SolitonProfile, _default_lam, _stacke
 # AffineCoeffs is defined in coefficients and re-exported here, next to the
 # recurrence that consumes it
 from .coefficients import DEGENERACY_TOL, AffineCoeffs, SpeedVector, _require_finite
-from .errors import BlowUp, DegenerateA
+from .errors import BadParameters, BlowUp, DegenerateA
 
 # returned when the tail gives no growth to measure (constant or polynomial
 # truncations are entire); finite so that reports stay strict JSON
@@ -57,6 +57,9 @@ class SeriesSolution:
 
     def __post_init__(self):
         arr = np.asarray(self.alpha, dtype=float)
+        if arr.ndim != 1 or arr.size < 2:
+            # alpha0 and alpha1 are the initial data the series extends
+            raise BadParameters(f"a series needs alpha0 and alpha1, got alpha of shape {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "alpha", arr)
 

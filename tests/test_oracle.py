@@ -2,6 +2,7 @@
 and the single-time spectral reference solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mrayleigh.closed_form import (
     as_multitime,
     soliton_arccosh,
     soliton_arcsinh,
+    soliton_quadrature,
     vdp_explicit,
     with_speed,
 )
@@ -26,6 +28,7 @@ from mrayleigh.coefficients import (
 from mrayleigh.errors import (
     BadParameters,
     BlowUp,
+    CFLViolation,
     DimensionMismatch,
     DomainExceeded,
     EmptyDomain,
@@ -104,6 +107,38 @@ def test_integration_parameter_guards():
         integrate_reduction(co, 0.0, 0.5, span=(1.0, 1.0))
     with pytest.raises(BadParameters):
         integrate_reduction(co, 0.0, 0.5, span=(0.0, 1.0), z0=2.0)
+
+
+def _draws(family, n):
+    rng = np.random.default_rng(20110)
+    for _ in range(n):
+        a, b, c = rng.uniform(0.8, 1.2, 3)
+        if family == "arcsinh":
+            yield soliton_arcsinh(a, b, c, rng.uniform(0.5, 2.0)), (-3.0, 3.0)
+        else:
+            yield soliton_quadrature(constant_coeffs(a, c, b=b), rng.uniform(3.0, 5.0),
+                                     z0=0.0, domain=(-2.0, 2.0)), (-1.5, 1.5)
+
+
+@pytest.mark.parametrize("family", ["arcsinh", "quadrature"])
+def test_integration_takes_scipy_rk45_steps(family):
+    # the numpy Dormand-Prince stepper against scipy's RK45 at the same
+    # tolerance: the same accepted steps, and the same states at every node
+    # (step ends and the three continuous-extension samples inside each step)
+    from scipy.integrate import solve_ivp
+
+    for p, (lo, hi) in _draws(family, 3):
+        y0 = (p.phi(lo), p.phi_prime(lo))
+        ivp = integrate_reduction(p.coeffs, *y0, span=(lo, hi), tol=1e-10)
+        ref = solve_ivp(lambda z, y: [y[1], p.coeffs.second(z, y[0], y[1])], (lo, hi), y0,
+                        method="RK45", rtol=1e-10, atol=1e-10, dense_output=True)
+        assert ivp.nodes.size == 4 * (ref.t.size - 1) + 1
+        assert np.array_equal(ivp.nodes[::4], ref.t)
+        phi, psi = ref.sol(ivp.nodes)
+        # bound fixed beforehand; measured phi 8.9e-16, phi' 1.1e-16 (arcsinh)
+        # and phi 2.2e-16, phi' 1.1e-16 (quadrature)
+        assert np.max(np.abs(ivp.phi_values - phi)) <= 1e-12
+        assert np.max(np.abs(ivp.phi_prime_values - psi)) <= 1e-12
 
 
 def test_blow_up_is_reported_with_location():
@@ -248,9 +283,44 @@ def test_single_time_solver_interface_and_equilibrium():
         sol.jet(0.0, 0.6)
     with pytest.raises(BadParameters):
         integrate_single_time_rayleigh(0.0, math.sin, lambda x: 0.0, -1.0)
-    for counts in ({"n_x": 0}, {"n_t": 5}):     # the t spline is quintic
+    for counts in ({"n_x": 0}, {"n_t": 5}):     # the t interpolant has degree n_t - 1
         with pytest.raises(BadParameters, match="n_x must be at least 1 and n_t at least 6"):
             integrate_single_time_rayleigh(0.0, math.sin, lambda x: 0.0, 1.0, **counts)
+
+
+@pytest.mark.parametrize("n_x", [64, 256])
+def test_single_time_state_matches_a_tight_dop853_solve(n_x):
+    # the integrating-factor solve against scipy's DOP853 at rtol = atol =
+    # 1e-13 on the same Fourier method of lines in physical space
+    from scipy.integrate import solve_ivp
+
+    eps = 0.3
+    sol = integrate_single_time_rayleigh(eps, lambda x: 0.5 * math.sin(x),
+                                         lambda x: 0.0, 1.0, n_x=n_x, n_t=51)
+    x = np.linspace(0.0, 2.0 * math.pi, n_x, endpoint=False)
+    k = np.fft.rfftfreq(n_x, d=1.0 / n_x)
+
+    def rhs(t, y):
+        u, v = y[:n_x], y[n_x:]
+        uxx = np.fft.irfft(-(k ** 2) * np.fft.rfft(u), n_x)
+        return np.concatenate([v, uxx + eps * (v - v ** 3)])
+
+    ref = solve_ivp(rhs, (0.0, 1.0), np.concatenate([0.5 * np.sin(x), np.zeros(n_x)]),
+                    method="DOP853", rtol=1e-13, atol=1e-13)
+    assert ref.success
+    u, u_t, _, _ = sol.jet(x, 1.0)
+    # bound fixed beforehand; measured u 8.1e-11, u_t 2.5e-10 (n_x = 64)
+    # and u 1.6e-10, u_t 5.4e-10 (n_x = 256)
+    assert np.max(np.abs(u - ref.y[:n_x, -1])) <= 1e-8
+    assert np.max(np.abs(u_t - ref.y[n_x:, -1])) <= 1e-8
+
+
+def test_single_time_overflow_is_a_cfl_violation_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CFLViolation, match="time integration failed"):
+            integrate_single_time_rayleigh(0.1, lambda x: 1e200 * math.sin(x),
+                                           lambda x: 0.0, 1.0, n_x=64, n_t=11)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

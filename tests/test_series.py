@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mrayleigh.coefficients import SpeedVector, synthesize_structure
-from mrayleigh.errors import BlowUp, DegenerateA
+from mrayleigh.errors import BadParameters, BlowUp, DegenerateA
 from mrayleigh.geometry import GridSpec
 from mrayleigh.oracle import reduction_ode_residual, residual_sweep
 from mrayleigh.series import (
@@ -211,6 +211,14 @@ def test_json_payload_shape():
     assert d["N"] == 8 and len(d["alpha"]) == 9
     assert d["alpha0"] == 0.0 and d["alpha1"] == 1.0
     assert abs(d["radius_estimate"] - 2.993795165523909) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [[1.0], [], [[0.0, 1.0]]], ids=["one", "none", "2d"])
+def test_a_series_needs_alpha0_and_alpha1(alpha):
+    # evaluate_prime and to_json_dict read alpha[1]; a shorter alpha is
+    # refused when the solution is built, not met later as an IndexError
+    with pytest.raises(BadParameters, match="a series needs alpha0 and alpha1"):
+        SeriesSolution(LINEAR, np.array(alpha), 1.0)
 
 
 def test_series_profile_window_and_multitime_residual():
