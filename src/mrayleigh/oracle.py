@@ -206,7 +206,7 @@ def _integrate_one_way(rhs, z0, z1, y0, tol):
     try:
         for z, y, dense in _dp45(rhs, z0, z1, y0, tol):
             if np.max(np.abs(y)) >= OVERFLOW_GUARD:
-                raise BlowUp(f"solution escaped before z = {z1}", z_reached=z)
+                raise BlowUp(f"solution escaped before z = {z1}", z_reached=float(z))
             za = zs[-1][-1]
             zs.append(za + (z - za) * np.array([0.25, 0.5, 0.75]))
             zs.append(np.array([z]))
@@ -246,15 +246,13 @@ def integrate_reduction(coeffs: ReducedCoeffs, phi0: float, phi_prime0: float,
     rhs = _rhs_for(coeffs)
     y0 = np.array([float(phi0), float(phi_prime0)])
     segs = []
-    # a trial step past an escape may overflow; the controller rejects it
-    with np.errstate(over="ignore", invalid="ignore"):
-        if z0 > lo:
-            zb, pb, qb = _integrate_one_way(rhs, z0, lo, y0, tol)
-            segs.append((zb[::-1][:-1], pb[::-1][:-1], qb[::-1][:-1]))
-        segs.append((np.array([z0]), y0[:1], y0[1:]))
-        if z0 < hi:
-            zf, pf, qf = _integrate_one_way(rhs, z0, hi, y0, tol)
-            segs.append((zf[1:], pf[1:], qf[1:]))
+    if z0 > lo:
+        zb, pb, qb = _integrate_one_way(rhs, z0, lo, y0, tol)
+        segs.append((zb[::-1][:-1], pb[::-1][:-1], qb[::-1][:-1]))
+    segs.append((np.array([z0]), y0[:1], y0[1:]))
+    if z0 < hi:
+        zf, pf, qf = _integrate_one_way(rhs, z0, hi, y0, tol)
+        segs.append((zf[1:], pf[1:], qf[1:]))
 
     z = np.concatenate([s[0] for s in segs])
     phi = np.concatenate([s[1] for s in segs])
