@@ -36,9 +36,10 @@ and ``series`` differentiate their closed form; ``quadrature`` reads phi''
 off the solved ODE (``ReducedCoeffs.second``); ``vdp_implicit`` applies the
 chain rule to its first integral, with a central difference of d/a.  Each
 callable checks its domain, then takes z of shape (N,) and returns an array
-of the same shape, or a Python float for a scalar z.  Lifting to a
-multitime field via ``as_multitime`` uses the chain rule
-du/dt^a = -lambda_a phi'.
+of the same shape, or a Python float for a scalar z.  The Chebyshev
+antiderivatives run numpy's chebval recurrence on Python floats for one
+phase, with numpy's bits.  Lifting to a multitime field via
+``as_multitime`` uses the chain rule du/dt^a = -lambda_a phi'.
 Evaluation outside the domain raises DomainExceeded; at finite endpoints
 phi itself stays finite for the arc-family profiles while phi' may be
 unbounded there, which is why residual testing keeps a guard band.
@@ -96,12 +97,14 @@ class Interval:
     def __post_init__(self):
         if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
             raise BadParameters(f"bad interval [{self.lo}, {self.hi}]")
+        # the bounds that ``contains`` accepts: 1e-12 relative slack at finite ends
+        slack = [0.0 if math.isinf(v) else 1e-12 * max(1.0, abs(v)) for v in (self.lo, self.hi)]
+        object.__setattr__(self, "outer", (self.lo - slack[0], self.hi + slack[1]))
 
     def contains(self, z):
-        """Membership with 1e-12 relative slack; a bool, or a bool array for arrays."""
-        slack_lo = 0.0 if math.isinf(self.lo) else 1e-12 * max(1.0, abs(self.lo))
-        slack_hi = 0.0 if math.isinf(self.hi) else 1e-12 * max(1.0, abs(self.hi))
-        inside = np.logical_and(self.lo - slack_lo <= z, z <= self.hi + slack_hi)
+        """Membership within ``outer``; a bool, or a bool array for arrays."""
+        lo, hi = self.outer
+        inside = np.logical_and(lo <= z, z <= hi)
         return bool(inside) if inside.ndim == 0 else inside
 
     def to_json(self):
@@ -121,9 +124,12 @@ def _stacked(dom: Interval, fn):
     outside ``dom`` before ``fn`` runs; a scalar z gives a Python float."""
     def call(z):
         z = np.asarray(z, dtype=float)
-        _check_domain(dom, z)
         if z.ndim == 0:
+            lo, hi = dom.outer
+            if not lo <= z.item() <= hi:    # NaN included; _check_domain words it
+                _check_domain(dom, z)
             return float(fn(z.reshape(1))[0])
+        _check_domain(dom, z)
         return fn(z)
     return call
 
@@ -185,7 +191,10 @@ def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float):
     tail is negligible.  Smooth integrands resolve to near machine
     precision; non-smooth ones get CHEB_MAX_DEGREE and whatever accuracy
     that buys, which the downstream residual checks will expose.  A sample
-    that is not finite raises BadParameters.
+    that is not finite raises BadParameters.  The callable returned runs
+    numpy's mapping and chebval recurrence over Python-float coefficients,
+    in float arithmetic for one phase: numpy fuses no multiply-add, so the
+    bits are numpy's.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
@@ -209,7 +218,24 @@ def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float):
         if deg >= CHEB_MAX_DEGREE:
             break
         deg *= 2
-    return _cheb.Chebyshev(coef, domain=[lo, hi]).integ(1, lbnd=anchor)
+    anti = _cheb.Chebyshev(coef, domain=[lo, hi]).integ(1, lbnd=anchor)
+    off, scl = (float(v) for v in anti.mapparms())
+    c = anti.coef.tolist()
+
+    def clenshaw(x):
+        x2 = 2 * x
+        c0, c1 = c[-2], c[-1]
+        for ci in c[-3::-1]:
+            c0, c1 = ci - c1, c0 + c1 * x2
+        return c0 + c1 * x
+
+    def antiderivative(z):
+        z = np.asarray(z)
+        if z.size == 1:     # its shape is all ones, which ndmin restores
+            return np.array(clenshaw(off + scl * z.item()), ndmin=z.ndim)
+        return clenshaw(off + scl * z)
+
+    return antiderivative
 
 
 def _positive_run(zs: np.ndarray, vals: np.ndarray, z0: float):
@@ -246,8 +272,9 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
     QUADRATURE_SCAN points of the requested interval and the domain shrinks
     to the maximal positive subinterval containing z0 (EmptyDomain if the
     anchor itself fails).
-    Antiderivatives are cached on Chebyshev grids, so evaluation is cheap
-    and deterministic.
+    Antiderivatives are cached on Chebyshev grids and evaluated by numpy's
+    Clenshaw recurrence, on Python floats for one phase, so evaluation is
+    cheap and deterministic.
     """
     if coeffs.variant is not Variant.RAYLEIGH:
         raise WrongVariant("quadrature family solves the Rayleigh reduction")

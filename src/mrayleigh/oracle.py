@@ -47,6 +47,7 @@ TOL_MAX = 1e-4
 CHAIN_SKIP_TOL = 1e-12      # the chain check skips |phi'| below this
 DECAY_SAMPLES = 2000        # decay_check's samples along the ray
 SPECTRAL_TOL = 1e-10        # rtol = atol of the single-time integrator
+SPECTRAL_MAX_STEPS = 2000   # accepted steps the single-time integrator may take
 FD_STEP_FIRST = 1e-5        # central-difference step, scaled by max(1, |z|)
 
 
@@ -440,7 +441,8 @@ class SingleTimeSolution:
     barycentric formula, so ``jet`` gives the field and the derivatives
     entering the residual at arbitrary (x, t): u_t from the velocity
     slices, u_tt from the barycentric differentiation matrix applied to
-    them (never from the equation), u_xx by wavenumber multiplication.
+    them (never from the equation), u_xx by wavenumber multiplication,
+    all four from one basis exp(i k x) formed once per distinct x.
     """
 
     epsilon: float
@@ -474,25 +476,34 @@ class SingleTimeSolution:
         rows[on] = hit[on]
         return lambda slices: (rows @ slices)[inv.ravel()].reshape(t.shape + (-1,))
 
-    def _trig(self, ch: np.ndarray, x, order: int = 0):
+    def _basis(self, x):
+        """exp(i k x) at x, wavenumbers on a trailing axis; its rows are
+        formed once per distinct x."""
+        flat, inv = np.unique(np.asarray(x, dtype=float), return_inverse=True)
+        rows = np.exp(1j * self._k * flat[:, None])
+        return rows[inv.ravel()].reshape(np.shape(x) + (-1,))
+
+    def _trig(self, ch: np.ndarray, basis: np.ndarray, order: int = 0):
         """The order-th x-derivative of the real field with coefficients ch
-        at x; ch's leading axes broadcast against x's."""
+        at the points of ``basis`` (from ``_basis``); ch's leading axes
+        broadcast against theirs."""
         w = np.full(ch.shape[-1], 2.0)
         w[0] = 1.0
         if self.n_x % 2 == 0:
             w[-1] = 1.0
         fac = (1j * self._k) ** order if order else 1.0
-        waves = np.exp(1j * self._k * np.expand_dims(np.asarray(x, dtype=float), -1))
-        return _unwrap(np.real(np.einsum("...k,...k->...", w * fac * ch, waves)))
+        return _unwrap(np.real(np.einsum("...k,...k->...", w * fac * ch, basis)))
 
     def jet(self, x, t):
-        """(u, u_t, u_tt, u_xx) at x and t, which broadcast together."""
+        """(u, u_t, u_tt, u_xx) at x and t, which broadcast together, from
+        one Fourier basis formed once per distinct x."""
         at = self._interpolant(self._check_t(t))
+        basis = self._basis(x)
         cu = at(self._cu)
-        u, u_xx = self._trig(cu, x), self._trig(cu, x, order=2)
+        u, u_xx = self._trig(cu, basis), self._trig(cu, basis, order=2)
         del cu                  # one coefficient set alive at a time
-        u_t = self._trig(at(self._cv), x)
-        u_tt = self._trig(at(self._ca), x)
+        u_t = self._trig(at(self._cv), basis)
+        u_tt = self._trig(at(self._ca), basis)
         return u, u_t, u_tt, u_xx
 
     def as_field(self) -> FieldFunction:
@@ -505,11 +516,11 @@ class SingleTimeSolution:
 
     def residual_estimate(self, n_probe_x: int = 48, n_probe_t: int = 33) -> float:
         """Max |u_tt - u_xx - eps (u_t - u_t^3)| over an off-grid probe lattice."""
-        xs = np.linspace(0.1, 2.0 * np.pi - 0.1, n_probe_x)
+        basis = self._basis(np.linspace(0.1, 2.0 * np.pi - 0.1, n_probe_x))
         at = self._interpolant(np.linspace(0.0, self.t_final, n_probe_t)[:, None])
         cu, cv, ca = at(self._cu), at(self._cv), at(self._ca)
-        ut = self._trig(cv, xs)
-        r = (self._trig(ca, xs) - self._trig(cu, xs, order=2)
+        ut = self._trig(cv, basis)
+        r = (self._trig(ca, basis) - self._trig(cu, basis, order=2)
              - self.epsilon * (ut - ut ** 3))
         return float(np.max(np.abs(r)))
 
@@ -524,7 +535,8 @@ def integrate_single_time_rayleigh(epsilon: float, u0, v0, t_final: float,
     eps (u_t - u_t^3), with rtol = atol = SPECTRAL_TOL (Lawson, SIAM J.
     Numer. Anal. 4, 1967), and fill ``n_t`` slices at Chebyshev-Lobatto
     times from the continuous extension.  Integrator failure, overflow
-    included, surfaces as CFLViolation without a RuntimeWarning.
+    or more than SPECTRAL_MAX_STEPS steps included, surfaces as
+    CFLViolation without a RuntimeWarning.
     """
     _require_finite(epsilon=epsilon, t_final=t_final)
     if t_final <= 0.0:
@@ -563,7 +575,11 @@ def integrate_single_time_rayleigh(epsilon: float, u0, v0, t_final: float,
     # worth a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            for t, _, dense in _dp45(damping, 0.0, float(t_final), y0, SPECTRAL_TOL, flow):
+            steps = _dp45(damping, 0.0, float(t_final), y0, SPECTRAL_TOL, flow)
+            for n, (t, _, dense) in enumerate(steps, 1):
+                if n > SPECTRAL_MAX_STEPS:
+                    raise CFLViolation(f"time integration failed: {SPECTRAL_MAX_STEPS} "
+                                       f"accepted steps reached only t = {t_old}")
                 upto = np.searchsorted(ts, t, side="right")
                 slices[done:upto] = dense((ts[done:upto] - t_old) / (t - t_old))
                 t_old, done = t, upto

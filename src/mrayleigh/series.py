@@ -74,7 +74,8 @@ class SeriesSolution:
             "alpha1": float(self.alpha[1]),
             "N": int(self.n_terms),
             "alpha": [float(v) for v in self.alpha],
-            "radius_estimate": float(self.radius_estimate),
+            # estimate_radius's inconclusive 0.0 is no radius: null
+            "radius_estimate": float(self.radius_estimate) or None,
         }
 
 

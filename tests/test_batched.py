@@ -29,6 +29,7 @@ from mrayleigh.coefficients import (
     general_coeffs,
     synthesize_structure,
 )
+from mrayleigh.errors import DomainExceeded
 from mrayleigh.geometry import GridSpec
 from mrayleigh.oracle import residual_sweep
 from mrayleigh.series import AffineCoeffs, series_coefficients, series_soliton
@@ -130,3 +131,88 @@ def test_branch_solver_agrees_with_brentq(k1, phi0):
         # leaves any root defined only to that width
         floor = 4.0 * np.finfo(float).eps * max(1.0, abs(tg)) * abs(ref ** 3 - k1 ** 3) / 3.0
         assert abs(g - ref) <= 1e-14 + 8.9e-16 * abs(ref) + floor, (g, ref, w)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def _fitted_antiderivatives(monkeypatch, build):
+    """Each Chebyshev antiderivative that ``build()`` makes, paired with numpy's
+    own series on the coefficients it fitted."""
+    import mrayleigh.closed_form as cf
+    from numpy.polynomial import chebyshev
+
+    fits, pairs = [], []
+    fit, antiderivative = chebyshev.chebinterpolate, cf._cheb_antiderivative
+
+    def spy_fit(fn, deg):
+        fits.append(fit(fn, deg))
+        return fits[-1]
+
+    def spy(fn, lo, hi, anchor):
+        got = antiderivative(fn, lo, hi, anchor)
+        ref = chebyshev.Chebyshev(fits[-1], domain=[lo, hi]).integ(1, lbnd=anchor)
+        pairs.append((got, ref))
+        return got
+
+    monkeypatch.setattr(chebyshev, "chebinterpolate", spy_fit)
+    monkeypatch.setattr(cf, "_cheb_antiderivative", spy)
+    build()
+    return pairs
+
+
+def test_chebyshev_antiderivatives_evaluate_as_numpy_does(monkeypatch):
+    rng = np.random.default_rng(12)
+    a, b, c = rng.uniform(0.5, 2.0, 3)
+    builds = [
+        # the CLI's default quadrature window, where the fit stops at CHEB_MAX_DEGREE
+        lambda: soliton_quadrature(constant_coeffs(1.0, 1.0, b=1.0), K=4.0,
+                                   domain=(-10.0, 10.0)),
+        lambda: soliton_quadrature(constant_coeffs(a, c, b=b), K=rng.uniform(1.0, 3.0),
+                                   domain=(-3.0, 3.0)),
+        lambda: soliton_quadrature(general_coeffs(a=math.exp, c=lambda z: 1.0,
+                                                  b=lambda z: 0.5), K=2.0, domain=(-2.0, 2.0)),
+        lambda: vdp_implicit(EXP_CO, k1=0.0, phi0=rng.uniform(0.68, 0.72), domain=(-4.9, 0.5)),
+        lambda: vdp_implicit(EXP_CO, k1=0.25, phi0=1.0, domain=(-2.0, 2.0)),
+    ]
+    pairs = [p for build in builds for p in _fitted_antiderivatives(monkeypatch, build)]
+    assert max(ref.coef.size for _, ref in pairs) == 1026
+    for got, ref in pairs:
+        zs = np.linspace(*ref.domain, 41)
+        for z in (float(zs[7]), zs[7], zs[7:8], zs, zs[:40].reshape(5, 8)):
+            out, want = got(z), ref(z)
+            assert np.shape(out) == np.shape(want)
+            assert _bits(out) == _bits(want), (ref.coef.size, z)
+
+
+def test_scalar_calls_give_the_bits_of_the_array_call():
+    for name, prof, (lo, hi) in _families():
+        zs = np.concatenate([np.linspace(lo, hi, 23), [0.0, -0.0]])
+        zs = zs[prof.domain.contains(zs)]
+        for fn in (prof.phi, prof.phi_prime, prof.phi_second):
+            stacked = fn(zs)
+            for i, z in enumerate(zs):
+                for arg in (float(z), z):
+                    one = fn(arg)
+                    assert type(one) is float, name
+                    assert _bits(one) == stacked[i].tobytes(), (name, z)
+
+
+def test_scalar_domain_check_words_its_failure_as_the_array_check():
+    def message(fn, z):
+        with pytest.raises(DomainExceeded) as err:
+            fn(z)
+        return str(err.value)
+
+    for name, prof, _ in _families():
+        lo, hi = prof.domain.outer
+        edges = [(e, toward) for e, toward in ((lo, -math.inf), (hi, math.inf))
+                 if math.isfinite(e)]
+        outside = [np.nextafter(e, toward) for e, toward in edges]
+        outside += [toward for _, toward in edges] + [math.nan]
+        for fn in (prof.phi, prof.phi_prime, prof.phi_second):
+            for e, _ in edges:
+                assert type(fn(e)) is float     # the slack edge itself is inside
+            for z in outside:
+                assert message(fn, z) == message(fn, np.array([z])), (name, z)

@@ -9,6 +9,9 @@ import sys
 
 import pytest
 
+from mrayleigh.oracle import SPECTRAL_MAX_STEPS
+from mrayleigh.series import AffineCoeffs, series_coefficients
+
 
 def run_cli(*args, timeout=None):
     return subprocess.run([sys.executable, "-m", "mrayleigh.cli", *args],
@@ -181,11 +184,26 @@ def test_series_overflow_exits_2_naming_the_first_bad_coefficient():
 
 
 def test_series_with_too_short_a_tail_says_the_radius_is_inconclusive():
-    # estimate_radius's 0.0 sentinel is not a radius; the payload keeps it
+    # estimate_radius's 0.0 sentinel is not a radius; the payload says null
     r = run_cli("series", "--coeffs", "0,0,0,1,0,1", "--N", "1")
     assert r.returncode == 0, r.stderr
-    assert json.loads(r.stdout)["radius_estimate"] == 0
+    assert json.loads(r.stdout)["radius_estimate"] is None
     assert "radius estimate inconclusive" in r.stderr
+
+
+@pytest.mark.parametrize("N", ["1", "2"])
+def test_series_inconclusive_radius_is_null_in_the_payload(N, tmp_path):
+    args = ("series", "--coeffs", "0,0,0,1,1,1", "--N", N)
+    r = run_cli(*args, "--out", str(tmp_path), "--format", "both")
+    assert r.returncode == 0, r.stderr
+    assert "radius estimate inconclusive" in r.stderr
+    text = (tmp_path / "series.json").read_text()
+    assert '"radius_estimate":null' in text and json.loads(text)["radius_estimate"] is None
+    rows = (tmp_path / "series.csv").read_text().splitlines()
+    assert rows[0] == "n,alpha_n" and len(rows) == int(N) + 2    # the CSV has no radius
+    # the library keeps its 0.0 sentinel
+    sol = series_coefficients(AffineCoeffs.from_sextuple((0, 0, 0, 1, 1, 1)), 0.0, 1.0, int(N))
+    assert sol.radius_estimate == 0.0
 
 
 def test_decay_exit_codes_and_crossing():
@@ -278,6 +296,17 @@ def test_prolong_rejects_a_non_finite_input_without_hanging(flag, name):
     r = run_cli("prolong", flag, "nan", "--n-x", "32", "--n-t", "11", timeout=30)
     assert r.returncode == 2
     assert f"{name} must be finite" in r.stderr
+
+
+def test_prolong_past_the_step_budget_exits_2_naming_the_step_count():
+    # the cubic damping turns stiff at this amplitude and the steps shrink
+    # toward 1 / (eps v^2) without reaching the float-spacing floor
+    r = run_cli("prolong", "--amplitude", "1e10", "--n-x", "32", "--n-t", "11", "--quiet",
+                timeout=30)
+    assert r.returncode == 2
+    assert f"{SPECTRAL_MAX_STEPS} accepted steps reached only t = " in r.stderr
+    assert "RuntimeWarning" not in r.stderr
+    assert r.stdout == ""
 
 
 def test_prolong_overflow_is_an_error_without_warnings():

@@ -339,3 +339,39 @@ def test_prolonged_jet_gives_the_single_time_residual(m):
     single = u_tt - u_xx - eps * (u_t - u_t ** 3)
     assert np.max(np.abs(single)) >= 1e-7      # the comparison is not of zeros
     assert np.max(np.abs(multi - single)) <= 1e-15
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def _per_point_basis(sol):
+    """exp(i k x) formed afresh at every point, not once per distinct x."""
+    return lambda x: np.exp(1j * sol._k * np.expand_dims(np.asarray(x, dtype=float), -1))
+
+
+def test_jet_on_a_grid_with_repeated_x_equals_the_jet_one_x_at_a_time():
+    sol = integrate_single_time_rayleigh(0.3, lambda x: 0.5 * math.sin(x),
+                                         lambda x: 0.0, 1.0, n_x=64, n_t=21)
+    x = np.repeat(np.linspace(0.1, 6.0, 5), 4)      # each x four times
+    t = np.tile(np.linspace(0.05, 0.95, 4), 5)
+    grid = sol.jet(x, t)
+    for i in range(0, x.size, 4):
+        for g, p in zip(grid, sol.jet(float(x[i]), t[i:i + 4])):
+            assert _bits(p) == g[i:i + 4].tobytes(), x[i]
+    # one point at a time agrees to rounding only: a single t interpolates
+    # through a one-row matrix product, which BLAS rounds otherwise
+    for i in range(x.size):
+        for g, p in zip(grid, sol.jet(float(x[i]), float(t[i]))):
+            assert abs(p - g[i]) <= 1e-15 * max(1.0, abs(g[i]))
+    sol._basis = _per_point_basis(sol)
+    assert all(_bits(g) == _bits(p) for g, p in zip(grid, sol.jet(x, t)))
+
+
+@pytest.mark.parametrize("n_probe", [(48, 33), (7, 6)])
+def test_residual_estimate_is_unchanged_by_the_shared_basis(n_probe):
+    sol = integrate_single_time_rayleigh(0.1, lambda x: 0.1 * math.sin(x),
+                                         lambda x: 0.0, 1.0, n_x=128, n_t=51)
+    shared = sol.residual_estimate(*n_probe)
+    sol._basis = _per_point_basis(sol)
+    assert _bits(sol.residual_estimate(*n_probe)) == _bits(shared)
