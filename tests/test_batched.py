@@ -199,12 +199,17 @@ def test_scalar_calls_give_the_bits_of_the_array_call():
                     assert _bits(one) == stacked[i].tobytes(), (name, z)
 
 
-def test_scalar_domain_check_words_its_failure_as_the_array_check():
+def test_scalar_domain_check_words_its_failure_as_the_array_check(monkeypatch):
+    import mrayleigh.closed_form as cf
+
     def message(fn, z):
         with pytest.raises(DomainExceeded) as err:
             fn(z)
         return str(err.value)
 
+    checks = []
+    check = cf._check_domain
+    monkeypatch.setattr(cf, "_check_domain", lambda dom, z: checks.append(z) or check(dom, z))
     for name, prof, _ in _families():
         lo, hi = prof.domain.outer
         edges = [(e, toward) for e, toward in ((lo, -math.inf), (hi, math.inf))
@@ -214,5 +219,7 @@ def test_scalar_domain_check_words_its_failure_as_the_array_check():
         for fn in (prof.phi, prof.phi_prime, prof.phi_second):
             for e, _ in edges:
                 assert type(fn(e)) is float     # the slack edge itself is inside
+            assert not checks, name             # two float comparisons decided
             for z in outside:
                 assert message(fn, z) == message(fn, np.array([z])), (name, z)
+            checks.clear()
