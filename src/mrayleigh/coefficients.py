@@ -320,7 +320,20 @@ class ReducedCoeffs:
         return self.d(z) * phi * phi * psi
 
     def second(self, z, phi, psi):
-        """phi'' from the solved reduced ODE: (cubic - c psi) / a, with psi = phi'."""
+        """phi'' from the solved reduced ODE: (cubic - c psi) / a, with psi = phi'.
+
+        One phase takes float arithmetic: each coefficient is called once
+        and the products, difference and quotient are formed in the array
+        path's order, so the result has its bits and type.
+        """
+        if isinstance(z, float) or np.ndim(z) == 0:
+            z = float(z)
+            num = (float(self.b_fn(z)) * psi ** 3 if self.variant is Variant.RAYLEIGH
+                   else float(self.d_fn(z)) * phi * phi * psi) - float(self.c_fn(z)) * psi
+            a = float(self.a_fn(z))
+            if abs(a) <= DEGENERACY_TOL:
+                self.a(z)               # raises DegenerateA
+            return num / a
         return (self.cubic(z, phi, psi) - self.c(z) * psi) / self.a(z)
 
 

@@ -10,7 +10,10 @@ constructed profiles is what the test suite certifies.
 
 Both integrating routes take their steps from one Dormand-Prince 5(4)
 stepper in numpy, ``_dp45``: the reduction as it stands, the single-time
-equation in integrating-factor form, so numpy is the only dependency.
+equation in integrating-factor form, so numpy is the only dependency.  Its
+linear combinations stay np.dot, so its steps are scipy RK45's bit for
+bit, and the reduction's right-hand side at one phase takes the float path
+of ReducedCoeffs.second.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ TOL_MAX = 1e-4
 CHAIN_SKIP_TOL = 1e-12      # the chain check skips |phi'| below this
 DECAY_SAMPLES = 2000        # decay_check's samples along the ray
 SPECTRAL_TOL = 1e-10        # rtol = atol of the single-time integrator
+TAU_R_MAX = 1e-4            # a single-time solve past this residual is not trusted
 SPECTRAL_MAX_STEPS = 2000   # accepted steps the single-time integrator may take
 FD_STEP_FIRST = 1e-5        # central-difference step, scaled by max(1, |z|)
 
@@ -81,10 +85,14 @@ _DP_P = np.array([
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+# stage i with its node and its row of A, sliced once
+_DP_STAGES = [(i, _DP_C[i], _DP_A[i, :i]) for i in range(1, 6)]
 
 
 def _rms(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x)) / math.sqrt(x.size)
+    # numpy's norm of a real vector is sqrt(x.dot(x)), without its dispatch
+    norm = np.linalg.norm(x) if x.dtype.kind == "c" else math.sqrt(x.dot(x))
+    return float(norm) / math.sqrt(x.size)
 
 
 def _dp45(fun, t0: float, t1: float, y0: np.ndarray, tol: float, flow=None):
@@ -92,21 +100,27 @@ def _dp45(fun, t0: float, t1: float, y0: np.ndarray, tol: float, flow=None):
 
     The error is the RMS norm against rtol = atol = tol, the first step
     follows Hairer, Norsett & Wanner (Solving ODEs I, II.4), and each step
-    factor is 0.9 err^(-1/5) clamped to [0.2, 10].  The state is a 1-d
-    array, real or complex.  With ``flow`` the steps take integrating-factor
-    (Lawson) form: flow(y, s) advances y exactly by the time s (a scalar,
-    or one per row of y) under a linear part that ``fun`` leaves out, and
-    only fun is stepped.  Yields (t, y, dense) per accepted step, where
-    dense(theta) gives the states at the step fractions theta, one row
-    each, from the continuous extension.  Raises StiffnessFailure when the
-    step falls below ten float spacings at t.
+    factor is 0.9 err^(-1/5) clamped to [0.2, 10].  Each stage, the update,
+    the error estimate and the continuous extension is one np.dot over
+    scipy's operands, so the steps are RK45's bit for bit (a Python sum
+    rounds otherwise, and the error estimate cancels).  The state is a 1-d
+    array, real or complex, stepped as it stands without ``flow``.  With
+    it the steps take integrating-factor (Lawson) form: flow(y, s) advances
+    y exactly by the time s (a scalar, or one per row of y) under a linear
+    part that ``fun`` leaves out, and only fun is stepped.  Yields
+    (t, y, dense) per accepted step, where dense(theta) gives the states at
+    the step fractions theta, one row each, from the continuous extension.
+    Raises StiffnessFailure when the step falls below ten float spacings
+    at t.
     """
-    flow = flow or (lambda y, s: y)
     direction = 1.0 if t1 > t0 else -1.0
-
-    def g(t, s, w):
-        # fun seen from t, in the frame that the flow carries along
-        return flow(fun(t + s, flow(w, s)), -s)
+    if flow is None:
+        def g(t, s, w):
+            return fun(t + s, w)
+    else:
+        def g(t, s, w):
+            # fun seen from t, in the frame that the flow carries along
+            return flow(fun(t + s, flow(w, s)), -s)
 
     t, y = t0, y0
     f = fun(t, y)
@@ -120,8 +134,10 @@ def _dp45(fun, t0: float, t1: float, y0: np.ndarray, tol: float, flow=None):
     h_abs = min(100 * h0, h1, interval)
 
     K = np.empty((7, y.size), dtype=y.dtype)
+    KT = K.T        # slices of it are views that follow K
+    stages = [(i, c, KT[:, :i], row) for i, c, row in _DP_STAGES]
     while t != t1:
-        min_step = 10 * abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while True:
             if h_abs < min_step:
@@ -132,14 +148,14 @@ def _dp45(fun, t0: float, t1: float, y0: np.ndarray, tol: float, flow=None):
             h = t_new - t
             h_abs = abs(h)
             K[0] = f
-            for i in range(1, 6):
-                K[i] = g(t, _DP_C[i] * h, y + np.dot(K[:i].T, _DP_A[i, :i]) * h)
-            w = y + h * np.dot(K[:6].T, _DP_B)
-            y_new = flow(w, h)
+            for i, c, Ki, row in stages:
+                K[i] = g(t, c * h, y + np.dot(Ki, row) * h)
+            w = y + h * np.dot(KT[:, :6], _DP_B)
+            y_new = w if flow is None else flow(w, h)
             f_new = fun(t_new, y_new)
-            K[6] = flow(f_new, -h)
+            K[6] = f_new if flow is None else flow(f_new, -h)
             scale = tol + np.maximum(np.abs(y), np.abs(w)) * tol
-            err = _rms(np.dot(K.T, _DP_E) * h / scale)
+            err = _rms(np.dot(KT, _DP_E) * h / scale)
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
                 h_abs *= min(1, factor) if rejected else factor
@@ -147,10 +163,11 @@ def _dp45(fun, t0: float, t1: float, y0: np.ndarray, tol: float, flow=None):
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             rejected = True
 
-        def dense(theta, t=t, y=y, h=h, Q=np.dot(K.T, _DP_P)):
+        def dense(theta, y=y, h=h, Q=np.dot(KT, _DP_P)):
             theta = np.asarray(theta, dtype=float)
-            p = np.cumprod(np.tile(theta, (4, 1)), axis=0)
-            return flow((y[:, None] + h * np.dot(Q, p)).T, theta * h)
+            p = theta[None].repeat(4, axis=0).cumprod(axis=0)
+            ys = (y[:, None] + h * np.dot(Q, p)).T
+            return ys if flow is None else flow(ys, theta * h)
 
         yield t_new, y_new, dense
         t, y, f = t_new, y_new, f_new
@@ -200,18 +217,22 @@ class IvpSolution:
         return float(self.nodes[0]), float(self.nodes[-1])
 
 
+_QUARTERS = np.array([0.25, 0.5, 0.75])
+
+
 def _integrate_one_way(rhs, z0, z1, y0, tol):
     """One leg of the reduction, with three interior samples per accepted
     step from the continuous extension; blow-up is told from stiffness."""
     zs, ys = [np.array([z0])], [y0[None, :]]
     try:
         for z, y, dense in _dp45(rhs, z0, z1, y0, tol):
-            if np.max(np.abs(y)) >= OVERFLOW_GUARD:
+            phi, psi = y.tolist()
+            if abs(phi) >= OVERFLOW_GUARD or abs(psi) >= OVERFLOW_GUARD:
                 raise BlowUp(f"solution escaped before z = {z1}", z_reached=float(z))
             za = zs[-1][-1]
-            zs.append(za + (z - za) * np.array([0.25, 0.5, 0.75]))
+            zs.append(za + (z - za) * _QUARTERS)
             zs.append(np.array([z]))
-            ys.extend((dense([0.25, 0.5, 0.75]), y[None, :]))
+            ys.extend((dense(_QUARTERS), y[None, :]))
     except StiffnessFailure as e:
         # the step-size controller died; distinguish escape from stiffness
         if np.max(np.abs(ys[-1])) > _BLOWUP_FLOOR:

@@ -1,21 +1,56 @@
-"""Command-line interface, exercised through subprocesses like a user would."""
+"""Command-line interface, exercised through ``cli.main`` in this process.
 
+A fresh interpreter is started only where the process is what is tested:
+the module entry point's exit codes, runs that must end within a timeout,
+and the import of scipy.
+"""
+
+import contextlib
 import csv
 import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from mrayleigh.oracle import SPECTRAL_MAX_STEPS
+from mrayleigh import cli
+from mrayleigh.oracle import SPECTRAL_MAX_STEPS, TAU_R_MAX
 from mrayleigh.series import AffineCoeffs, series_coefficients
 
 
-def run_cli(*args, timeout=None):
+def run_cli(*args):
+    """``cli.main(args)`` as a finished process: its exit code, its stdout,
+    and its stderr with every warning written there as Python would."""
+    out, err = io.StringIO(), io.StringIO()
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        err.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        try:
+            code = cli.main(list(args))
+        except SystemExit as e:
+            code = 0 if e.code is None else e.code
+    return subprocess.CompletedProcess(["mrayleigh", *args], code, out.getvalue(),
+                                       err.getvalue())
+
+
+def spawn_cli(*args, timeout=None):
+    """``python -m mrayleigh.cli`` in a fresh interpreter."""
     return subprocess.run([sys.executable, "-m", "mrayleigh.cli", *args],
                           capture_output=True, text=True, timeout=timeout)
+
+
+def test_the_module_entry_point_exits_with_the_code_main_returns():
+    assert spawn_cli().returncode == 2
+    assert spawn_cli("profile", "--quiet").returncode == 0
+    assert spawn_cli("verify", "--tol", "1e-30", "--quiet").returncode == 1
 
 
 def test_no_subcommand_is_a_usage_error():
@@ -293,7 +328,7 @@ def test_non_finite_inputs_exit_2(args, message):
 def test_prolong_rejects_a_non_finite_input_without_hanging(flag, name):
     # a NaN here once sent the time integrator into an endless loop; a
     # finite run of this size takes about a second
-    r = run_cli("prolong", flag, "nan", "--n-x", "32", "--n-t", "11", timeout=30)
+    r = spawn_cli("prolong", flag, "nan", "--n-x", "32", "--n-t", "11", timeout=30)
     assert r.returncode == 2
     assert f"{name} must be finite" in r.stderr
 
@@ -301,12 +336,26 @@ def test_prolong_rejects_a_non_finite_input_without_hanging(flag, name):
 def test_prolong_past_the_step_budget_exits_2_naming_the_step_count():
     # the cubic damping turns stiff at this amplitude and the steps shrink
     # toward 1 / (eps v^2) without reaching the float-spacing floor
-    r = run_cli("prolong", "--amplitude", "1e10", "--n-x", "32", "--n-t", "11", "--quiet",
-                timeout=30)
+    r = spawn_cli("prolong", "--amplitude", "1e10", "--n-x", "32", "--n-t", "11", "--quiet",
+                  timeout=30)
     assert r.returncode == 2
     assert f"{SPECTRAL_MAX_STEPS} accepted steps reached only t = " in r.stderr
     assert "RuntimeWarning" not in r.stderr
     assert r.stdout == ""
+
+
+def test_prolong_does_not_certify_a_solve_that_misses_its_accuracy_bound():
+    # tau_r is 7.5 here, so 10 x tau_r alone would accept a residual of 75
+    args = ("prolong", "--amplitude", "1e2", "--n-x", "32", "--n-t", "11")
+    r = run_cli(*args)
+    assert r.returncode == 1
+    obj = json.loads(r.stdout)
+    assert obj["verified"] is False
+    assert obj["max_abs"] <= obj["tol"] and obj["tau_r"] > TAU_R_MAX
+    assert r.stderr.startswith("FAILED: ")
+    assert f"over its bound {TAU_R_MAX}" in r.stderr
+    assert run_cli(*args, "--tol", "1e9", "--quiet").returncode == 1
+    assert run_cli("prolong", "--n-x", "32", "--n-t", "11", "--quiet").returncode == 0
 
 
 def test_prolong_overflow_is_an_error_without_warnings():

@@ -81,6 +81,46 @@ def test_degenerate_a_is_guarded_at_evaluation():
         co.a(0.0)
 
 
+_SECOND_SETS = {
+    "constant-rayleigh": constant_coeffs(1.3, 0.7, b=0.4),
+    "constant-vdp": constant_coeffs(1.3, -0.7, d=3.0),
+    "affine": affine_coeffs(0.1, 0.2, -0.3, 1.5, 0.4, 0.9),
+    "general-rayleigh": general_coeffs(math.exp, math.cos, b=lambda z: 0.5),
+    "general-vdp": general_coeffs(math.exp, math.cos, d=lambda z: 3.0),
+}
+
+
+@pytest.mark.parametrize("name", _SECOND_SETS)
+def test_second_at_one_phase_keeps_the_accessor_bits_and_type(name):
+    # one phase takes the float path; the reference is the accessor
+    # expression, and a 1-element array takes the array path
+    co = _SECOND_SETS[name]
+    draw = np.random.default_rng(1980)
+    zs = [0.0, -0.0, 1.0, -2.0, *draw.uniform(-2.0, 2.0, 30)]
+    states = draw.uniform(-2.0, 2.0, (len(zs), 2))
+    states[:2, 1] = -0.0
+    for z, (phi, psi) in zip(zs, states):
+        phases = [float(z), np.float64(z), np.array(z), np.array([z])]
+        if z == int(z):
+            phases.append(int(z))
+        for zz in phases:
+            for p, q in ((phi, psi), (float(phi), float(psi))):
+                got = co.second(zz, p, q)
+                want = (co.cubic(zz, p, q) - co.c(zz) * q) / co.a(zz)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (zz, p, q)
+
+
+def test_second_at_a_degenerate_phase_raises_the_array_message():
+    co = affine_coeffs(1.0, 0.0, 0.0, 0.0, 1.0, 1.0)    # a(z) = z
+    for z in (0.0, -0.0, 5e-11, np.float64(0.0), np.array(0.0), 0):
+        with pytest.raises(DegenerateA) as scalar:
+            co.second(z, 0.5, 0.5)
+        with pytest.raises(DegenerateA) as array:
+            co.second(np.array([z], dtype=float), 0.5, 0.5)
+        assert str(scalar.value) == str(array.value)
+
+
 def test_affine_argument_order_is_slopes_then_constants():
     co = affine_coeffs(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     z = 2.0

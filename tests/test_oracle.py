@@ -16,12 +16,14 @@ from mrayleigh.closed_form import (
     soliton_arcsinh,
     soliton_quadrature,
     vdp_explicit,
+    vdp_implicit,
     with_speed,
 )
 from mrayleigh.coefficients import (
     SpeedVector,
     constant_coeffs,
     constant_structure,
+    general_coeffs,
     prolongation_structure,
     synthesize_structure,
 )
@@ -48,6 +50,7 @@ from mrayleigh.oracle import (
     reduction_ode_residual,
     residual_sweep,
 )
+from mrayleigh.series import AffineCoeffs, series_coefficients, series_soliton
 
 
 def _arcsinh_profile():
@@ -115,12 +118,26 @@ def _draws(family, n):
         a, b, c = rng.uniform(0.8, 1.2, 3)
         if family == "arcsinh":
             yield soliton_arcsinh(a, b, c, rng.uniform(0.5, 2.0)), (-3.0, 3.0)
-        else:
+        elif family == "quadrature":
             yield soliton_quadrature(constant_coeffs(a, c, b=b), rng.uniform(3.0, 5.0),
                                      z0=0.0, domain=(-2.0, 2.0)), (-1.5, 1.5)
+        elif family == "vdp_explicit":
+            yield vdp_explicit(a, c, 3.0 * b, rng.uniform(0.5, 2.0)), (-3.0, 3.0)
+        elif family == "vdp_implicit":
+            # a = c = e^z, the general coefficient kind
+            co = general_coeffs(math.exp, math.exp, d=lambda z, d=2.5 * b: d)
+            yield vdp_implicit(co, 0.0, phi0=rng.uniform(0.8, 1.0),
+                               domain=(-2.0, 2.0)), (-1.5, 0.5)
+        else:
+            # a series under affine coefficients, on its own validity interval
+            ac = AffineCoeffs(*rng.uniform(-0.05, 0.05, 3), a, 0.3 * b, c)
+            p = series_soliton(series_coefficients(ac, rng.uniform(-0.5, 0.5),
+                                                   rng.uniform(0.8, 1.2), 400))
+            yield p, (p.domain.lo, p.domain.hi)
 
 
-@pytest.mark.parametrize("family", ["arcsinh", "quadrature"])
+@pytest.mark.parametrize("family", ["arcsinh", "quadrature", "vdp_explicit",
+                                    "vdp_implicit", "affine_series"])
 def test_integration_takes_scipy_rk45_steps(family):
     # the numpy Dormand-Prince stepper against scipy's RK45 at the same
     # tolerance: the same accepted steps, and the same states at every node
@@ -135,8 +152,9 @@ def test_integration_takes_scipy_rk45_steps(family):
         assert ivp.nodes.size == 4 * (ref.t.size - 1) + 1
         assert np.array_equal(ivp.nodes[::4], ref.t)
         phi, psi = ref.sol(ivp.nodes)
-        # bound fixed beforehand; measured phi 8.9e-16, phi' 1.1e-16 (arcsinh)
-        # and phi 2.2e-16, phi' 1.1e-16 (quadrature)
+        # bound fixed beforehand; measured phi 8.9e-16, phi' 1.1e-16 (arcsinh),
+        # phi 2.2e-16, phi' 1.1e-16 (quadrature), at most 2.2e-16 and 4.4e-16
+        # on the other three
         assert np.max(np.abs(ivp.phi_values - phi)) <= 1e-12
         assert np.max(np.abs(ivp.phi_prime_values - psi)) <= 1e-12
 
