@@ -34,10 +34,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .closed_form import (
+    Interval,
     soliton_arccosh,
     soliton_arcsin,
     soliton_arcsinh,
@@ -353,19 +355,22 @@ def _window(ns, lo, hi):
     return float(given.get("zmin", lo)), float(given.get("zmax", hi))
 
 
-def _sample_window(profile, ns):
-    """Finite z-interval to sample on, kept a guard band inside any finite
-    domain endpoint (derivatives are probed by small steps that must stay
-    inside, and arc-family derivatives are singular at the edge)."""
-    lo, hi = _window(ns, max(profile.domain.lo, -10.0), min(profile.domain.hi, 10.0))
-    dlo, dhi = profile.domain.lo, profile.domain.hi
+def _guarded(domain: Interval) -> Interval:
+    """The domain kept a guard band inside any finite endpoint (derivatives
+    are probed by small steps that must stay inside, and arc-family
+    derivatives are singular at the edge)."""
+    dlo, dhi = domain.lo, domain.hi
     guard = GUARD_BAND
     if math.isfinite(dlo) and math.isfinite(dhi):
         guard = min(GUARD_BAND, 0.05 * (dhi - dlo))
-    if math.isfinite(dlo):
-        lo = max(lo, dlo + guard)
-    if math.isfinite(dhi):
-        hi = min(hi, dhi - guard)
+    return Interval(dlo + guard, dhi - guard)
+
+
+def _sample_window(profile, ns):
+    """Finite z-interval to sample on, inside the guarded domain."""
+    lo, hi = _window(ns, max(profile.domain.lo, -10.0), min(profile.domain.hi, 10.0))
+    inner = _guarded(profile.domain)
+    lo, hi = max(lo, inner.lo), min(hi, inner.hi)
     if not lo < hi:
         raise ValueError(f"empty sampling window [{lo}, {hi}]")
     return float(lo), float(hi)
@@ -444,9 +449,21 @@ def _cmd_verify(ns) -> int:
         chain_ok = bernoulli_chain_check(prof.coeffs, prof, chain_zs, tol=ns.tol)
 
     structure = synthesize_structure(prof.coeffs, ns.m, lam)
-    sweep = residual_sweep(prof, structure, grid, skip_out_of_domain=True)
+    # a given grid may reach a closed endpoint, where phi' is singular: its
+    # phases keep the guard band that the sampling window keeps
+    swept = replace(prof, domain=_guarded(prof.domain)) if ns.grid else prof
+    sweep = residual_sweep(swept, structure, grid, skip_out_of_domain=True)
 
-    verified = (sweep.max_abs <= ns.tol and rep_fd.max_abs <= ns.tol
+    checks = {
+        "ode_analytic_max": rep_an.max_abs,
+        "ode_fd_max": rep_fd.max_abs,
+        "oracle_max_dev": oracle_dev,
+        "chain_ok": chain_ok,
+        "sweep_max": sweep.max_abs,
+    } | ({"oracle_note": oracle_note} if oracle_note else {})
+    # NaN passes no comparison, so it would fail unnamed: name it
+    nan = [k for k, v in checks.items() if isinstance(v, float) and math.isnan(v)]
+    verified = (not nan and sweep.max_abs <= ns.tol and rep_fd.max_abs <= ns.tol
                 and rep_an.max_abs <= ns.tol and oracle_dev <= ns.tol
                 and chain_ok)
     obj = {
@@ -454,21 +471,19 @@ def _cmd_verify(ns) -> int:
         "window": [lo, hi],
         "n": int(ns.n),
         "m": int(ns.m),
-        "checks": {
-            "ode_analytic_max": rep_an.max_abs,
-            "ode_fd_max": rep_fd.max_abs,
-            "oracle_max_dev": oracle_dev,
-            "chain_ok": chain_ok,
-            "sweep_max": sweep.max_abs,
-        } | ({"oracle_note": oracle_note} if oracle_note else {}),
+        "checks": checks | ({"nan": nan} if nan else {}),
         "report": sweep.to_json_dict(),
         "tol": float(ns.tol),
         "verified": verified,
     }
+    if ns.grid:
+        in_domain = np.count_nonzero(prof.domain.contains(lam.z(*grid.arrays())))
+        obj["guard_dropped"] = int(in_domain) - sweep.residuals.size
     _emit(ns, obj, (sweep.csv_header(), list(sweep.csv_rows())))
-    worst = max(sweep.max_abs, rep_an.max_abs, rep_fd.max_abs, oracle_dev)
+    worst = ("NaN in " + ", ".join(nan) if nan else
+             fmt17(max(sweep.max_abs, rep_an.max_abs, rep_fd.max_abs, oracle_dev)))
     _status(ns, f"{'verified' if verified else 'FAILED'}: worst deviation "
-                f"{fmt17(worst)} against tol {fmt17(ns.tol)}, chain "
+                f"{worst} against tol {fmt17(ns.tol)}, chain "
                 f"{'ok' if chain_ok else 'failed'}")
     return 0 if verified else 1
 

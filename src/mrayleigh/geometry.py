@@ -13,8 +13,9 @@ equations verified here read, in residual form,
 with u_a = du/dt^a.  The operator is second order, so every residual reads
 the same 2-jet of u: (u, du/dt^a, d2u/dt^a dt^b, d2u/dx2).  A field is the
 one callable that returns that jet, at one point (x a float, t of shape
-(m,)) or at a stack of N points (x of shape (N,), t of shape (N, m))
-through the same code.  Nothing here differentiates numerically.
+(m,)), at a stack of N points (x of shape (N,), t of shape (N, m)) or at x
+and t that broadcast together, through the same code.  Nothing here
+differentiates numerically.
 """
 
 from __future__ import annotations
@@ -51,7 +52,10 @@ class FieldFunction:
     (x a float, t of shape (m,)) or at a stack of N points (x of shape
     (N,), t of shape (N, m)), indexing t with ``...``: the time gradient
     carries a trailing (m,) axis and the time Hessian a trailing (m, m).
-    ``m`` is the number of times, or None for a field that takes any.
+    x and t may also broadcast together, as x of shape (n_x, 1) and t of
+    shape (1, n_t, 1) in ``check_prolongation``; the jet may return
+    arrays that only broadcast to the points.  ``m`` is the number of
+    times, or None for a field that takes any.
     """
 
     jet: Callable
@@ -84,24 +88,31 @@ def traveling_sine() -> FieldFunction:
     return FieldFunction(jet, m=1)
 
 
-def prolong_field(u1: FieldFunction, m: int) -> FieldFunction:
-    """Lift a single-time field to m times via v(x, t) = u(x, t^1).
-
-    Index-1 slots of the jet hold the single-time derivatives and all
-    others vanish identically.
-    """
+def _require_single_time(u1: FieldFunction, m: int):
     if u1.m not in (None, 1):
         raise DimensionMismatch("can only prolong a single-time field")
     if m < 1:
         raise DimensionMismatch("need m >= 1")
 
+
+def _lift_slots(g1, h1, shape, m: int):
+    """The time gradient and Hessian of v(x, t) = u(x, t^1) over points of
+    ``shape``, from u's single-time ones: index-1 slots hold them and all
+    others vanish."""
+    grad = np.zeros(shape + (m,))
+    grad[..., 0] = g1[..., 0]
+    hess = np.zeros(shape + (m, m))
+    hess[..., 0, 0] = h1[..., 0, 0]
+    return grad, hess
+
+
+def prolong_field(u1: FieldFunction, m: int) -> FieldFunction:
+    """Lift a single-time field to m times via v(x, t) = u(x, t^1)."""
+    _require_single_time(u1, m)
+
     def jet(x, t):
         u, g1, h1, d2x = u1.at(x, t[..., :1])
-        grad = np.zeros(np.shape(t))
-        grad[..., 0] = g1[..., 0]
-        hess = np.zeros(np.shape(t) + (m,))
-        hess[..., 0, 0] = h1[..., 0, 0]
-        return u, grad, hess, d2x
+        return (u, *_lift_slots(g1, h1, np.shape(t)[:-1], m), d2x)
 
     return FieldFunction(jet, m=m)
 
@@ -226,15 +237,19 @@ def box(u: FieldFunction, structure: GeometricStructure, x, t):
                              _hessian(structure, x, t, eta, xi, hess)))
 
 
-def _residual(u: FieldFunction, structure: GeometricStructure, x, t):
-    """h^{ab} u_{ab} - C^g u_g + (cubic term) - u_xx from the jet of u."""
-    x, t, eta, xi, hess, d2x = _jet_at(u, structure, x, t)
+def _assemble(structure: GeometricStructure, x, t, eta, xi, hess, d2x):
+    """h^{ab} u_{ab} - C^g u_g + (cubic term) - u_xx from the jet at (x, t)."""
     h = structure.h(x, t, eta, xi)
     C = structure.c_field(x, t, eta, xi)
-    return _unwrap(np.einsum("...ab,...ab->...", h, hess)
-                   - np.einsum("...g,...g->...", C, xi)
-                   + _cubic_term(structure, x, t, eta, xi)
-                   - d2x)
+    return (np.einsum("...ab,...ab->...", h, hess)
+            - np.einsum("...g,...g->...", C, xi)
+            + _cubic_term(structure, x, t, eta, xi)
+            - d2x)
+
+
+def _residual(u: FieldFunction, structure: GeometricStructure, x, t):
+    """The variant residual from the jet of u."""
+    return _unwrap(_assemble(structure, *_jet_at(u, structure, x, t)))
 
 
 def rayleigh_residual(u: FieldFunction, structure: GeometricStructure, x, t):
@@ -275,25 +290,36 @@ def check_prolongation(u1: FieldFunction, structure: GeometricStructure,
                        grid: GridSpec) -> ResidualReport:
     """Verify that v(x, t) = u1(x, t^1) solves the multitime equation.
 
-    First samples the jet of the prolonged field at every
-    ``max(1, N // 50)``-th grid point and checks the index-1 algebraic
-    condition of ``check_constraint`` there within CONSTRAINT_TOL (raising
+    Reads the jet of u1 once, on the lattice's (x, t^1) axes, and lifts it
+    to every grid point (v is constant along t^2, ..., t^m).  Checks the
+    index-1 algebraic condition of ``check_constraint`` at every
+    ``max(1, N // 50)``-th grid point within CONSTRAINT_TOL (raising
     ConditionViolated on failure), then evaluates the variant residual over
     the whole grid.
     """
     m = structure.m
     if grid.m != m:
         raise DimensionMismatch("grid and structure disagree on m")
-    v = prolong_field(u1, m)
+    _require_single_time(u1, m)
+    xs, t1 = grid.axis_values()[:2]
+    plane = (xs.size, t1.size)
+    lattice = plane + tuple(n for _, _, n in grid.t_axes[1:])
+    u, g1, h1, d2x = u1.at(xs[:, None], t1[None, :, None])
+
+    def lift(v, tail=()):
+        # broadcast over t^2, ..., t^m, then one row per grid point
+        v = np.broadcast_to(v, plane + tail).reshape(plane + (1,) * (m - 1) + tail)
+        return np.broadcast_to(v, lattice + tail).reshape((-1,) + tail)
+
+    grad, hess = _lift_slots(g1, h1, plane, m)
+    eta, xi, hess, d2x = lift(u), lift(grad, (m,)), lift(hess, (m, m)), lift(d2x)
     x, t = grid.arrays()
 
     stride = max(1, x.size // 50)
-    xs, ts = x[::stride], t[::stride]
-    eta, xi, _, _ = v.at(xs, ts)
-    gap = _constraint_gap(structure, xs, ts, eta, xi)
+    gap = _constraint_gap(structure, x[::stride], t[::stride], eta[::stride], xi[::stride])
     if not np.all(np.abs(gap) <= CONSTRAINT_TOL):
         raise ConditionViolated(
             "index-1 condition fails on the sampled jet of the prolonged field")
 
-    residuals = np.broadcast_to(_residual(v, structure, x, t), x.shape)
+    residuals = np.broadcast_to(_assemble(structure, x, t, eta, xi, hess, d2x), x.shape)
     return ResidualReport.from_samples(np.column_stack([x, t]), residuals, grid.labels())

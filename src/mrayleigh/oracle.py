@@ -18,6 +18,7 @@ of ReducedCoeffs.second.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -181,9 +182,14 @@ def _rhs_for(coeffs: ReducedCoeffs):
 
 def _hermite(z: np.ndarray, y: np.ndarray, dy: np.ndarray, derivative: bool = False):
     """The piecewise cubic Hermite interpolant through (z, y) with slopes
-    dy, or its derivative, as a callable over arrays."""
-    def fn(x):
-        i = np.clip(np.searchsorted(z, x, side="right") - 1, 0, z.size - 2)
+    dy, or its derivative, as a callable over arrays.  One phase finds its
+    interval by bisect over the nodes as floats, the index searchsorted
+    gives, and runs the same cubic in float arithmetic: numpy fuses no
+    multiply-add, so the bits are numpy's."""
+    last = z.size - 2
+    zs, ys, dys = z.tolist(), y.tolist(), dy.tolist()
+
+    def cubic(x, z, y, dy, i):
         h = z[i + 1] - z[i]
         s = (x - z[i]) / h
         d0, d1, rise = dy[i] * h, dy[i + 1] * h, y[i + 1] - y[i]
@@ -191,6 +197,14 @@ def _hermite(z: np.ndarray, y: np.ndarray, dy: np.ndarray, derivative: bool = Fa
         if derivative:
             return (d0 + s * (2 * c2 + 3 * s * c3)) / h
         return y[i] + s * (d0 + s * (c2 + s * c3))
+
+    def fn(x):
+        if x.size == 1:     # its shape is all ones, which ndmin restores
+            x1 = x.item()
+            i = min(max(bisect.bisect_right(zs, x1) - 1, 0), last)
+            return np.array(cubic(x1, zs, ys, dys, i), ndmin=x.ndim)
+        i = np.clip(np.searchsorted(z, x, side="right") - 1, 0, last)
+        return cubic(x, z, y, dy, i)
     return fn
 
 
@@ -201,7 +215,8 @@ class IvpSolution:
     ``phi`` and ``phi_prime`` are piecewise cubic Hermite interpolants
     through the nodes, with slopes phi' and phi'' from the ODE, and
     ``phi_second`` is the derivative of the phi' interpolant; like a
-    profile's callables, each raises DomainExceeded for z outside ``span``.
+    profile's callables, each raises DomainExceeded for z outside ``span``,
+    and one phase runs in float arithmetic with the array call's bits.
     """
 
     coeffs: ReducedCoeffs

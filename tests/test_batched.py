@@ -31,7 +31,7 @@ from mrayleigh.coefficients import (
 )
 from mrayleigh.errors import DomainExceeded
 from mrayleigh.geometry import GridSpec
-from mrayleigh.oracle import residual_sweep
+from mrayleigh.oracle import integrate_reduction, residual_sweep
 from mrayleigh.series import AffineCoeffs, series_coefficients, series_soliton
 
 EXP_CO = general_coeffs(a=math.exp, c=math.exp, d=lambda z: 3.0)
@@ -197,6 +197,28 @@ def test_scalar_calls_give_the_bits_of_the_array_call():
                     one = fn(arg)
                     assert type(one) is float, name
                     assert _bits(one) == stacked[i].tobytes(), (name, z)
+    # the fresh integration's interpolants, at and between their nodes
+    for name, prof, (lo, hi) in _families():
+        if name not in ("quadrature", "arcsinh", "vdp-explicit", "vdp-implicit"):
+            continue
+        z0 = 0.5 * (lo + hi)
+        ivp = integrate_reduction(prof.coeffs, prof.phi(z0), prof.phi_prime(z0),
+                                  span=(lo, hi), z0=z0)
+        nodes = ivp.nodes
+        zs = np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1]), ivp.span])
+        for fn in (ivp.phi, ivp.phi_prime, ivp.phi_second):
+            stacked = fn(zs)
+            for i, z in enumerate(zs.tolist()):
+                for arg in (z, np.float64(z)):
+                    one = fn(arg)
+                    assert type(one) is float, name
+                    assert _bits(one) == stacked[i].tobytes(), (name, z)
+            for z in (lo - 0.5, hi + 0.5):
+                with pytest.raises(DomainExceeded) as one:
+                    fn(z)
+                with pytest.raises(DomainExceeded) as stacked:
+                    fn(np.array([z]))
+                assert str(one.value) == str(stacked.value), (name, z)
 
 
 def test_scalar_domain_check_words_its_failure_as_the_array_check(monkeypatch):

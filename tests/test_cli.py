@@ -192,6 +192,51 @@ def test_square_relation_variants_disagree():
     assert obj["checks"]["oracle_max_dev"] is None   # json rendering of inf
 
 
+# phases z = x - t1 - t2 on this grid reach arccosh's closed end z = 1,
+# where phi' is singular
+ENDPOINT_GRID = ("verify", "--family", "arccosh", "--K", "2.718281828459045", "--m", "2",
+                 "--grid=-2:3:11", "--grid=0:0.5:4", "--grid=0:0.5:3")
+
+
+def test_verify_grid_keeps_the_guard_band_of_a_closed_endpoint():
+    # the window's default oracle tolerance misses by 3.75e-6 on arccosh
+    # (ROADMAP item 2), a failure of its own
+    r = run_cli(*ENDPOINT_GRID, "--oracle-tol", "1e-12")
+    assert r.returncode == 0, r.stderr
+    obj = json.loads(r.stdout)
+    assert obj["verified"] is True and obj["guard_dropped"] == 5
+    assert max(x - t1 - t2 for x, t1, t2 in obj["report"]["points"]) <= 0.9
+    r = run_cli(*ENDPOINT_GRID)
+    assert r.returncode == 1
+    checks = json.loads(r.stdout)["checks"]
+    assert checks["sweep_max"] <= 1e-6 and checks["oracle_max_dev"] > 1e-6
+    # the guard band does not rescue a profile that solves nothing
+    r = run_cli("verify", "--family", "vdp-implicit", "--a", "exp", "--c", "exp", "--d", "3",
+                "--phi0", "0.70710678118654752", "--zmin", "-2", "--zmax", "0.2", "--m", "1",
+                "--square-relation", "direct", "--grid=-2:0.4:9", "--grid=0:0.1:3")
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["verified"] is False
+
+
+def test_verify_names_a_nan_residual_as_its_failure(monkeypatch):
+    from mrayleigh.geometry import ResidualReport
+
+    sweep = cli.residual_sweep
+
+    def nan_sweep(*args, **kwargs):
+        rep = sweep(*args, **kwargs)
+        residuals = rep.residuals.copy()
+        residuals[0] = math.nan
+        return ResidualReport.from_samples(rep.points, residuals, rep.labels)
+
+    monkeypatch.setattr(cli, "residual_sweep", nan_sweep)
+    r = run_cli("verify", "--family", "arcsinh", "--m", "2")
+    assert r.returncode == 1
+    checks = json.loads(r.stdout)["checks"]
+    assert checks["nan"] == ["sweep_max"] and checks["sweep_max"] is None
+    assert "NaN in sweep_max" in r.stderr
+
+
 def test_series_subcommand_payload():
     r = run_cli("series", "--coeffs", "0,0,0,1,0,1", "--alpha0", "0",
                 "--alpha1", "1", "--N", "8")

@@ -220,6 +220,42 @@ def test_prolong_field_dimension_guard():
         prolong_field(u3, 4)
 
 
+def test_check_prolongation_keeps_the_single_time_guard():
+    grid = GridSpec((0.0, 1.0, 3), ((0.0, 1.0, 2),) * 3)
+    with pytest.raises(DimensionMismatch, match="can only prolong a single-time field"):
+        check_prolongation(_sin_exp_field(3), prolongation_structure(3, 0.0), grid)
+
+
+@pytest.fixture(scope="module")
+def single_time_fields():
+    from mrayleigh.oracle import integrate_single_time_rayleigh
+    sol = integrate_single_time_rayleigh(0.1, lambda x: 0.1 * math.sin(x), lambda x: 0.0,
+                                         1.0, n_x=32, n_t=21)
+    return {"spectral": (sol.as_field(), 0.1), "sine": (traveling_sine(), 0.0),
+            "stationary": (stationary_solution(0.8, 0.1), 0.5)}
+
+
+@pytest.mark.parametrize("name", ["spectral", "sine", "stationary"])
+@pytest.mark.parametrize("m, later", [(1, 1), (2, 1), (2, 3), (3, 1), (3, 3)])
+@pytest.mark.parametrize("n_x, n_t1", [(7, 5), (1, 5), (7, 1)])
+def test_check_prolongation_gives_the_bits_of_the_pointwise_residual(
+        single_time_fields, name, m, later, n_x, n_t1):
+    # the reference evaluates the prolonged field at every grid point
+    u1, eps = single_time_fields[name]
+    st = prolongation_structure(m, eps)
+    grid = GridSpec((0.0, 2.0 * math.pi, n_x),
+                    ((0.05, 0.95, n_t1),) + ((0.0, 1.0, later),) * (m - 1))
+    x, t = grid.arrays()
+    ref = ResidualReport.from_samples(
+        np.column_stack([x, t]),
+        np.broadcast_to(rayleigh_residual(prolong_field(u1, m), st, x, t), x.shape),
+        grid.labels())
+    rep = check_prolongation(u1, st, grid)
+    assert rep.points.tobytes() == ref.points.tobytes()
+    assert rep.residuals.tobytes() == ref.residuals.tobytes()
+    assert (rep.max_abs, rep.rms, rep.labels) == (ref.max_abs, ref.rms, ref.labels)
+
+
 def test_reversibility_fails_on_a_nan_c_field():
     st = replace(constant_structure(np.eye(2)),
                  c_field=lambda x, t, eta, xi: np.full(2, math.nan))
