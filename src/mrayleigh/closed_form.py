@@ -248,12 +248,10 @@ def _positive_run(zs: np.ndarray, vals: np.ndarray, z0: float):
     i0 = int(np.argmin(np.abs(zs - z0)))
     if vals[i0] <= 0.0:
         return None
-    lo_i = i0
-    while lo_i > 0 and vals[lo_i - 1] > 0.0:
-        lo_i -= 1
-    hi_i = i0
-    while hi_i < len(zs) - 1 and vals[hi_i + 1] > 0.0:
-        hi_i += 1
+    stops = np.flatnonzero(~(vals > 0.0))      # NaN samples end the run too
+    before, after = stops[stops < i0], stops[stops > i0]
+    lo_i = int(before[-1]) + 1 if before.size else 0
+    hi_i = int(after[0]) - 1 if after.size else len(zs) - 1
     shrunk_lo = lo_i > 0
     shrunk_hi = hi_i < len(zs) - 1
     if shrunk_lo and lo_i + 1 < hi_i:
@@ -368,26 +366,35 @@ def _arc_family(family, a, b, c, K, r, sigma, lam) -> SolitonProfile:
         edge = (a / c) * math.log(K)
         dom = Interval(-math.inf, edge) if (rate > 0) == (g > 0) else Interval(edge, math.inf)
 
+    log_2k = math.log(2.0) + math.log(K)
+
     def w(z):
-        ww = K * np.exp(-rate * z)
-        with np.errstate(over="ignore"):    # phi_prime handles rad = inf
+        with np.errstate(over="ignore"):    # the callers handle w = inf and rad = inf
+            ww = K * np.exp(-rate * z)
             rad = g * ww * ww + s
         return ww, rad, rad <= 0.0
 
     def phi(z):
         ww, _, at_edge = w(z)
-        return amp * arc(np.where(at_edge, 1.0, ww)) + r
+        val = amp * arc(np.where(at_edge, 1.0, ww)) + r
+        huge = np.isinf(ww)     # arccosh w = arcsinh w = ln 2w in double there
+        if huge.any():
+            val[huge] = amp * (log_2k - rate * z[huge]) + r
+        return val
 
     def phi_prime(z):
         ww, rad, at_edge = w(z)
-        val = -sigma * sq * ww / np.sqrt(np.where(at_edge, 1.0, rad))
         big = np.isinf(rad)
+        val = -sigma * sq * ww / np.sqrt(np.where(at_edge | big, 1.0, rad))
         if big.any():
             val[big] = -sigma * sq / np.sqrt(g + s * (1.0 / ww[big]) ** 2)
         return np.where(at_edge, -sigma * math.inf, val)
 
     def phi_second(z):
         ww, rad, at_edge = w(z)
+        huge = np.isinf(ww)
+        if huge.any():
+            ww[huge] = 0.0      # phi'' ~ w^-2 underflows to a signed zero there
         val = s * sigma * sq * rate * ww * np.where(at_edge, 1.0, rad) ** -1.5
         return np.where(at_edge, s * sigma * rate * math.inf, val)
 

@@ -56,7 +56,12 @@ CONSISTENCY_SAMPLES, CONSISTENCY_SEED, CONSISTENCY_Z_RANGE = 100, 0, (-2.0, 2.0)
 
 def _unwrap(v):
     """A 0-d result as a Python float; stacked results stay arrays."""
-    return float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
+    return float(v) if isinstance(v, float) or np.ndim(v) == 0 else np.asarray(v, dtype=float)
+
+
+def _lead(z) -> tuple:
+    """The leading axes of a phase: () for one point, z.shape for a stack."""
+    return () if isinstance(z, float) else z.shape
 
 
 def _first(z, bad) -> float:
@@ -112,11 +117,18 @@ class SpeedVector:
 
     def dot(self, t):
         """lambda_alpha t^alpha: a float for t of shape (m,), (N,) for (N, m)."""
-        return _unwrap(np.asarray(t, dtype=float) @ self.values)
+        v = np.asarray(t, dtype=float) @ self.values
+        return float(v) if v.ndim == 0 else v
 
     def z(self, x, t):
-        """Traveling-wave phase x - lambda_alpha t^alpha, one or stacked."""
-        return _unwrap(np.asarray(x, dtype=float) - self.dot(t))
+        """Traveling-wave phase x - lambda_alpha t^alpha, one or stacked.
+
+        One point (x a float, t of shape (m,)) takes float arithmetic.
+        """
+        d = self.dot(t)
+        if isinstance(x, float) and isinstance(d, float):
+            return float(x) - d
+        return _unwrap(np.asarray(x, dtype=float) - d)
 
     def to_json(self):
         return [float(v) for v in self.values]
@@ -290,6 +302,8 @@ class ReducedCoeffs:
 
     def a(self, z):
         val = self._apply(self.a_fn, z)
+        if isinstance(val, float) and not abs(val) <= DEGENERACY_TOL:
+            return val
         bad = np.abs(val) <= DEGENERACY_TOL
         if np.any(bad):
             raise DegenerateA(f"a({_first(z, bad)}) = {_first(val, bad)} "
@@ -513,13 +527,13 @@ def reduce(structure: GeometricStructure, lam: SpeedVector,
 
     def jet(z):
         if probe is None:
-            return 0.0, np.zeros(z.shape + (structure.m,))
+            return 0.0, np.zeros(_lead(z) + (structure.m,))
         return probe.phi(z), np.multiply.outer(probe.phi_prime(z), -lam.values)
 
     def coeff(name):
         def fn(z):
-            z = np.asarray(z, dtype=float)
-            return _contraction(structure, lam, name, z, np.zeros(z.shape + (structure.m,)),
+            z = _unwrap(z)      # one phase reaches the fields as x a float
+            return _contraction(structure, lam, name, z, np.zeros(_lead(z) + (structure.m,)),
                                 *jet(z))
         return fn
 
@@ -559,10 +573,12 @@ def synthesize_structure(target: ReducedCoeffs, m: int, lam: SpeedVector) -> Geo
     if lam1 == 0.0:
         raise ZeroLeadingSpeed("canonical synthesis needs lambda_1 != 0")
     rest = float(np.dot(lam.values[1:], lam.values[1:]))
+    eye = np.eye(m)
 
     def h(x, t, eta, xi):
         z = lam.z(x, t)
-        out = np.broadcast_to(np.eye(m), np.shape(z) + (m, m)).copy()
+        out = np.empty(_lead(z) + (m, m))
+        out[...] = eye
         out[..., 0, 0] = (target.a(z) + 1.0 - rest) / (lam1 * lam1)
         return out
 
@@ -570,7 +586,7 @@ def synthesize_structure(target: ReducedCoeffs, m: int, lam: SpeedVector) -> Geo
         """The rank-``rank`` field supported on its (1, ..., 1) slot, coeff(z) / scale."""
         def field(x, t, eta, xi):
             z = lam.z(x, t)
-            out = np.zeros(np.shape(z) + (m,) * rank)
+            out = np.zeros(_lead(z) + (m,) * rank)
             out[(...,) + (0,) * rank] = coeff(z) / scale
             return out
         return field

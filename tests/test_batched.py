@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 
 from mrayleigh.closed_form import (
     _first_integral_antiderivative,
+    _positive_run,
     _solve_branch,
     soliton_arccosh,
     soliton_arcsin,
@@ -25,11 +26,13 @@ from mrayleigh.closed_form import (
 from mrayleigh.coefficients import (
     SpeedVector,
     Variant,
+    affine_coeffs,
     constant_coeffs,
     general_coeffs,
+    reduce,
     synthesize_structure,
 )
-from mrayleigh.errors import DomainExceeded
+from mrayleigh.errors import DegenerateA, DomainExceeded
 from mrayleigh.geometry import GridSpec
 from mrayleigh.oracle import integrate_reduction, residual_sweep
 from mrayleigh.series import AffineCoeffs, series_coefficients, series_soliton
@@ -245,3 +248,95 @@ def test_scalar_domain_check_words_its_failure_as_the_array_check(monkeypatch):
             for z in outside:
                 assert message(fn, z) == message(fn, np.array([z])), (name, z)
             checks.clear()
+
+
+def _targets(rng):
+    """Constant, affine and general targets of both variants."""
+    a0, b0, c0, a1, b1, c1 = rng.uniform(0.5, 2.0, 6)
+    return [
+        constant_coeffs(a0, c0, b=b0),
+        constant_coeffs(a0, c0, d=b0),
+        affine_coeffs(0.1 * a1, b1, c1, a0 + 1.0, b0, c0),
+        general_coeffs(a=lambda z: a0 * math.exp(z) + 0.5, c=math.cos, d=lambda z: b0 * z),
+        general_coeffs(a=lambda z: a0 * math.exp(0.3 * z) + 0.1, c=math.cos, b=math.sin),
+    ]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_one_phase_of_a_reduced_structure_gives_the_bits_of_the_array_call(m):
+    rng = np.random.default_rng(40 + m)
+    lam = SpeedVector(rng.uniform(0.3, 1.5, m) * rng.choice([-1.0, 1.0], m))
+    probe = soliton_arcsinh(1.0, 1.0, 1.0, 1.0, lam=lam)
+    zs = np.concatenate([rng.uniform(-2.0, 2.0, 9), [0.0, -0.0]])
+    for target in _targets(rng):
+        st = synthesize_structure(target, m, lam)
+        for red in (reduce(st, lam), reduce(st, lam, probe)):
+            for k in ("a", "c", "b" if target.variant is Variant.RAYLEIGH else "d"):
+                fn = getattr(red, k)
+                stacked = fn(zs)
+                for i, z in enumerate(zs):
+                    for arg in (float(z), z):
+                        one = fn(arg)
+                        assert type(one) is float, (k, target.kind)
+                        assert _bits(one) == stacked[i].tobytes(), (k, target.kind, z)
+        # the synthesized fields at one point against the same point as a stack
+        # of one: several rows of t @ lambda go through BLAS, which rounds
+        # otherwise for m >= 2
+        x, t = rng.uniform(-2.0, 2.0, 7), rng.uniform(-1.0, 1.0, (7, m))
+        eta, xi = rng.uniform(-1.0, 1.0, 7), rng.uniform(-1.0, 1.0, (7, m))
+        for f in (st.h, st.gamma, st.c_field, st.b_field or st.d_field):
+            for i in range(x.size):
+                one = f(float(x[i]), t[i], float(eta[i]), xi[i])
+                row = f(x[i:i + 1], t[i:i + 1], eta[i:i + 1], xi[i:i + 1])
+                assert _bits(one) == _bits(row[0] if f is not st.gamma else row), (f, i)
+    for i in range(x.size):
+        assert _bits(lam.dot(t[i])) == _bits(lam.dot(t[i:i + 1]))
+        for arg in (float(x[i]), x[i]):
+            one = lam.z(arg, t[i])
+            assert type(one) is float and _bits(one) == _bits(lam.z(x[i:i + 1], t[i:i + 1]))
+
+
+def test_one_phase_words_a_degenerate_a_as_the_array_call():
+    def message(fn, z):
+        with pytest.raises(DegenerateA) as err:
+            fn(z)
+        return str(err.value)
+
+    lam = SpeedVector(np.array([0.8, 0.5]))
+    target = affine_coeffs(1.0, 0.0, 1.0, -0.5, 1.0, 0.0)           # a(0.5) = 0
+    for rc in (target, reduce(synthesize_structure(target, 2, lam), lam),
+               constant_coeffs(1e-11, 1.0, d=1.0)):
+        for z in (0.5, np.float64(0.5)):
+            assert message(rc.a, z) == message(rc.a, np.array([z])), rc.kind
+
+
+def _positive_run_loops(zs, vals, z0):
+    """The two while loops _positive_run replaced, kept as its reference."""
+    i0 = int(np.argmin(np.abs(zs - z0)))
+    if vals[i0] <= 0.0:
+        return None
+    lo_i = i0
+    while lo_i > 0 and vals[lo_i - 1] > 0.0:
+        lo_i -= 1
+    hi_i = i0
+    while hi_i < len(zs) - 1 and vals[hi_i + 1] > 0.0:
+        hi_i += 1
+    shrunk_lo = lo_i > 0
+    shrunk_hi = hi_i < len(zs) - 1
+    if shrunk_lo and lo_i + 1 < hi_i:
+        lo_i += 1
+    if shrunk_hi and hi_i - 1 > lo_i:
+        hi_i -= 1
+    return float(zs[lo_i]), float(zs[hi_i]), shrunk_lo, shrunk_hi
+
+
+def test_positive_run_is_the_two_loop_scan():
+    rng = np.random.default_rng(7)
+    samples = np.array([1.0, 0.5, 0.0, -0.0, -1.0, math.nan])
+    for _ in range(10_000):
+        n = int(rng.integers(1, 41))
+        zs = np.linspace(-1.0, 1.0, n)
+        # mostly positive, so runs are long enough to shrink
+        vals = samples[rng.choice(samples.size, n, p=[0.5, 0.2, 0.1, 0.05, 0.1, 0.05])]
+        z0 = rng.choice([rng.uniform(-1.2, 1.2), -3.0, 3.0])      # anchors off the scan too
+        assert _positive_run(zs, vals, z0) == _positive_run_loops(zs, vals, z0), (vals, z0)

@@ -307,6 +307,26 @@ def test_decay_exit_codes_and_crossing():
     assert json.loads(falls.stdout)["limit_metadata"]["stated_limit"] == 0.0
 
 
+@pytest.mark.parametrize("family", ["arcsinh", "arccosh"])
+def test_arc_families_stay_finite_where_w_overflows(family):
+    # w = K e^{-(c/a) z} overflows below z = -709.78, where phi = ln 2w - ...
+    window = ("--zmin", "-800", "--zmax", "-700")
+    r = run_cli("profile", "--family", family, *window, "--n", "3", "--format", "csv")
+    assert r.returncode == 0 and "Warning" not in r.stderr, r.stderr
+    rows = list(csv.DictReader(io.StringIO(r.stdout)))
+    assert [float(row["phi"]) for row in rows] == [800.69314718055989, 750.69314718055989,
+                                                   700.69314718055989]
+    assert [float(row["phi_prime"]) for row in rows] == [-1.0] * 3
+
+    r = run_cli("verify", "--family", family, *window, "--quiet")
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+    assert json.loads(r.stdout)["verified"] is True
+
+    r = run_cli("decay", "--family", family, "--direction", "1", "--threshold", "1e300")
+    assert r.returncode == 0 and "Warning" not in r.stderr, r.stderr
+    assert json.loads(r.stdout)["final_value"] == 1000.6931471805599
+
+
 def test_quiet_silences_the_status_line():
     r = run_cli("profile", "--family", "arcsinh", "--a", "1", "--b", "1",
                 "--c", "1", "--K", "1", "--quiet")

@@ -112,6 +112,22 @@ def test_arc_slope_survives_an_overflowing_radicand(make):
         assert p.phi_prime(np.array([-400.0]))[0] == -1.0
 
 
+@pytest.mark.parametrize("make", [soliton_arcsinh, soliton_arccosh])
+def test_arc_profile_stays_finite_past_exp_overflow(make):
+    # w = e^{-z} overflows below z = -709.78; there arccosh w = arcsinh w = ln 2w
+    p = make(1.0, 1.0, 1.0, 1.0, r=0.5)
+    arc = np.arcsinh if make is soliton_arcsinh else np.arccosh
+    zs = np.array([-700.0, -710.0, -800.0, -1e5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi, d1, d2 = p.phi(zs), p.phi_prime(zs), p.phi_second(zs)
+        assert [p.phi(z) for z in zs] == phi.tolist()
+    assert phi[0] == arc(np.exp(700.0)) + 0.5           # w finite: bits unchanged
+    assert phi[1:].tolist() == [math.log(2.0) - z + 0.5 for z in zs[1:]]
+    assert d1.tolist() == [-1.0] * 4
+    assert d2[1:].tolist() == [0.0] * 3 and abs(d2[0]) <= 1e-300
+
+
 def test_arcsin_domain_and_values():
     p = soliton_arcsin(1.0, -1.0, 1.0, 1.0)
     assert p.domain.lo == 0.0 and p.domain.hi == math.inf
