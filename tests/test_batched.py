@@ -251,7 +251,8 @@ def test_scalar_domain_check_words_its_failure_as_the_array_check(monkeypatch):
 
 
 def _targets(rng):
-    """Constant, affine and general targets of both variants."""
+    """Constant and general targets of both variants, and an affine Rayleigh one
+    (affine coefficients are Rayleigh only)."""
     a0, b0, c0, a1, b1, c1 = rng.uniform(0.5, 2.0, 6)
     return [
         constant_coeffs(a0, c0, b=b0),
