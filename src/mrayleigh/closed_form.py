@@ -34,9 +34,11 @@ on a reported validity interval.  Families:
 Profiles carry phi, phi' and phi''.  The arc families, ``vdp_explicit``
 and ``series`` differentiate their closed form; ``quadrature`` reads phi''
 off the solved ODE (``ReducedCoeffs.second``); ``vdp_implicit`` applies the
-chain rule to its first integral, with a central difference of d/a.  Each
+chain rule to its first integral, with (d/a)' = -(c/a)(d/a).  Each
 callable checks its domain, then takes z of shape (N,) and returns an array
-of the same shape, or a Python float for a scalar z.  The Chebyshev
+of the same shape, or a Python float for a scalar z.  A phase's value never
+depends on the other phases in its call: no multi-row BLAS product runs
+across them, and integer powers are written as products.  The Chebyshev
 antiderivatives run numpy's chebval recurrence on Python floats for one
 phase, with numpy's bits.  Lifting to a multitime field via
 ``as_multitime`` uses the chain rule du/dt^a = -lambda_a phi'.
@@ -179,7 +181,7 @@ CHEB_MAX_DEGREE = 1024      # Chebyshev antiderivatives stop doubling here
 QUADRATURE_SCAN = 4001      # domain-search points of soliton_quadrature
 VDP_SCAN = 2001             # domain-search points of vdp_implicit
 COMPAT_TOL = 1e-6           # vdp_implicit's sampled check of (a/d)' = c/d
-COMPAT_STEP = 1e-6          # vdp_implicit's central-difference step on a, d and d/a
+COMPAT_STEP = 1e-6          # _check_compatibility's central-difference step on a and d
 
 
 def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float):
@@ -469,7 +471,7 @@ def _solve_branch(L, k1: float, side: float, far_scale: float, target):
     decades.  An element stops when its step or its bracket is within
     xtol + rtol |phi|, and is polished by one last Newton step.
     """
-    unit = max(1.0, abs(k1))
+    unit, k3 = max(1.0, abs(k1)), k1 * k1 * k1
     near = np.full(target.shape, 1e-3 * unit)
     while np.any(high := L(k1 + side * near) > target):
         near = np.where(high, near / 8.0, near)
@@ -489,7 +491,7 @@ def _solve_branch(L, k1: float, side: float, far_scale: float, target):
         root = k1 + side * s
         f = L(root) - target
         lo, hi = np.where(f <= 0.0, s, lo), np.where(f >= 0.0, s, hi)
-        step = side * f * (root ** 3 - k1 ** 3) / 3.0
+        step = side * f * (root * root * root - k3) / 3.0
         tol = _XTOL + _RTOL * np.abs(root)
         finish = ~done & ((np.abs(step) <= tol) | (hi - lo <= tol))
         newton = finish | ((s - step > lo) & (s - step < hi) & (np.abs(step) < 0.5 * moved))
@@ -501,7 +503,7 @@ def _solve_branch(L, k1: float, side: float, far_scale: float, target):
     else:
         raise NoBracket(f"branch root not found in {_MAXITER} steps")
     root = k1 + side * s
-    denom = root ** 3 - k1 ** 3
+    denom = root * root * root - k3
     return np.where(denom != 0.0, root - (L(root) - target) * denom / 3.0, root)
 
 
@@ -543,25 +545,25 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
     H = _cheb_antiderivative(lambda s: coeffs.d(s) / coeffs.a(s), lo, hi, z0)
     zs = np.linspace(lo, hi, VDP_SCAN)
 
-    def ratio(z):
-        return coeffs.d(z) / coeffs.a(z)
+    k3 = k1 * k1 * k1
 
-    # phi' from the first integral, and its derivative; k1 = 0 included
-    def prime_from(p, z):
-        return ratio(z) * (p ** 3 - k1 ** 3) / 3.0
+    # phi' from the first integral with r = d/a, and its derivative, in which
+    # r' = -(c/a) r follows from the compatibility relation; k1 = 0 included
+    def prime_from(p, r):
+        return r * (p * p * p - k3) / 3.0
 
-    def second_from(p, z, dp):
-        return (_central(ratio, z, COMPAT_STEP) * (p ** 3 - k1 ** 3) / 3.0
-                + ratio(z) * p * p * dp)
+    def second_from(p, r, dr, dp):
+        return dr * (p * p * p - k3) / 3.0 + r * p * p * dp
 
     def profile(params, dom, phi, prime_from, second_from):
-        """The profile whose phi' and phi'' reuse one evaluation of phi."""
+        """The profile whose phi' and phi'' reuse one phi and one d/a."""
         def phi_prime(z):
-            return prime_from(phi(z), z)
+            return prime_from(phi(z), coeffs.d(z) / coeffs.a(z))
 
         def phi_second(z):
-            p = phi(z)
-            return second_from(p, z, prime_from(p, z))
+            p, a = phi(z), coeffs.a(z)
+            r = coeffs.d(z) / a
+            return second_from(p, r, -(coeffs.c(z) / a) * r, prime_from(p, r))
 
         params = {**params, "z0": float(z0), "phi0": phi0,
                   "coeffs": _coeffs_payload(coeffs)}
@@ -596,12 +598,11 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
             return profile(params, dom, phi, prime_from, second_from)
 
         # the negative control differentiates its own relation
-        def direct_prime(p, z):
-            return -ratio(z) / (3.0 * p)
+        def direct_prime(p, r):
+            return -r / (3.0 * p)
 
-        def direct_second(p, z, dp):
-            return (-_central(ratio, z, COMPAT_STEP) / (3.0 * p)
-                    + ratio(z) * dp / (3.0 * p * p))
+        def direct_second(p, r, dr, dp):
+            return -dr / (3.0 * p) + r * dp / (3.0 * p * p)
 
         return profile(params, dom, phi, direct_prime, direct_second)
 

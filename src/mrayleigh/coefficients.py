@@ -116,8 +116,9 @@ class SpeedVector:
         return self.values.size
 
     def dot(self, t):
-        """lambda_alpha t^alpha: a float for t of shape (m,), (N,) for (N, m)."""
-        v = np.asarray(t, dtype=float) @ self.values
+        """lambda_alpha t^alpha: a float for t of shape (m,), (N,) for (N, m),
+        each row summed as one point is (BLAS sums a multi-row @ otherwise)."""
+        v = np.einsum("...a,a->...", np.asarray(t, dtype=float), self.values)
         return float(v) if v.ndim == 0 else v
 
     def z(self, x, t):
@@ -330,24 +331,11 @@ class ReducedCoeffs:
         Van der Pol term reads ``phi``.
         """
         if self.variant is Variant.RAYLEIGH:
-            return self.b(z) * psi ** 3
+            return self.b(z) * (psi * psi * psi)
         return self.d(z) * phi * phi * psi
 
     def second(self, z, phi, psi):
-        """phi'' from the solved reduced ODE: (cubic - c psi) / a, with psi = phi'.
-
-        One phase takes float arithmetic: each coefficient is called once
-        and the products, difference and quotient are formed in the array
-        path's order, so the result has its bits and type.
-        """
-        if isinstance(z, float) or np.ndim(z) == 0:
-            z = float(z)
-            num = (float(self.b_fn(z)) * psi ** 3 if self.variant is Variant.RAYLEIGH
-                   else float(self.d_fn(z)) * phi * phi * psi) - float(self.c_fn(z)) * psi
-            a = float(self.a_fn(z))
-            if abs(a) <= DEGENERACY_TOL:
-                self.a(z)               # raises DegenerateA
-            return num / a
+        """phi'' from the solved reduced ODE: (cubic - c psi) / a, with psi = phi'."""
         return (self.cubic(z, phi, psi) - self.c(z) * psi) / self.a(z)
 
 
@@ -594,7 +582,7 @@ def synthesize_structure(target: ReducedCoeffs, m: int, lam: SpeedVector) -> Geo
     gamma = _constant_field(np.zeros((m, m, m)))
     if target.variant is Variant.RAYLEIGH:
         return GeometricStructure(m=m, h=h, gamma=gamma, c_field=leading(target.c, lam1, 1),
-                                  b_field=leading(target.b, lam1 ** 3, 3))
+                                  b_field=leading(target.b, lam1 * lam1 * lam1, 3))
     return GeometricStructure(m=m, h=h, gamma=gamma, c_field=leading(target.c, lam1, 1),
                               d_field=leading(target.d, lam1, 1))
 

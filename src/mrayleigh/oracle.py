@@ -12,8 +12,9 @@ Both integrating routes take their steps from one Dormand-Prince 5(4)
 stepper in numpy, ``_dp45``: the reduction as it stands, the single-time
 equation in integrating-factor form, so numpy is the only dependency.  Its
 linear combinations stay np.dot, so its steps are scipy RK45's bit for
-bit, and the reduction's right-hand side at one phase takes the float path
-of ReducedCoeffs.second.
+bit; they combine stages, not points.  A point's value never depends on
+the other points in its call: no multi-row BLAS product runs across
+points, and integer powers are written as products.
 """
 
 from __future__ import annotations
@@ -325,13 +326,13 @@ def bernoulli_chain_check(coeffs: ReducedCoeffs, profile, samples,
 
     def psi_xi(s):
         p = _along(profile.phi_prime, s)
-        return np.stack([p, p ** -2])
+        return np.stack([p, 1.0 / (p * p)])
 
     # one difference of the pair reads phi' twice per sample
     dpsi, dxi = _central(psi_xi, z, FD_STEP_FIRST)
-    if not np.all(np.abs(dpsi + (c / a) * psi - (b / a) * psi ** 3) <= tol):
+    if not np.all(np.abs(dpsi + (c / a) * psi - (b / a) * (psi * psi * psi)) <= tol):
         return False
-    if not np.all(np.abs(dxi - 2.0 * (c / a) * psi ** -2 + 2.0 * (b / a)) <= tol):
+    if not np.all(np.abs(dxi - 2.0 * (c / a) / (psi * psi) + 2.0 * (b / a)) <= tol):
         return False
     if flat.any():
         warnings.warn(f"{np.count_nonzero(flat)} samples skipped where |phi'| < {CHAIN_SKIP_TOL}",
@@ -430,7 +431,7 @@ def decay_check(profile: SolitonProfile, direction, threshold: float = 1e-3,
         raise BadParameters(f"direction must be finite, got {direction.tolist()}")
     if direction.size != profile.lam.m:
         raise BadParameters("direction length must match the number of times")
-    rate = float(np.dot(profile.lam.values, direction))
+    rate = profile.lam.dot(direction)
     if rate == 0.0:
         raise BadParameters("phase is constant along this direction")
     s = np.linspace(0.0, horizon, DECAY_SAMPLES)
@@ -500,7 +501,9 @@ class SingleTimeSolution:
 
     def _interpolant(self, t):
         """Interpolation of coefficient slices to the times t, coefficients
-        on a trailing axis; its rows are formed once per distinct t."""
+        on a trailing axis; its rows are formed once per distinct t and each
+        multiplies the slices alone, as BLAS rounds a multi-row product
+        otherwise (an einsum costs more)."""
         nodes, w = _lobatto(len(self._cu), self.t_final)
         flat, inv = np.unique(t, return_inverse=True)
         d = flat[:, None] - nodes
@@ -510,7 +513,7 @@ class SingleTimeSolution:
         hit = d == 0
         on = hit.any(axis=1)
         rows[on] = hit[on]
-        return lambda slices: (rows @ slices)[inv.ravel()].reshape(t.shape + (-1,))
+        return lambda slices: (rows[:, None] @ slices)[inv.ravel(), 0].reshape(t.shape + (-1,))
 
     def _basis(self, x):
         """exp(i k x) at x, wavenumbers on a trailing axis; its rows are
@@ -557,7 +560,7 @@ class SingleTimeSolution:
         cu, cv, ca = at(self._cu), at(self._cv), at(self._ca)
         ut = self._trig(cv, basis)
         r = (self._trig(ca, basis) - self._trig(cu, basis, order=2)
-             - self.epsilon * (ut - ut ** 3))
+             - self.epsilon * (ut - ut * ut * ut))
         return float(np.max(np.abs(r)))
 
 
@@ -599,7 +602,7 @@ def integrate_single_time_rayleigh(epsilon: float, u0, v0, t_final: float,
 
     def damping(t, y):
         v = np.fft.irfft(y[n_k:], n_x, norm="forward")
-        nv = np.fft.rfft(epsilon * (v - v ** 3), norm="forward")
+        nv = np.fft.rfft(epsilon * (v - v * v * v), norm="forward")
         if not np.all(np.isfinite(nv)):
             raise CFLViolation(f"time integration failed: the state overflowed at t = {t}")
         return np.concatenate([np.zeros(n_k), nv])

@@ -1,8 +1,9 @@
 """The batched evaluation core against pointwise references.
 
 Profiles, fields and structures evaluate a whole stack of points in one
-call; a single point still gives Python floats.  The references here are
-built one point at a time from scalar calls, as the sweep used to be.
+call; a single point still gives Python floats, with the bits of its row in
+any stack.  The references here are built one point at a time from scalar
+calls, as the sweep used to be.
 """
 
 import math
@@ -12,9 +13,11 @@ import pytest
 from scipy.optimize import brentq
 
 from mrayleigh.closed_form import (
+    Interval,
     _first_integral_antiderivative,
     _positive_run,
     _solve_branch,
+    as_multitime,
     soliton_arccosh,
     soliton_arcsin,
     soliton_arcsinh,
@@ -29,12 +32,13 @@ from mrayleigh.coefficients import (
     affine_coeffs,
     constant_coeffs,
     general_coeffs,
+    prolongation_structure,
     reduce,
     synthesize_structure,
 )
 from mrayleigh.errors import DegenerateA, DomainExceeded
-from mrayleigh.geometry import GridSpec
-from mrayleigh.oracle import integrate_reduction, residual_sweep
+from mrayleigh.geometry import GridSpec, prolong_field, rayleigh_residual, residual_for
+from mrayleigh.oracle import integrate_reduction, integrate_single_time_rayleigh, residual_sweep
 from mrayleigh.series import AffineCoeffs, series_coefficients, series_soliton
 
 EXP_CO = general_coeffs(a=math.exp, c=math.exp, d=lambda z: 3.0)
@@ -103,20 +107,6 @@ def test_skip_drops_exactly_the_points_outside_the_domain():
     assert 0 < dropped < grid.n_points()
     assert rep.residuals.size + dropped == grid.n_points()
     assert np.array_equal(rep.points, inside)
-
-
-def test_profile_callables_keep_the_scalar_contract():
-    extra = [("vdp-direct", vdp_implicit(EXP_CO, k1=0.0, z0=0.0, phi0=SQ2,
-                                         domain=(-2.0, 2.0), square_relation="direct"),
-              (-1.5, 0.0))]
-    for name, prof, (lo, hi) in _families() + extra:
-        zs = np.linspace(lo, hi, 7)
-        for fn in (prof.phi, prof.phi_prime, prof.phi_second):
-            for z in (float(zs[3]), zs[3]):
-                assert type(fn(z)) is float, f"{name}: {fn(z)!r}"
-            stacked = fn(zs)
-            assert isinstance(stacked, np.ndarray) and stacked.shape == zs.shape
-            assert np.array_equal(stacked, [fn(float(z)) for z in zs]), name
 
 
 @pytest.mark.parametrize("k1, phi0", [(0.25, 1.0), (0.25, 0.1), (-0.5, 1.0), (2.0, -3.0)])
@@ -189,41 +179,6 @@ def test_chebyshev_antiderivatives_evaluate_as_numpy_does(monkeypatch):
             assert _bits(out) == _bits(want), (ref.coef.size, z)
 
 
-def test_scalar_calls_give_the_bits_of_the_array_call():
-    for name, prof, (lo, hi) in _families():
-        zs = np.concatenate([np.linspace(lo, hi, 23), [0.0, -0.0]])
-        zs = zs[prof.domain.contains(zs)]
-        for fn in (prof.phi, prof.phi_prime, prof.phi_second):
-            stacked = fn(zs)
-            for i, z in enumerate(zs):
-                for arg in (float(z), z):
-                    one = fn(arg)
-                    assert type(one) is float, name
-                    assert _bits(one) == stacked[i].tobytes(), (name, z)
-    # the fresh integration's interpolants, at and between their nodes
-    for name, prof, (lo, hi) in _families():
-        if name not in ("quadrature", "arcsinh", "vdp-explicit", "vdp-implicit"):
-            continue
-        z0 = 0.5 * (lo + hi)
-        ivp = integrate_reduction(prof.coeffs, prof.phi(z0), prof.phi_prime(z0),
-                                  span=(lo, hi), z0=z0)
-        nodes = ivp.nodes
-        zs = np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1]), ivp.span])
-        for fn in (ivp.phi, ivp.phi_prime, ivp.phi_second):
-            stacked = fn(zs)
-            for i, z in enumerate(zs.tolist()):
-                for arg in (z, np.float64(z)):
-                    one = fn(arg)
-                    assert type(one) is float, name
-                    assert _bits(one) == stacked[i].tobytes(), (name, z)
-            for z in (lo - 0.5, hi + 0.5):
-                with pytest.raises(DomainExceeded) as one:
-                    fn(z)
-                with pytest.raises(DomainExceeded) as stacked:
-                    fn(np.array([z]))
-                assert str(one.value) == str(stacked.value), (name, z)
-
-
 def test_scalar_domain_check_words_its_failure_as_the_array_check(monkeypatch):
     import mrayleigh.closed_form as cf
 
@@ -235,19 +190,34 @@ def test_scalar_domain_check_words_its_failure_as_the_array_check(monkeypatch):
     checks = []
     check = cf._check_domain
     monkeypatch.setattr(cf, "_check_domain", lambda dom, z: checks.append(z) or check(dom, z))
-    for name, prof, _ in _families():
-        lo, hi = prof.domain.outer
+    callables = [(name, prof.domain, (prof.phi, prof.phi_prime, prof.phi_second))
+                 for name, prof, _ in _families()]
+    callables += [(f"{name} ivp", Interval(*ivp.span), (ivp.phi, ivp.phi_prime, ivp.phi_second))
+                  for name, ivp in _ivps()]
+    for name, dom, fns in callables:
+        lo, hi = dom.outer
         edges = [(e, toward) for e, toward in ((lo, -math.inf), (hi, math.inf))
                  if math.isfinite(e)]
         outside = [np.nextafter(e, toward) for e, toward in edges]
         outside += [toward for _, toward in edges] + [math.nan]
-        for fn in (prof.phi, prof.phi_prime, prof.phi_second):
+        for fn in fns:
             for e, _ in edges:
                 assert type(fn(e)) is float     # the slack edge itself is inside
             assert not checks, name             # two float comparisons decided
             for z in outside:
                 assert message(fn, z) == message(fn, np.array([z])), (name, z)
             checks.clear()
+
+
+def _ivps():
+    """Fresh integrations through four profiles' data at the middle of their windows."""
+    out = []
+    for name, prof, (lo, hi) in _families():
+        if name in ("quadrature", "arcsinh", "vdp-explicit", "vdp-implicit"):
+            z0 = 0.5 * (lo + hi)
+            out.append((name, integrate_reduction(prof.coeffs, prof.phi(z0), prof.phi_prime(z0),
+                                                  span=(lo, hi), z0=z0)))
+    return out
 
 
 def _targets(rng):
@@ -261,40 +231,6 @@ def _targets(rng):
         general_coeffs(a=lambda z: a0 * math.exp(z) + 0.5, c=math.cos, d=lambda z: b0 * z),
         general_coeffs(a=lambda z: a0 * math.exp(0.3 * z) + 0.1, c=math.cos, b=math.sin),
     ]
-
-
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_one_phase_of_a_reduced_structure_gives_the_bits_of_the_array_call(m):
-    rng = np.random.default_rng(40 + m)
-    lam = SpeedVector(rng.uniform(0.3, 1.5, m) * rng.choice([-1.0, 1.0], m))
-    probe = soliton_arcsinh(1.0, 1.0, 1.0, 1.0, lam=lam)
-    zs = np.concatenate([rng.uniform(-2.0, 2.0, 9), [0.0, -0.0]])
-    for target in _targets(rng):
-        st = synthesize_structure(target, m, lam)
-        for red in (reduce(st, lam), reduce(st, lam, probe)):
-            for k in ("a", "c", "b" if target.variant is Variant.RAYLEIGH else "d"):
-                fn = getattr(red, k)
-                stacked = fn(zs)
-                for i, z in enumerate(zs):
-                    for arg in (float(z), z):
-                        one = fn(arg)
-                        assert type(one) is float, (k, target.kind)
-                        assert _bits(one) == stacked[i].tobytes(), (k, target.kind, z)
-        # the synthesized fields at one point against the same point as a stack
-        # of one: several rows of t @ lambda go through BLAS, which rounds
-        # otherwise for m >= 2
-        x, t = rng.uniform(-2.0, 2.0, 7), rng.uniform(-1.0, 1.0, (7, m))
-        eta, xi = rng.uniform(-1.0, 1.0, 7), rng.uniform(-1.0, 1.0, (7, m))
-        for f in (st.h, st.gamma, st.c_field, st.b_field or st.d_field):
-            for i in range(x.size):
-                one = f(float(x[i]), t[i], float(eta[i]), xi[i])
-                row = f(x[i:i + 1], t[i:i + 1], eta[i:i + 1], xi[i:i + 1])
-                assert _bits(one) == _bits(row[0] if f is not st.gamma else row), (f, i)
-    for i in range(x.size):
-        assert _bits(lam.dot(t[i])) == _bits(lam.dot(t[i:i + 1]))
-        for arg in (float(x[i]), x[i]):
-            one = lam.z(arg, t[i])
-            assert type(one) is float and _bits(one) == _bits(lam.z(x[i:i + 1], t[i:i + 1]))
 
 
 def test_one_phase_words_a_degenerate_a_as_the_array_call():
@@ -341,3 +277,143 @@ def test_positive_run_is_the_two_loop_scan():
         vals = samples[rng.choice(samples.size, n, p=[0.5, 0.2, 0.1, 0.05, 0.1, 0.05])]
         z0 = rng.choice([rng.uniform(-1.2, 1.2), -3.0, 3.0])      # anchors off the scan too
         assert _positive_run(zs, vals, z0) == _positive_run_loops(zs, vals, z0), (vals, z0)
+
+
+STACK_SIZES = (1, 2, 7, 100)
+
+
+def _forms(vs):
+    """The numbers vs as floats, np.float64s, 0-d arrays and, where every one
+    is integral, ints (-0.0 has no int form)."""
+    forms = [[float(v) for v in vs], [np.float64(v) for v in vs],
+             [np.array(float(v)) for v in vs]]
+    if all(float(v).is_integer() and np.signbit(v) == (v < 0) for v in vs):
+        forms.append([int(v) for v in vs])
+    return forms
+
+
+def _parts(v):
+    return v if isinstance(v, tuple) else (v,)
+
+
+def _assert_rows(name, fn, draw, rng, specials=(), numbers=1):
+    """``fn`` at one point gives the bits of that point's row in a stack, and
+    a Python float where the row is a number.  draw(rng, n) gives n points as
+    columns, (n,) for a number and (n, m) for a vector.  Four drawn points
+    and ``specials``, with their first ``numbers`` arguments in every form of
+    ``_forms``, sit at a random row of stacks of each of STACK_SIZES points;
+    then every row of a drawn stack of the largest size is called alone."""
+    def check(ones, rows, n, j):
+        for one in ones:
+            for got, part in zip(_parts(one), _parts(rows)):
+                want = np.broadcast_to(part, (n,) + np.shape(got))[j]
+                if want.ndim == 0:
+                    assert type(got) is float, (name, got)
+                else:
+                    assert isinstance(got, np.ndarray) and got.shape == want.shape, name
+                assert _bits(got) == want.tobytes(), (name, n, j)
+
+    def alone(point):
+        return [float(v) if np.ndim(v) == 0 else v for v in point]
+
+    for point in [*zip(*draw(rng, 4)), *specials]:
+        rest = alone(point[numbers:])
+        ones = [fn(*form, *rest) for form in _forms(point[:numbers])]
+        for n in STACK_SIZES:
+            cols = [np.array(c, dtype=float) for c in draw(rng, n)]
+            j = int(rng.integers(n))
+            for c, v in zip(cols, point):
+                c[j] = v
+            check(ones, fn(*cols), n, j)
+    cols = draw(rng, STACK_SIZES[-1])
+    rows = fn(*cols)
+    for j, point in enumerate(zip(*cols)):
+        check([fn(*alone(point))], rows, STACK_SIZES[-1], j)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_a_point_has_the_bits_of_its_row_in_any_stack(m):
+    """Every evaluator of points, from profiles to residuals, gives one point
+    the bits of its row in any stack, so no value depends on its neighbours."""
+    rng = np.random.default_rng(1600 + m)
+    lam = SpeedVector(rng.uniform(0.3, 1.5, m) * rng.choice([-1.0, 1.0], m))
+
+    def phases(lo, hi):
+        return lambda rng, n: (rng.uniform(lo, hi, n),)
+
+    def marks(lo, hi):
+        """0.0, -0.0 and an integer, where [lo, hi] holds them."""
+        return [v for v in (0.0, -0.0, float(round(0.5 * (lo + hi)))) if lo <= v <= hi]
+
+    direct = vdp_implicit(EXP_CO, k1=0.0, z0=0.0, phi0=SQ2, domain=(-2.0, 2.0),
+                          square_relation="direct")
+    for name, prof, (lo, hi) in _families() + [("vdp-direct", direct, (-1.5, 0.0))]:
+        specials = [(z,) for z in marks(lo, hi)]
+        for fn in (prof.phi, prof.phi_prime, prof.phi_second):
+            _assert_rows(name, fn, phases(lo, hi), rng, specials)
+        # the lifted jet and the sweep's residual, at phases inside the window
+        lifted = with_speed(prof, lam)
+        u, st = as_multitime(lifted), synthesize_structure(lifted.coeffs, m, lam)
+
+        def on_window(rng, n, lo=lo, hi=hi):
+            t = rng.uniform(-0.3, 0.3, (n, m))
+            return rng.uniform(lo, hi, n) + lam.dot(t), t
+
+        specials = [(x, np.zeros(m)) for x in marks(lo, hi)]
+        _assert_rows(f"{name} jet", u.jet, on_window, rng, specials)
+        _assert_rows(f"{name} residual", lambda x, t, u=u, st=st: residual_for(st)(u, st, x, t),
+                     on_window, rng, specials)
+
+    for name, ivp in _ivps():
+        z = ivp.nodes
+
+        def nodes_or_between(rng, n, z=z):
+            # at a node the interval lookup is decided by a tie
+            return (np.where(rng.random(n) < 0.5, rng.choice(z, n), rng.uniform(z[0], z[-1], n)),)
+
+        specials = [(v,) for v in (*z[[0, 1, z.size // 2, -1]], 0.5 * (z[1] + z[2]))]
+        for fn in (ivp.phi, ivp.phi_prime, ivp.phi_second):
+            _assert_rows(f"{name} ivp", fn, nodes_or_between, rng, specials)
+
+    probe = soliton_arcsinh(1.0, 1.0, 1.0, 1.0, lam=lam)
+
+    def states(rng, n):
+        return rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n)
+
+    def points(rng, n):
+        return (rng.uniform(-2.0, 2.0, n), rng.uniform(-0.3, 0.3, (n, m)),
+                rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, (n, m)))
+
+    for target in _targets(rng):
+        st = synthesize_structure(target, m, lam)
+        name = f"{target.kind.value} {target.variant.value}"
+        for rc in (target, reduce(st, lam), reduce(st, lam, probe)):
+            cubic = "b" if rc.variant is Variant.RAYLEIGH else "d"
+            for fn in (rc.a, rc.c, getattr(rc, cubic)):
+                _assert_rows(name, fn, phases(-2.0, 2.0), rng, [(z,) for z in (0.0, -0.0, 1.0)])
+            for fn in (rc.cubic, rc.second):
+                _assert_rows(name, fn, states, rng, [(0.0, 0.5, -0.0), (-1.0, -0.7, 1.3)])
+        specials = [(1.0, np.zeros(m), 0.5, np.ones(m)), (-0.0, np.ones(m), 0.0, -np.ones(m))]
+        for f in (st.h, st.gamma, st.c_field, st.b_field or st.d_field):
+            _assert_rows(f"{name} field", f, points, rng, specials)
+
+    _assert_rows("lambda.t", lam.dot, lambda rng, n: (rng.uniform(-1.0, 1.0, (n, m)),), rng,
+                 [(np.arange(m, dtype=float),)], numbers=0)
+    _assert_rows("phase", lam.z, lambda rng, n: points(rng, n)[:2], rng,
+                 [(1.0, np.ones(m)), (-0.0, np.zeros(m))])
+
+    sol = integrate_single_time_rayleigh(0.3, lambda x: 0.5 * math.sin(x), lambda x: 0.0,
+                                         1.0, n_x=64, n_t=21)
+    # the Lobatto times 0 and 1 take the interpolant's exact rows
+    _assert_rows("single-time jet", sol.jet,
+                 lambda rng, n: (rng.uniform(0.0, 2.0 * math.pi, n), rng.uniform(0.0, 1.0, n)),
+                 rng, [(1.0, 0.0), (3.0, 1.0), (2.0, 0.5)], numbers=2)
+    field, st = prolong_field(sol.as_field(), m), prolongation_structure(m, 0.3)
+
+    def on_circle(rng, n):
+        return rng.uniform(0.0, 2.0 * math.pi, n), rng.uniform(0.0, 1.0, (n, m))
+
+    specials = [(1.0, np.zeros(m)), (3.0, np.full(m, 0.5))]
+    _assert_rows("prolonged jet", field.jet, on_circle, rng, specials)
+    _assert_rows("prolonged residual", lambda x, t: rayleigh_residual(field, st, x, t),
+                 on_circle, rng, specials)

@@ -192,6 +192,22 @@ def test_square_relation_variants_disagree():
     assert obj["checks"]["oracle_max_dev"] is None   # json rendering of inf
 
 
+def test_vdp_implicit_phi_second_solves_the_ode_on_the_default_window():
+    # phi'' takes (d/a)' = -(c/a)(d/a) from the compatibility relation; a
+    # central difference of d/a left 1.8e-9 here.  The run still exits 1 on
+    # ode_fd_max, which differences phi' over the whole window
+    base = ("verify", "--family", "vdp-implicit", "--a", "exp", "--c", "exp", "--d", "3",
+            "--phi0", "1")
+    r = run_cli(*base)
+    assert r.returncode == 1
+    checks = json.loads(r.stdout)["checks"]
+    assert checks["ode_analytic_max"] <= 1e-12 and checks["sweep_max"] <= 1e-12
+    # the negative control's phi'' differentiates its own relation the same way
+    r = run_cli(*base, "--square-relation", "direct")
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["checks"]["ode_analytic_max"] >= 1e-2
+
+
 # phases z = x - t1 - t2 on this grid reach arccosh's closed end z = 1,
 # where phi' is singular
 ENDPOINT_GRID = ("verify", "--family", "arccosh", "--K", "2.718281828459045", "--m", "2",
