@@ -109,6 +109,20 @@ def test_skip_drops_exactly_the_points_outside_the_domain():
     assert np.array_equal(rep.points, inside)
 
 
+def test_profile_callables_keep_the_scalar_contract():
+    extra = [("vdp-direct", vdp_implicit(EXP_CO, k1=0.0, z0=0.0, phi0=SQ2,
+                                         domain=(-2.0, 2.0), square_relation="direct"),
+              (-1.5, 0.0))]
+    for name, prof, (lo, hi) in _families() + extra:
+        zs = np.linspace(lo, hi, 7)
+        for fn in (prof.phi, prof.phi_prime, prof.phi_second):
+            for z in (float(zs[3]), zs[3]):
+                assert type(fn(z)) is float, f"{name}: {fn(z)!r}"
+            stacked = fn(zs)
+            assert isinstance(stacked, np.ndarray) and stacked.shape == zs.shape
+            assert np.array_equal(stacked, [fn(float(z)) for z in zs]), name
+
+
 @pytest.mark.parametrize("k1, phi0", [(0.25, 1.0), (0.25, 0.1), (-0.5, 1.0), (2.0, -3.0)])
 def test_branch_solver_agrees_with_brentq(k1, phi0):
     L = _first_integral_antiderivative(k1)
@@ -179,6 +193,41 @@ def test_chebyshev_antiderivatives_evaluate_as_numpy_does(monkeypatch):
             assert _bits(out) == _bits(want), (ref.coef.size, z)
 
 
+def test_scalar_calls_give_the_bits_of_the_array_call():
+    for name, prof, (lo, hi) in _families():
+        zs = np.concatenate([np.linspace(lo, hi, 23), [0.0, -0.0]])
+        zs = zs[prof.domain.contains(zs)]
+        for fn in (prof.phi, prof.phi_prime, prof.phi_second):
+            stacked = fn(zs)
+            for i, z in enumerate(zs):
+                for arg in (float(z), z):
+                    one = fn(arg)
+                    assert type(one) is float, name
+                    assert _bits(one) == stacked[i].tobytes(), (name, z)
+    # the fresh integration's interpolants, at and between their nodes
+    for name, prof, (lo, hi) in _families():
+        if name not in ("quadrature", "arcsinh", "vdp-explicit", "vdp-implicit"):
+            continue
+        z0 = 0.5 * (lo + hi)
+        ivp = integrate_reduction(prof.coeffs, prof.phi(z0), prof.phi_prime(z0),
+                                  span=(lo, hi), z0=z0)
+        nodes = ivp.nodes
+        zs = np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1]), ivp.span])
+        for fn in (ivp.phi, ivp.phi_prime, ivp.phi_second):
+            stacked = fn(zs)
+            for i, z in enumerate(zs.tolist()):
+                for arg in (z, np.float64(z)):
+                    one = fn(arg)
+                    assert type(one) is float, name
+                    assert _bits(one) == stacked[i].tobytes(), (name, z)
+            for z in (lo - 0.5, hi + 0.5):
+                with pytest.raises(DomainExceeded) as one:
+                    fn(z)
+                with pytest.raises(DomainExceeded) as stacked:
+                    fn(np.array([z]))
+                assert str(one.value) == str(stacked.value), (name, z)
+
+
 def test_scalar_domain_check_words_its_failure_as_the_array_check(monkeypatch):
     import mrayleigh.closed_form as cf
 
@@ -231,6 +280,40 @@ def _targets(rng):
         general_coeffs(a=lambda z: a0 * math.exp(z) + 0.5, c=math.cos, d=lambda z: b0 * z),
         general_coeffs(a=lambda z: a0 * math.exp(0.3 * z) + 0.1, c=math.cos, b=math.sin),
     ]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_one_phase_of_a_reduced_structure_gives_the_bits_of_the_array_call(m):
+    rng = np.random.default_rng(40 + m)
+    lam = SpeedVector(rng.uniform(0.3, 1.5, m) * rng.choice([-1.0, 1.0], m))
+    probe = soliton_arcsinh(1.0, 1.0, 1.0, 1.0, lam=lam)
+    zs = np.concatenate([rng.uniform(-2.0, 2.0, 9), [0.0, -0.0]])
+    for target in _targets(rng):
+        st = synthesize_structure(target, m, lam)
+        for red in (reduce(st, lam), reduce(st, lam, probe)):
+            for k in ("a", "c", "b" if target.variant is Variant.RAYLEIGH else "d"):
+                fn = getattr(red, k)
+                stacked = fn(zs)
+                for i, z in enumerate(zs):
+                    for arg in (float(z), z):
+                        one = fn(arg)
+                        assert type(one) is float, (k, target.kind)
+                        assert _bits(one) == stacked[i].tobytes(), (k, target.kind, z)
+        # the synthesized fields at one point against the same point as a stack
+        # of one: several rows of t @ lambda go through BLAS, which rounds
+        # otherwise for m >= 2
+        x, t = rng.uniform(-2.0, 2.0, 7), rng.uniform(-1.0, 1.0, (7, m))
+        eta, xi = rng.uniform(-1.0, 1.0, 7), rng.uniform(-1.0, 1.0, (7, m))
+        for f in (st.h, st.gamma, st.c_field, st.b_field or st.d_field):
+            for i in range(x.size):
+                one = f(float(x[i]), t[i], float(eta[i]), xi[i])
+                row = f(x[i:i + 1], t[i:i + 1], eta[i:i + 1], xi[i:i + 1])
+                assert _bits(one) == _bits(row[0] if f is not st.gamma else row), (f, i)
+    for i in range(x.size):
+        assert _bits(lam.dot(t[i])) == _bits(lam.dot(t[i:i + 1]))
+        for arg in (float(x[i]), x[i]):
+            one = lam.z(arg, t[i])
+            assert type(one) is float and _bits(one) == _bits(lam.z(x[i:i + 1], t[i:i + 1]))
 
 
 def test_one_phase_words_a_degenerate_a_as_the_array_call():
