@@ -3,169 +3,10 @@
 Construct geometric data (metric, connection, damping fields) and traveling
 profiles u(x, t) = phi(x - lambda . t) that solve the associated PDEs, then
 verify them by independent numerical routes.
+
+The package re-exports nothing: import each name from its submodule
+(``mrayleigh.closed_form``, ``coefficients``, ``geometry``, ``series``,
+``oracle``, ``errors``, ``cli``).
 """
 
-from .closed_form import (
-    Family,
-    Interval,
-    SolitonProfile,
-    as_multitime,
-    soliton_arccosh,
-    soliton_arcsin,
-    soliton_arcsinh,
-    soliton_quadrature,
-    vdp_explicit,
-    vdp_implicit,
-    with_speed,
-)
-from .coefficients import (
-    CONSTRAINT_TOL,
-    DEGENERACY_TOL,
-    AffineCoeffs,
-    CoeffKind,
-    EvalPoint,
-    GeometricStructure,
-    ReducedCoeffs,
-    SpeedVector,
-    Variant,
-    affine_coeffs,
-    check_constraint,
-    coeffs_from_json_dict,
-    coeffs_to_json_dict,
-    constant_coeffs,
-    constant_structure,
-    general_coeffs,
-    prolongation_structure,
-    reduce,
-    synthesize_structure,
-    verify_reduction_consistency,
-)
-from .errors import (
-    BadParameters,
-    BlowUp,
-    CFLViolation,
-    CompatibilityViolated,
-    ConditionViolated,
-    DegenerateA,
-    DimensionMismatch,
-    DomainExceeded,
-    EmptyDomain,
-    MrayleighError,
-    NoBracket,
-    StiffnessFailure,
-    WrongVariant,
-    ZeroLeadingSpeed,
-)
-from .geometry import (
-    FieldFunction,
-    GridSpec,
-    ResidualReport,
-    box,
-    check_prolongation,
-    check_reversibility,
-    hessian,
-    prolong_field,
-    rayleigh_residual,
-    residual_for,
-    stationary_solution,
-    traveling_sine,
-    vdp_residual,
-)
-from .oracle import (
-    DecayResult,
-    IvpSolution,
-    SingleTimeSolution,
-    bernoulli_chain_check,
-    decay_check,
-    integrate_reduction,
-    integrate_single_time_rayleigh,
-    reduction_ode_residual,
-    residual_sweep,
-)
-from .series import (
-    SeriesSolution,
-    estimate_radius,
-    evaluate,
-    evaluate_prime,
-    series_coefficients,
-    series_coefficients_triple_sum,
-    series_soliton,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AffineCoeffs",
-    "BadParameters",
-    "BlowUp",
-    "CFLViolation",
-    "CONSTRAINT_TOL",
-    "CoeffKind",
-    "CompatibilityViolated",
-    "ConditionViolated",
-    "DEGENERACY_TOL",
-    "DecayResult",
-    "DegenerateA",
-    "DimensionMismatch",
-    "DomainExceeded",
-    "EmptyDomain",
-    "EvalPoint",
-    "Family",
-    "FieldFunction",
-    "GeometricStructure",
-    "GridSpec",
-    "Interval",
-    "IvpSolution",
-    "MrayleighError",
-    "NoBracket",
-    "ReducedCoeffs",
-    "ResidualReport",
-    "SeriesSolution",
-    "SingleTimeSolution",
-    "SolitonProfile",
-    "SpeedVector",
-    "StiffnessFailure",
-    "Variant",
-    "WrongVariant",
-    "ZeroLeadingSpeed",
-    "affine_coeffs",
-    "as_multitime",
-    "bernoulli_chain_check",
-    "box",
-    "check_constraint",
-    "check_prolongation",
-    "check_reversibility",
-    "coeffs_from_json_dict",
-    "coeffs_to_json_dict",
-    "constant_coeffs",
-    "constant_structure",
-    "decay_check",
-    "estimate_radius",
-    "evaluate",
-    "evaluate_prime",
-    "general_coeffs",
-    "hessian",
-    "integrate_reduction",
-    "integrate_single_time_rayleigh",
-    "prolong_field",
-    "prolongation_structure",
-    "rayleigh_residual",
-    "reduce",
-    "reduction_ode_residual",
-    "residual_for",
-    "residual_sweep",
-    "series_coefficients",
-    "series_coefficients_triple_sum",
-    "series_soliton",
-    "soliton_arccosh",
-    "soliton_arcsin",
-    "soliton_arcsinh",
-    "soliton_quadrature",
-    "stationary_solution",
-    "synthesize_structure",
-    "traveling_sine",
-    "vdp_explicit",
-    "vdp_implicit",
-    "verify_reduction_consistency",
-    "with_speed",
-]

@@ -267,9 +267,10 @@ class ReducedCoeffs:
     """Scalar coefficients of the reduced traveling-wave ODE.
 
     ``a`` and ``c`` are always present; exactly one of ``b`` (Rayleigh) and
-    ``d`` (Van der Pol) is.  Each accessor takes one phase z (and returns a
-    Python float) or an array of phases (and returns an array of the same
-    shape).  Every evaluation of a(z) is guarded: values with
+    ``d`` (Van der Pol) is, and ``variant`` is read off which one, as
+    ``GeometricStructure.variant`` is.  Each accessor takes one phase z (and
+    returns a Python float) or an array of phases (and returns an array of
+    the same shape).  Every evaluation of a(z) is guarded: values with
     |a(z)| <= DEGENERACY_TOL raise DegenerateA, since the reduction is
     singular there.  ``params`` carries the numeric payload for constant
     and affine kinds and is what serializes; general coefficients hold
@@ -280,7 +281,6 @@ class ReducedCoeffs:
     """
 
     kind: CoeffKind
-    variant: Variant
     a_fn: ScalarFn
     c_fn: ScalarFn
     b_fn: ScalarFn | None = None
@@ -290,9 +290,10 @@ class ReducedCoeffs:
     def __post_init__(self):
         if (self.b_fn is None) == (self.d_fn is None):
             raise BadParameters("exactly one of b_fn and d_fn must be set")
-        want_b = self.variant is Variant.RAYLEIGH
-        if want_b != (self.b_fn is not None):
-            raise WrongVariant("variant does not match the populated cubic slot")
+
+    @property
+    def variant(self) -> Variant:
+        return Variant.RAYLEIGH if self.b_fn is not None else Variant.VAN_DER_POL
 
     def _apply(self, fn, z):
         if isinstance(z, (int, float)) or np.ndim(z) == 0:
@@ -330,7 +331,7 @@ class ReducedCoeffs:
         b(z) psi^3 (Rayleigh) or d(z) phi^2 psi (Van der Pol); only the
         Van der Pol term reads ``phi``.
         """
-        if self.variant is Variant.RAYLEIGH:
+        if self.b_fn is not None:
             return self.b(z) * (psi * psi * psi)
         return self.d(z) * phi * phi * psi
 
@@ -348,14 +349,12 @@ def constant_coeffs(a, c, b=None, d=None) -> ReducedCoeffs:
     if b is not None:
         b = params["b"] = float(b)
         _require_finite(**params)
-        return ReducedCoeffs(CoeffKind.CONSTANT, Variant.RAYLEIGH,
-                             lambda z: a, lambda z: c, b_fn=lambda z: b,
-                             params=params)
+        return ReducedCoeffs(CoeffKind.CONSTANT, lambda z: a, lambda z: c,
+                             b_fn=lambda z: b, params=params)
     d = params["d"] = float(d)
     _require_finite(**params)
-    return ReducedCoeffs(CoeffKind.CONSTANT, Variant.VAN_DER_POL,
-                         lambda z: a, lambda z: c, d_fn=lambda z: d,
-                         params=params)
+    return ReducedCoeffs(CoeffKind.CONSTANT, lambda z: a, lambda z: c,
+                         d_fn=lambda z: d, params=params)
 
 
 @dataclass(frozen=True)
@@ -395,21 +394,12 @@ class AffineCoeffs:
         a1, b1, c1, a0, b0, c0 = self.sextuple()
         params = {"a": [a1, a0], "b": [b1, b0], "c": [c1, c0]}
         return ReducedCoeffs(
-            CoeffKind.AFFINE, Variant.RAYLEIGH,
+            CoeffKind.AFFINE,
             lambda z: a1 * z + a0,
             lambda z: c1 * z + c0,
             b_fn=lambda z: b1 * z + b0,
             params=params,
         )
-
-
-def affine_coeffs(a_slope, b_slope, c_slope, a_const, b_const, c_const) -> ReducedCoeffs:
-    """Affine Rayleigh coefficients a(z) = a_slope z + a_const and so on.
-
-    The argument order matches the sextuple used by the CLI and the series
-    module: slopes of (a, b, c) first, then their constant terms.
-    """
-    return AffineCoeffs(a_slope, b_slope, c_slope, a_const, b_const, c_const).to_reduced()
 
 
 def general_coeffs(a: ScalarFn, c: ScalarFn, b: ScalarFn | None = None,
@@ -421,9 +411,8 @@ def general_coeffs(a: ScalarFn, c: ScalarFn, b: ScalarFn | None = None,
     """
     if (b is None) == (d is None):
         raise BadParameters("pass exactly one of b and d")
-    variant = Variant.RAYLEIGH if b is not None else Variant.VAN_DER_POL
     b_fn, d_fn = (None if f is None else _per_phase(f) for f in (b, d))
-    return ReducedCoeffs(CoeffKind.GENERAL, variant, _per_phase(a), _per_phase(c),
+    return ReducedCoeffs(CoeffKind.GENERAL, _per_phase(a), _per_phase(c),
                          b_fn=b_fn, d_fn=d_fn)
 
 
@@ -450,7 +439,7 @@ def coeffs_from_json_dict(obj: dict) -> ReducedCoeffs:
         a1, a0 = obj["a"]
         b1, b0 = obj["b"]
         c1, c0 = obj["c"]
-        return affine_coeffs(a1, b1, c1, a0, b0, c0)
+        return AffineCoeffs(a1, b1, c1, a0, b0, c0).to_reduced()
     raise ValueError(f"cannot deserialize coefficient kind {kind!r}")
 
 
@@ -536,7 +525,6 @@ def reduce(structure: GeometricStructure, lam: SpeedVector,
     kind, params = _classify(fns)
     return ReducedCoeffs(
         kind=kind,
-        variant=structure.variant,
         a_fn=fns["a"],
         c_fn=fns["c"],
         b_fn=fns.get("b"),
@@ -643,17 +631,14 @@ def _constraint_gap(structure: GeometricStructure, x, t, eta, xi):
     return lhs - rhs
 
 
-def check_constraint(structure: GeometricStructure, lam: SpeedVector,
-                     sample_points) -> bool:
+def check_constraint(structure: GeometricStructure, sample_points) -> bool:
     """Check h^{ab} Gamma^g_{ab} xi_g = C^g xi_g - B^{abc} xi_a xi_b xi_c.
 
     For the Van der Pol variant the right-hand side is
     C^g xi_g - eta^2 D^g xi_g.  True iff the pointwise residual stays
-    within CONSTRAINT_TOL at every sample.  ``lam`` only fixes dimensional
-    validation; the constraint itself does not involve the speeds.
+    within CONSTRAINT_TOL at every sample.  The constraint does not involve
+    the speeds; each sample point must carry the structure's m times.
     """
-    if lam.m != structure.m:
-        raise DimensionMismatch("lambda does not match the structure")
     for pt in _normalize_points(sample_points, structure.m):
         gap = _constraint_gap(structure, pt.x, pt.t, pt.eta, pt.xi)
         if not np.all(np.abs(gap) <= CONSTRAINT_TOL):

@@ -28,14 +28,13 @@ import numpy as np
 from .coefficients import (
     CONSTRAINT_TOL,
     GeometricStructure,
-    Variant,
     _constraint_gap,
     _cubic_term,
     _normalize_points,
     _require_finite,
     _unwrap,
 )
-from .errors import ConditionViolated, DimensionMismatch, WrongVariant
+from .errors import ConditionViolated, DimensionMismatch
 
 
 def _points(x, t):
@@ -247,28 +246,13 @@ def _assemble(structure: GeometricStructure, x, t, eta, xi, hess, d2x):
             - d2x)
 
 
-def _residual(u: FieldFunction, structure: GeometricStructure, x, t):
-    """The variant residual from the jet of u."""
+def residual(u: FieldFunction, structure: GeometricStructure, x, t):
+    """Residual h^{ab} u_{ab} - C^g u_g + (cubic term) - u_xx of u at (x, t).
+
+    The cubic term is B^{abc} u_a u_b u_c (Rayleigh) or u^2 D^g u_g (Van
+    der Pol), whichever the structure carries.
+    """
     return _unwrap(_assemble(structure, *_jet_at(u, structure, x, t)))
-
-
-def rayleigh_residual(u: FieldFunction, structure: GeometricStructure, x, t):
-    """Residual h^{ab} u_{ab} - C^g u_g + B^{abc} u_a u_b u_c - u_xx."""
-    if structure.variant is not Variant.RAYLEIGH:
-        raise WrongVariant("structure carries a D field, use vdp_residual")
-    return _residual(u, structure, x, t)
-
-
-def vdp_residual(u: FieldFunction, structure: GeometricStructure, x, t):
-    """Residual h^{ab} u_{ab} - C^g u_g + u^2 D^g u_g - u_xx."""
-    if structure.variant is not Variant.VAN_DER_POL:
-        raise WrongVariant("structure carries a B field, use rayleigh_residual")
-    return _residual(u, structure, x, t)
-
-
-def residual_for(structure: GeometricStructure):
-    """The residual function matching the structure's variant."""
-    return rayleigh_residual if structure.variant is Variant.RAYLEIGH else vdp_residual
 
 
 def check_reversibility(structure: GeometricStructure, sample_points) -> bool:

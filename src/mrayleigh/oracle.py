@@ -38,7 +38,7 @@ from .errors import (
     StiffnessFailure,
     WrongVariant,
 )
-from .geometry import FieldFunction, GridSpec, ResidualReport, _residual
+from .geometry import FieldFunction, GridSpec, ResidualReport, residual
 
 # terminal-event threshold for the reduction integrator
 OVERFLOW_GUARD = 1e12
@@ -113,7 +113,7 @@ def _dp45(fun, t0: float, t1: float, y0: np.ndarray, tol: float, flow=None):
     (t, y, dense) per accepted step, where dense(theta) gives the states at
     the step fractions theta, one row each, from the continuous extension.
     Raises StiffnessFailure when the step falls below ten float spacings
-    at t.
+    at t or is NaN.
     """
     direction = 1.0 if t1 > t0 else -1.0
     if flow is None:
@@ -142,7 +142,7 @@ def _dp45(fun, t0: float, t1: float, y0: np.ndarray, tol: float, flow=None):
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:
                 raise StiffnessFailure("required step size is less than spacing between numbers")
             t_new = t + h_abs * direction
             if direction * (t_new - t1) > 0:
@@ -177,7 +177,8 @@ def _dp45(fun, t0: float, t1: float, y0: np.ndarray, tol: float, flow=None):
 
 def _rhs_for(coeffs: ReducedCoeffs):
     def rhs(z, y):
-        return np.array([y[1], coeffs.second(z, y[0], y[1])])
+        phi, psi = y.tolist()
+        return np.array([psi, coeffs.second(z, phi, psi)])
     return rhs
 
 
@@ -267,12 +268,14 @@ def integrate_reduction(coeffs: ReducedCoeffs, phi0: float, phi_prime0: float,
 
     Initial data is posed at ``z0`` (default: the left end of ``span``) and
     the solver runs toward both ends when z0 is interior.  Tolerance outside
-    [1e-12, 1e-4] raises BadParameters.  Escape past 1e12 raises BlowUp
-    with the z reached, other integrator failures raise StiffnessFailure.
+    [1e-12, 1e-4] and non-finite initial data or span raise BadParameters.
+    Escape past 1e12 raises BlowUp with the z reached, other integrator
+    failures raise StiffnessFailure.
     """
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise BadParameters(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
     lo, hi = float(span[0]), float(span[1])
+    _require_finite(phi0=float(phi0), phi_prime0=float(phi_prime0), span_lo=lo, span_hi=hi)
     if not lo < hi:
         raise BadParameters("span must be an increasing pair")
     if z0 is None:
@@ -380,7 +383,7 @@ def residual_sweep(u, structure, grid: GridSpec,
                 raise EmptyDomain("every grid point fell outside the profile domain")
             x, t = x[keep], t[keep]
         u = as_multitime(u)
-    residuals = _residual(u, structure, x, t)
+    residuals = residual(u, structure, x, t)
     return ResidualReport.from_samples(np.column_stack([x, t]),
                                        np.broadcast_to(residuals, x.shape), grid.labels())
 

@@ -29,7 +29,6 @@ from mrayleigh.closed_form import (
 from mrayleigh.coefficients import (
     SpeedVector,
     Variant,
-    affine_coeffs,
     constant_coeffs,
     general_coeffs,
     prolongation_structure,
@@ -37,7 +36,7 @@ from mrayleigh.coefficients import (
     synthesize_structure,
 )
 from mrayleigh.errors import DegenerateA, DomainExceeded
-from mrayleigh.geometry import GridSpec, prolong_field, rayleigh_residual, residual_for
+from mrayleigh.geometry import GridSpec, prolong_field, residual
 from mrayleigh.oracle import integrate_reduction, integrate_single_time_rayleigh, residual_sweep
 from mrayleigh.series import AffineCoeffs, series_coefficients, series_soliton
 
@@ -276,7 +275,7 @@ def _targets(rng):
     return [
         constant_coeffs(a0, c0, b=b0),
         constant_coeffs(a0, c0, d=b0),
-        affine_coeffs(0.1 * a1, b1, c1, a0 + 1.0, b0, c0),
+        AffineCoeffs(0.1 * a1, b1, c1, a0 + 1.0, b0, c0).to_reduced(),
         general_coeffs(a=lambda z: a0 * math.exp(z) + 0.5, c=math.cos, d=lambda z: b0 * z),
         general_coeffs(a=lambda z: a0 * math.exp(0.3 * z) + 0.1, c=math.cos, b=math.sin),
     ]
@@ -323,7 +322,7 @@ def test_one_phase_words_a_degenerate_a_as_the_array_call():
         return str(err.value)
 
     lam = SpeedVector(np.array([0.8, 0.5]))
-    target = affine_coeffs(1.0, 0.0, 1.0, -0.5, 1.0, 0.0)           # a(0.5) = 0
+    target = AffineCoeffs(1.0, 0.0, 1.0, -0.5, 1.0, 0.0).to_reduced()   # a(0.5) = 0
     for rc in (target, reduce(synthesize_structure(target, 2, lam), lam),
                constant_coeffs(1e-11, 1.0, d=1.0)):
         for z in (0.5, np.float64(0.5)):
@@ -446,7 +445,7 @@ def test_a_point_has_the_bits_of_its_row_in_any_stack(m):
 
         specials = [(x, np.zeros(m)) for x in marks(lo, hi)]
         _assert_rows(f"{name} jet", u.jet, on_window, rng, specials)
-        _assert_rows(f"{name} residual", lambda x, t, u=u, st=st: residual_for(st)(u, st, x, t),
+        _assert_rows(f"{name} residual", lambda x, t, u=u, st=st: residual(u, st, x, t),
                      on_window, rng, specials)
 
     for name, ivp in _ivps():
@@ -501,5 +500,5 @@ def test_a_point_has_the_bits_of_its_row_in_any_stack(m):
 
     specials = [(1.0, np.zeros(m)), (3.0, np.full(m, 0.5))]
     _assert_rows("prolonged jet", field.jet, on_circle, rng, specials)
-    _assert_rows("prolonged residual", lambda x, t: rayleigh_residual(field, st, x, t),
+    _assert_rows("prolonged residual", lambda x, t: residual(field, st, x, t),
                  on_circle, rng, specials)

@@ -25,8 +25,8 @@ from mrayleigh.closed_form import (
     with_speed,
 )
 from mrayleigh.coefficients import (
+    AffineCoeffs,
     SpeedVector,
-    affine_coeffs,
     constant_coeffs,
     general_coeffs,
 )
@@ -168,7 +168,7 @@ def test_quadrature_anchors_and_variable_coefficients():
     assert p.phi(0.0) == 0.0
     assert abs(p.phi_prime(0.0) - 0.5) <= 1e-14      # K^(-1/2)
 
-    aff = affine_coeffs(0.1, 0.0, 0.0, 1.0, 1.0, 1.0)
+    aff = AffineCoeffs(0.1, 0.0, 0.0, 1.0, 1.0, 1.0).to_reduced()
     q = soliton_quadrature(aff, K=2.0, z0=0.0, domain=(-2.0, 2.0))
     an, fd = _residuals(q, -1.9, 1.9)
     assert an <= 1e-8

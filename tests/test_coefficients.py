@@ -6,11 +6,11 @@ import pytest
 
 from mrayleigh.closed_form import soliton_arccosh, soliton_arcsinh
 from mrayleigh.coefficients import (
+    AffineCoeffs,
     CoeffKind,
     EvalPoint,
     SpeedVector,
     Variant,
-    affine_coeffs,
     check_constraint,
     coeffs_from_json_dict,
     coeffs_to_json_dict,
@@ -75,7 +75,7 @@ def test_degenerate_a_is_guarded_at_evaluation():
     with pytest.raises(DegenerateA):
         bad.a(0.3)
     # affine a(z) = z is fine away from the root, degenerate at it
-    co = affine_coeffs(1.0, 0.0, 0.0, 0.0, 1.0, 1.0)
+    co = AffineCoeffs(1.0, 0.0, 0.0, 0.0, 1.0, 1.0).to_reduced()
     assert co.a(1.0) == 1.0
     with pytest.raises(DegenerateA):
         co.a(0.0)
@@ -84,7 +84,7 @@ def test_degenerate_a_is_guarded_at_evaluation():
 _SECOND_SETS = {
     "constant-rayleigh": constant_coeffs(1.3, 0.7, b=0.4),
     "constant-vdp": constant_coeffs(1.3, -0.7, d=3.0),
-    "affine": affine_coeffs(0.1, 0.2, -0.3, 1.5, 0.4, 0.9),
+    "affine": AffineCoeffs(0.1, 0.2, -0.3, 1.5, 0.4, 0.9).to_reduced(),
     "general-rayleigh": general_coeffs(math.exp, math.cos, b=lambda z: 0.5),
     "general-vdp": general_coeffs(math.exp, math.cos, d=lambda z: 3.0),
 }
@@ -112,7 +112,7 @@ def test_second_at_one_phase_keeps_the_accessor_bits_and_type(name):
 
 
 def test_second_at_a_degenerate_phase_raises_the_array_message():
-    co = affine_coeffs(1.0, 0.0, 0.0, 0.0, 1.0, 1.0)    # a(z) = z
+    co = AffineCoeffs(1.0, 0.0, 0.0, 0.0, 1.0, 1.0).to_reduced()    # a(z) = z
     for z in (0.0, -0.0, 5e-11, np.float64(0.0), np.array(0.0), 0):
         with pytest.raises(DegenerateA) as scalar:
             co.second(z, 0.5, 0.5)
@@ -122,7 +122,7 @@ def test_second_at_a_degenerate_phase_raises_the_array_message():
 
 
 def test_affine_argument_order_is_slopes_then_constants():
-    co = affine_coeffs(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    co = AffineCoeffs(1.0, 2.0, 3.0, 4.0, 5.0, 6.0).to_reduced()
     z = 2.0
     assert co.a(z) == 1.0 * z + 4.0
     assert co.b(z) == 2.0 * z + 5.0
@@ -132,7 +132,7 @@ def test_affine_argument_order_is_slopes_then_constants():
 def test_coeffs_json_round_trip():
     for co in (constant_coeffs(2.0, -1.0, b=0.5),
                constant_coeffs(1.5, 0.0, d=3.0),
-               affine_coeffs(0.1, 0.2, 0.3, 1.0, 2.0, 3.0)):
+               AffineCoeffs(0.1, 0.2, 0.3, 1.0, 2.0, 3.0).to_reduced()):
         back = coeffs_from_json_dict(coeffs_to_json_dict(co))
         assert back.kind is co.kind and back.variant is co.variant
         for z in (-1.2, 0.0, 2.7):
@@ -206,7 +206,7 @@ def test_synthesize_reduce_round_trip_over_speeds_and_kinds():
             target, slot = constant_coeffs(a, c, d=cubic), "d"
         else:
             slopes = gen.choice([-1.0, 1.0], 3) * gen.uniform(0.05, 0.3, 3)
-            target, slot = affine_coeffs(*slopes, a + 1.0, c, cubic), "b"
+            target, slot = AffineCoeffs(*slopes, a + 1.0, c, cubic).to_reduced(), "b"
         st = synthesize_structure(target, m, lam)
         got = reduce(st, lam)
         probed = reduce(st, lam, probe=prof)
@@ -225,14 +225,13 @@ def test_synthesize_needs_leading_speed():
 
 
 def test_prolongation_structure_satisfies_index1_condition():
-    lam2 = SpeedVector(np.array([1.0, 1.0]))
     for variant in (Variant.RAYLEIGH, Variant.VAN_DER_POL):
         st = prolongation_structure(2, 0.3, variant)
         assert st.variant is variant
         pts = [EvalPoint(rng.normal(), rng.normal(size=2),
                          eta=rng.normal(), xi=np.array([rng.normal(), 0.0]))
                for _ in range(25)]
-        assert check_constraint(st, lam2, pts)
+        assert check_constraint(st, pts)
     with pytest.raises(DimensionMismatch, match="m must be at least 1"):
         prolongation_structure(0, 0.3)
 
@@ -240,9 +239,8 @@ def test_prolongation_structure_satisfies_index1_condition():
 def test_check_constraint_fails_for_unbalanced_damping():
     # constant C with zero Gamma cannot balance: lhs = 0, rhs = C^1 xi_1
     st = constant_structure(np.eye(2), c=1.0)
-    lam = SpeedVector(np.array([1.0, 1.0]))
     pt = EvalPoint(0.0, np.zeros(2), eta=0.0, xi=np.array([0.4, 0.0]))
-    assert not check_constraint(st, lam, [pt])
+    assert not check_constraint(st, [pt])
 
 
 def test_verify_reduction_consistency_detects_non_reducible():
@@ -261,7 +259,7 @@ def test_check_constraint_fails_on_a_nan_c_field():
     st = replace(constant_structure(np.eye(2), b=1.0),
                  c_field=lambda x, t, eta, xi: np.full(2, math.nan))
     pt = EvalPoint(0.0, np.zeros(2), eta=0.0, xi=np.array([0.4, 0.0]))
-    assert not check_constraint(st, SpeedVector(np.array([1.0, 1.0])), [pt])
+    assert not check_constraint(st, [pt])
 
 
 def test_verify_reduction_consistency_fails_on_a_nan_h():

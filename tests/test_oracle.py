@@ -2,6 +2,8 @@
 and the single-time spectral reference solver."""
 
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -39,7 +41,7 @@ from mrayleigh.errors import (
 from mrayleigh.geometry import (
     GridSpec,
     prolong_field,
-    rayleigh_residual,
+    residual,
     stationary_solution,
 )
 from mrayleigh.oracle import (
@@ -110,6 +112,39 @@ def test_integration_parameter_guards():
         integrate_reduction(co, 0.0, 0.5, span=(1.0, 1.0))
     with pytest.raises(BadParameters):
         integrate_reduction(co, 0.0, 0.5, span=(0.0, 1.0), z0=2.0)
+
+
+_NON_FINITE_SCRIPT = """
+import math
+import numpy as np
+from mrayleigh.coefficients import constant_coeffs
+from mrayleigh.errors import BadParameters, StiffnessFailure
+from mrayleigh.oracle import _dp45, integrate_reduction
+
+co = constant_coeffs(1.0, 1.0, b=1.0)
+for args, kwargs in [((math.nan, 1.0), {}), ((0.0, math.inf), {}),
+                     ((0.0, 1.0), {"span": (-math.inf, 1.0)})]:
+    try:
+        integrate_reduction(co, *args, **kwargs)
+    except BadParameters as exc:
+        print(exc)
+    else:
+        raise AssertionError(f"no error for {args} {kwargs}")
+try:
+    list(_dp45(lambda t, y: y, 0.0, 1.0, np.array([math.nan, 1.0]), 1e-10))
+except StiffnessFailure:
+    print("stiff")
+"""
+
+
+def test_integration_rejects_a_non_finite_input_without_hanging():
+    # each of these once sent the stepper into an endless loop: a NaN first
+    # step never fell below the minimum step, and an infinite span never ends
+    r = subprocess.run([sys.executable, "-c", _NON_FINITE_SCRIPT],
+                       capture_output=True, text=True, timeout=30)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["phi0 must be finite", "phi_prime0 must be finite",
+                                     "span_lo must be finite", "stiff"]
 
 
 def _draws(family, n):
@@ -218,7 +253,7 @@ def test_residual_sweep_multitime():
     u = as_multitime(p)
     pts = list(grid.points())
     assert np.array_equal(rep.points, [[x, *t] for x, t in pts])
-    pointwise = [rayleigh_residual(u, st, x, t) for x, t in pts]
+    pointwise = [residual(u, st, x, t) for x, t in pts]
     assert np.max(np.abs(rep.residuals - pointwise)) <= 1e-14
 
 
@@ -351,7 +386,7 @@ def test_prolonged_jet_gives_the_single_time_residual(m):
     rng = np.random.default_rng(17)
     x = rng.uniform(0.0, 2.0 * math.pi, 40)
     t = rng.uniform(0.0, 1.0, (40, m))
-    multi = rayleigh_residual(prolong_field(sol.as_field(), m),
+    multi = residual(prolong_field(sol.as_field(), m),
                               prolongation_structure(m, eps), x, t)
     u, u_t, u_tt, u_xx = sol.jet(x, t[:, 0])
     single = u_tt - u_xx - eps * (u_t - u_t ** 3)

@@ -1,0 +1,15 @@
+"""The README's library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_readme_library_example_runs():
+    # the package re-exports nothing, so this also holds the documented
+    # import paths to the submodules that define each name
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, str(README), "exec"), {})
