@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -195,12 +195,14 @@ def _constant_field(value):
     return lambda x, t, eta, xi: arr
 
 
-def constant_structure(h, c=None, b=None, d=None, gamma=None) -> GeometricStructure:
+def constant_structure(h, c=None, b=None, d=None) -> GeometricStructure:
     """Build a structure with constant tensor data, checking symmetry.
 
     ``b`` may be a full (m, m, m) array or a scalar placed in the (1,1,1)
     slot; ``d`` and ``c`` likewise accept scalars for the first component.
     When neither b nor d is given an all-zero Rayleigh b-tensor is used.
+    Gamma is zero; ``prolongation_structure`` replaces it by a
+    jet-dependent field.
     """
     h = np.atleast_2d(np.asarray(h, dtype=float))
     m = h.shape[0]
@@ -240,19 +242,10 @@ def constant_structure(h, c=None, b=None, d=None, gamma=None) -> GeometricStruct
     if b_arr is None and d_arr is None:
         b_arr = np.zeros((m, m, m))
 
-    if gamma is None:
-        g_arr = np.zeros((m, m, m))
-    else:
-        g_arr = np.asarray(gamma, dtype=float)
-        if g_arr.shape != (m, m, m):
-            raise DimensionMismatch("gamma data must have shape (m, m, m)")
-        if not np.allclose(g_arr, np.transpose(g_arr, (0, 2, 1)), rtol=0.0, atol=1e-14):
-            raise BadParameters("Gamma must be symmetric in its lower indices")
-
     return GeometricStructure(
         m=m,
         h=_constant_field(h),
-        gamma=_constant_field(g_arr),
+        gamma=_constant_field(np.zeros((m, m, m))),
         c_field=_constant_field(c_arr),
         b_field=None if b_arr is None else _constant_field(b_arr),
         d_field=None if d_arr is None else _constant_field(d_arr),
@@ -272,15 +265,15 @@ class ReducedCoeffs:
     returns a Python float) or an array of phases (and returns an array of
     the same shape).  Every evaluation of a(z) is guarded: values with
     |a(z)| <= DEGENERACY_TOL raise DegenerateA, since the reduction is
-    singular there.  ``params`` carries the numeric payload for constant
-    and affine kinds and is what serializes; general coefficients hold
-    arbitrary callables and cannot round-trip through JSON.
+    singular there.  ``params`` is the numeric payload that serializes, and
+    ``kind`` is read off it: one number per coefficient is CONSTANT, a
+    [slope, constant] pair each is AFFINE, and None is GENERAL, whose
+    arbitrary callables cannot round-trip through JSON.
 
     The callables ``a_fn`` ... ``d_fn`` take a phase or an array of phases;
     ``general_coeffs`` wraps scalar callables to that contract.
     """
 
-    kind: CoeffKind
     a_fn: ScalarFn
     c_fn: ScalarFn
     b_fn: ScalarFn | None = None
@@ -294,6 +287,12 @@ class ReducedCoeffs:
     @property
     def variant(self) -> Variant:
         return Variant.RAYLEIGH if self.b_fn is not None else Variant.VAN_DER_POL
+
+    @property
+    def kind(self) -> CoeffKind:
+        if self.params is None:
+            return CoeffKind.GENERAL
+        return CoeffKind.AFFINE if isinstance(self.params["a"], list) else CoeffKind.CONSTANT
 
     def _apply(self, fn, z):
         if isinstance(z, (int, float)) or np.ndim(z) == 0:
@@ -344,17 +343,12 @@ def constant_coeffs(a, c, b=None, d=None) -> ReducedCoeffs:
     """Constant reduced coefficients; pass exactly one of b, d."""
     if (b is None) == (d is None):
         raise BadParameters("pass exactly one of b and d")
-    a, c = float(a), float(c)
-    params = {"a": a, "c": c}
-    if b is not None:
-        b = params["b"] = float(b)
-        _require_finite(**params)
-        return ReducedCoeffs(CoeffKind.CONSTANT, lambda z: a, lambda z: c,
-                             b_fn=lambda z: b, params=params)
-    d = params["d"] = float(d)
+    slot = "b" if b is not None else "d"
+    params = {"a": float(a), "c": float(c), slot: float(b if d is None else d)}
     _require_finite(**params)
-    return ReducedCoeffs(CoeffKind.CONSTANT, lambda z: a, lambda z: c,
-                         d_fn=lambda z: d, params=params)
+    a, c, cubic = params.values()
+    return ReducedCoeffs(lambda z: a, lambda z: c, params=params,
+                         **{slot + "_fn": lambda z: cubic})
 
 
 @dataclass(frozen=True)
@@ -393,13 +387,8 @@ class AffineCoeffs:
         """The AFFINE-kind ReducedCoeffs with these slopes and constants."""
         a1, b1, c1, a0, b0, c0 = self.sextuple()
         params = {"a": [a1, a0], "b": [b1, b0], "c": [c1, c0]}
-        return ReducedCoeffs(
-            CoeffKind.AFFINE,
-            lambda z: a1 * z + a0,
-            lambda z: c1 * z + c0,
-            b_fn=lambda z: b1 * z + b0,
-            params=params,
-        )
+        return ReducedCoeffs(lambda z: a1 * z + a0, lambda z: c1 * z + c0,
+                             b_fn=lambda z: b1 * z + b0, params=params)
 
 
 def general_coeffs(a: ScalarFn, c: ScalarFn, b: ScalarFn | None = None,
@@ -412,8 +401,7 @@ def general_coeffs(a: ScalarFn, c: ScalarFn, b: ScalarFn | None = None,
     if (b is None) == (d is None):
         raise BadParameters("pass exactly one of b and d")
     b_fn, d_fn = (None if f is None else _per_phase(f) for f in (b, d))
-    return ReducedCoeffs(CoeffKind.GENERAL, _per_phase(a), _per_phase(c),
-                         b_fn=b_fn, d_fn=d_fn)
+    return ReducedCoeffs(_per_phase(a), _per_phase(c), b_fn=b_fn, d_fn=d_fn)
 
 
 def _per_phase(fn: ScalarFn):
@@ -424,7 +412,7 @@ def _per_phase(fn: ScalarFn):
 
 def coeffs_to_json_dict(rc: ReducedCoeffs) -> dict:
     """Serialize constant or affine coefficients (general ones cannot)."""
-    if rc.kind is CoeffKind.GENERAL or rc.params is None:
+    if rc.params is None:
         raise ValueError("general coefficients hold callables and do not serialize")
     return {"kind": rc.kind.value, "variant": rc.variant.value, **rc.params}
 
@@ -432,9 +420,8 @@ def coeffs_to_json_dict(rc: ReducedCoeffs) -> dict:
 def coeffs_from_json_dict(obj: dict) -> ReducedCoeffs:
     kind = obj.get("kind")
     if kind == CoeffKind.CONSTANT.value:
-        if obj.get("variant") == Variant.VAN_DER_POL.value:
-            return constant_coeffs(obj["a"], obj["c"], d=obj["d"])
-        return constant_coeffs(obj["a"], obj["c"], b=obj["b"])
+        slot = "d" if obj.get("variant") == Variant.VAN_DER_POL.value else "b"
+        return constant_coeffs(obj["a"], obj["c"], **{slot: obj[slot]})
     if kind == CoeffKind.AFFINE.value:
         a1, a0 = obj["a"]
         b1, b0 = obj["b"]
@@ -463,26 +450,28 @@ def _cubic_term(structure: GeometricStructure, x, t, eta, xi):
     return eta * eta * np.einsum("...g,...g->...", structure.d_field(x, t, eta, xi), xi)
 
 
-def _classify(fns: dict) -> tuple[CoeffKind, dict | None]:
-    """Sample the contraction closures around z = 0 to tag them constant/affine/general."""
+def _classify(fns: dict) -> dict | None:
+    """Sample the contraction closures around z = 0 for their params: one
+    number each when constant, a [slope, constant] pair each when affine,
+    None otherwise (the params that decide ReducedCoeffs.kind)."""
     step = 0.7
     zs = step * np.arange(-2.0, 3.0)
     try:
         samples = {k: np.broadcast_to(fn(zs), zs.shape) for k, fn in fns.items()}
     except MrayleighError:
         # e.g. a profile probe whose domain does not reach every sample
-        return CoeffKind.GENERAL, None
+        return None
     scale = max(1.0, *(np.max(np.abs(v)) for v in samples.values()))
     tol = 1e-12 * scale
     if all(np.max(np.abs(v - v[2])) <= tol for v in samples.values()):
-        return CoeffKind.CONSTANT, {k: float(v[2]) for k, v in samples.items()}
+        return {k: float(v[2]) for k, v in samples.items()}
     if all(np.max(np.abs(np.diff(v, n=2))) <= step * step * tol for v in samples.values()):
         params = {}
         for k, v in samples.items():
             slope = (v[3] - v[1]) / (2.0 * step)
             params[k] = [float(slope), float(v[2] - slope * zs[2])]
-        return CoeffKind.AFFINE, params
-    return CoeffKind.GENERAL, None
+        return params
+    return None
 
 
 def reduce(structure: GeometricStructure, lam: SpeedVector,
@@ -522,15 +511,8 @@ def reduce(structure: GeometricStructure, lam: SpeedVector,
     if abs(a_ref) <= DEGENERACY_TOL:
         raise DegenerateA(f"a(0.0) = {a_ref} at the probed point")
 
-    kind, params = _classify(fns)
-    return ReducedCoeffs(
-        kind=kind,
-        a_fn=fns["a"],
-        c_fn=fns["c"],
-        b_fn=fns.get("b"),
-        d_fn=fns.get("d"),
-        params=params,
-    )
+    return ReducedCoeffs(fns["a"], fns["c"], b_fn=fns.get("b"), d_fn=fns.get("d"),
+                         params=_classify(fns))
 
 
 def synthesize_structure(target: ReducedCoeffs, m: int, lam: SpeedVector) -> GeometricStructure:
@@ -567,48 +549,35 @@ def synthesize_structure(target: ReducedCoeffs, m: int, lam: SpeedVector) -> Geo
             return out
         return field
 
-    gamma = _constant_field(np.zeros((m, m, m)))
-    if target.variant is Variant.RAYLEIGH:
-        return GeometricStructure(m=m, h=h, gamma=gamma, c_field=leading(target.c, lam1, 1),
-                                  b_field=leading(target.b, lam1 * lam1 * lam1, 3))
-    return GeometricStructure(m=m, h=h, gamma=gamma, c_field=leading(target.c, lam1, 1),
-                              d_field=leading(target.d, lam1, 1))
+    cubic = ({"b_field": leading(target.b, lam1 * lam1 * lam1, 3)}
+             if target.variant is Variant.RAYLEIGH else {"d_field": leading(target.d, lam1, 1)})
+    return GeometricStructure(m=m, h=h, gamma=_constant_field(np.zeros((m, m, m))),
+                              c_field=leading(target.c, lam1, 1), **cubic)
 
 
 def prolongation_structure(m: int, epsilon: float,
                            variant: Variant = Variant.RAYLEIGH) -> GeometricStructure:
     """Structure under which u(x, t^1) prolongs a single-time solution.
 
-    h is the identity, C and the cubic slot are supported on index 1 with
-    weight epsilon, and Gamma^1_{11} is chosen jet-dependently so that the
-    index-1 algebraic condition h^{ab} Gamma^1_{ab} xi_1 = C^1 xi_1 -
-    B^{111} xi_1^3 (or its eta^2 D^1 counterpart) holds identically.
+    It is the constant structure with h the identity, C and the cubic slot
+    supported on index 1 with weight epsilon, and a jet-dependent
+    Gamma^1_{11} chosen so that the index-1 algebraic condition
+    h^{ab} Gamma^1_{ab} xi_1 = C^1 xi_1 - B^{111} xi_1^3 (or its
+    eta^2 D^1 counterpart) holds identically.
     """
     if m < 1:
         raise DimensionMismatch(f"m must be at least 1, got {m}")
     eps = float(epsilon)
-    h = _constant_field(np.eye(m))
-    c_arr = np.zeros(m)
-    c_arr[0] = eps
-    c_field = _constant_field(c_arr)
+    rayleigh = variant is Variant.RAYLEIGH
+    st = constant_structure(np.eye(m), c=eps, **{"b" if rayleigh else "d": eps})
 
-    def gamma_from(weight):
+    def gamma(x, t, eta, xi):
+        weight = xi[..., 0] if rayleigh else eta
         out = np.zeros(np.shape(weight) + (m, m, m))
         out[..., 0, 0, 0] = eps * (1.0 - weight * weight)
         return out
 
-    if variant is Variant.RAYLEIGH:
-        b_arr = np.zeros((m, m, m))
-        b_arr[0, 0, 0] = eps
-        return GeometricStructure(m=m, h=h, c_field=c_field,
-                                  gamma=lambda x, t, eta, xi: gamma_from(xi[..., 0]),
-                                  b_field=_constant_field(b_arr))
-
-    d_arr = np.zeros(m)
-    d_arr[0] = eps
-    return GeometricStructure(m=m, h=h, c_field=c_field,
-                              gamma=lambda x, t, eta, xi: gamma_from(eta),
-                              d_field=_constant_field(d_arr))
+    return replace(st, gamma=gamma)
 
 
 def _normalize_points(points, m: int) -> list[EvalPoint]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -390,27 +390,25 @@ def residual_sweep(u, structure, grid: GridSpec,
 
 @dataclass(frozen=True)
 class DecayResult:
-    """Outcome of following a profile along a ray in multitime."""
+    """Outcome of following a profile along a ray in multitime.
+
+    ``ok`` is read off ``crossing_radius``: the profile decays when a
+    crossing radius exists.
+    """
 
     direction: tuple[float, ...]
     threshold: float
     horizon: float
-    ok: bool
     crossing_radius: float | None
     final_value: float
     limit_metadata: dict
 
+    @property
+    def ok(self) -> bool:
+        return self.crossing_radius is not None
+
     def to_json_dict(self) -> dict:
-        return {
-            "direction": [float(v) for v in self.direction],
-            "threshold": float(self.threshold),
-            "horizon": float(self.horizon),
-            "ok": bool(self.ok),
-            "crossing_radius": None if self.crossing_radius is None
-            else float(self.crossing_radius),
-            "final_value": float(self.final_value),
-            "limit_metadata": self.limit_metadata,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def decay_check(profile: SolitonProfile, direction, threshold: float = 1e-3,
@@ -458,8 +456,7 @@ def decay_check(profile: SolitonProfile, direction, threshold: float = 1e-3,
     if key in profile.params:
         meta["stated_limit"] = profile.params[key]
     return DecayResult(tuple(float(v) for v in direction), threshold,
-                       horizon, crossing is not None, crossing,
-                       float(vals[-1]), meta)
+                       horizon, crossing, float(vals[-1]), meta)
 
 
 def _lobatto(n: int, t_final: float):

@@ -396,6 +396,21 @@ def test_non_finite_profile_parameters_exit_2(family_args, name):
     (("verify", "--oracle-tol", "nan"), "--oracle-tol must lie in [1e-12, 0.0001]"),
     (("verify", "--family", "stationary", "--a", "exp"),
      "--a must be a number for family stationary"),
+    (("profile", "--family", "quadrature", "--z0", "20"),
+     "anchor z0 must lie inside the requested domain"),
+    (("profile", "--family", "quadrature", "--K", "-1"),
+     "the radicand K - 2G is nonpositive at the anchor"),
+    (("profile", "--family", "quadrature", "--zmin", "3", "--zmax", "1"),
+     "domain must satisfy lo < hi"),
+    (("profile", "--family", "vdp-implicit", "--a", "exp", "--c", "exp", "--d", "3"),
+     "phi0 (the anchor value at z0) is required"),
+    (("profile", "--family", "vdp-implicit", "--a", "exp", "--c", "exp", "--d", "3",
+      "--phi0", "0"), "phi0 must be nonzero for the k1 = 0 branch"),
+    (("profile", "--family", "vdp-implicit", "--a", "exp", "--c", "exp", "--d", "3",
+      "--k1", "0.5", "--phi0", "0.5"),
+     "phi0 = k1 is the constant solution; the implicit branches exclude it"),
+    (("profile", "--family", "vdp-explicit", "--a", "1", "--c", "1", "--d=-3", "--K", "0"),
+     "constant radicand is nonpositive"),
 ])
 def test_non_finite_inputs_exit_2(args, message):
     r = run_cli(*args)

@@ -5,6 +5,7 @@ evaluate elementary functions at w = K e^{-(c/a) z}); residuals are checked
 with the independent ODE evaluator in two derivative modes.
 """
 
+import itertools
 import math
 import warnings
 
@@ -252,6 +253,68 @@ def test_vdp_explicit_domain_analysis():
         vdp_explicit(1.0, -1.0, 3.0, -1.0)
     with pytest.raises(BadParameters):
         vdp_explicit(0.0, 1.0, 3.0, 1.0)
+
+
+def _vdp_explicit_limit(radicand_limit):
+    """phi's limit where the radicand K e^{2cz/a} + d/(3c) tends to this value."""
+    if radicand_limit <= 0.0:
+        return None
+    return 0.0 if math.isinf(radicand_limit) else 1.0 / math.sqrt(radicand_limit)
+
+
+def test_vdp_explicit_over_the_signs_of_K_offset_and_rate():
+    # each sign of a, c, d and K in turn, magnitudes drawn: both empty
+    # domains, the whole line, and a finite edge on either side
+    rng = np.random.default_rng(18)
+    signs = list(itertools.product((1.0, -1.0), (1.0, -1.0), (1.0, -1.0), (1.0, 0.0, -1.0)))
+    seen = set()
+    for i in range(400):
+        sa, sc, sd, sk = signs[i % len(signs)]
+        a, c = sa * rng.uniform(0.5, 2.0), sc * rng.uniform(0.5, 2.0)
+        d, K = sd * rng.uniform(0.5, 3.0), sk * rng.uniform(0.2, 3.0)
+        rate, off = 2.0 * c / a, d / (3.0 * c)
+        if off <= 0.0 and K <= 0.0:
+            message = ("constant radicand is nonpositive" if K == 0.0
+                       else "radicand is negative everywhere")
+            with pytest.raises(EmptyDomain, match=message):
+                vdp_explicit(a, c, d, K)
+            seen.add(message)
+            continue
+        p = vdp_explicit(a, c, d, K)
+        lo, hi = p.domain.lo, p.domain.hi
+        width = 8.0 / abs(rate)
+        if math.isinf(lo) and math.isinf(hi):
+            zs = np.linspace(-width, width, 101)
+            seen.add("whole line")
+        else:
+            # one finite end, a pad of 1e-9 inside the radicand's root
+            assert math.isinf(lo) != math.isinf(hi)
+            root = math.log(-off / K) / rate
+            assert abs(K * math.exp(rate * root) + off) <= 1e-12 * abs(off)
+            edge, inward = (lo, 1.0) if math.isfinite(lo) else (hi, -1.0)
+            assert inward * (edge - root) > 0.0
+            assert math.isclose(abs(edge - root), 1e-9 * max(1.0, abs(root)), rel_tol=1e-6)
+            zs = edge + inward * np.linspace(0.0, width, 101)
+            seen.add(f"edge with 2c/a {'>' if rate > 0 else '<'} 0")
+        phi, dphi, ddphi = p.phi(zs), p.phi_prime(zs), p.phi_second(zs)
+        assert np.all(np.isfinite(phi) & np.isfinite(dphi) & np.isfinite(ddphi))
+        # the ODE residual against the size of its terms, which grow without
+        # bound toward a finite edge
+        scale = np.abs(a * ddphi) + np.abs(d * phi * phi * dphi) + np.abs(c * dphi)
+        res = reduction_ode_residual(p.coeffs, p, zs, "analytic").residuals
+        assert np.all(np.abs(res) <= 1e-12 * np.maximum(scale, 1.0)), (a, c, d, K)
+        # the stated limit at each infinite end is where the radicand tends
+        for end, side, key in ((hi, 1.0, "limit_pos_inf"), (lo, -1.0, "limit_neg_inf")):
+            if math.isfinite(end):
+                assert p.params[key] is None
+                continue
+            growing = K != 0.0 and side * rate > 0.0
+            expected = _vdp_explicit_limit(math.copysign(math.inf, K) if growing else off)
+            assert p.params[key] == expected, (key, a, c, d, K)
+            if expected is not None:
+                assert abs(p.phi(side * 60.0 / abs(rate)) - expected) <= 1e-9
+    assert seen == {"constant radicand is nonpositive", "radicand is negative everywhere",
+                    "whole line", "edge with 2c/a > 0", "edge with 2c/a < 0"}
 
 
 def test_quadrature_rejects_a_non_finite_integrand():

@@ -154,6 +154,12 @@ def test_reduce_contracts_constant_structure():
         assert abs(co.b(z) - 0.7) < 1e-14   # B supported on (1,1,1)
 
 
+def test_reduce_rejects_a_vanishing_a_at_the_anchor():
+    # h = 1 and lambda = 1 give a = h^{11} lambda_1 lambda_1 - 1 = 0
+    with pytest.raises(DegenerateA, match=r"a\(0\.0\) = 0\.0 at the probed point"):
+        reduce(constant_structure(np.eye(1), b=1.0), SpeedVector(np.array([1.0])))
+
+
 def test_reduce_rejects_dimension_mismatch():
     st = constant_structure(np.eye(2), b=1.0)
     with pytest.raises(DimensionMismatch):

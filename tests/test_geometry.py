@@ -211,6 +211,12 @@ def test_check_prolongation_grid_argument_forms():
         check_prolongation(traveling_sine(), st)
 
 
+def test_check_prolongation_rejects_a_grid_of_another_m():
+    grid = GridSpec((0.0, 1.0, 3), ((0.0, 1.0, 2),) * 2)
+    with pytest.raises(DimensionMismatch, match="grid and structure disagree on m"):
+        check_prolongation(traveling_sine(), prolongation_structure(3, 0.0), grid)
+
+
 def test_prolong_field_dimension_guard():
     u3 = _sin_exp_field(3)
     with pytest.raises(DimensionMismatch):

@@ -190,6 +190,16 @@ def test_radius_estimates_for_known_cases():
     assert series_coefficients(LINEAR, 5.0, 0.0, 6).radius_estimate >= 1e299
 
 
+def test_a_sparse_tail_of_an_entire_series_gives_the_large_radius():
+    # a = 1, b = 0, c = z: phi' = e^{-z^2/2} is entire, and phi's odd
+    # coefficients leave two nonzero entries in the tail window [4, 8]
+    sol = series_coefficients(AffineCoeffs(0, 0, 1, 1, 0, 0), 0.0, 1.0, 8)
+    assert np.allclose(sol.alpha, [0, 1, 0, -1 / 6, 0, 1 / 40, 0, -1 / 336, 0],
+                       rtol=1e-15, atol=0.0)
+    assert np.count_nonzero(sol.alpha[4:]) == 2
+    assert sol.radius_estimate == LARGE_RADIUS
+
+
 def test_recurrence_needs_nondegenerate_constant_a():
     bad = AffineCoeffs.from_sextuple((1.0, 0.0, 0.0, 0.0, 0.0, 1.0))
     with pytest.raises(DegenerateA):
