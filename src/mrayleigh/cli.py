@@ -71,7 +71,7 @@ from .oracle import (
     reduction_ode_residual,
     residual_sweep,
 )
-from .series import series_coefficients, series_coefficients_triple_sum, series_soliton
+from .series import series_coefficients, series_soliton
 
 GUARD_BAND = 0.1
 
@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_series)
     _add_common(p)
     _add_series_params(p)
-    p.add_argument("--method", choices=["convolution", "triple"], default="convolution")
 
     p = sub.add_parser("prolong", help="single-time solve plus multitime check")
     p.set_defaults(run=_cmd_prolong)
@@ -340,12 +339,15 @@ def _build_profile(ns):
         _require_numbers(ns, ("a", "c", "d"))
         return vdp_explicit(ns.a, ns.c, ns.d, ns.K, lam=lam)
     if fam == "series":
-        if not ns.coeffs:
-            raise ValueError("family series needs --coeffs M,P,Q,A,B,C")
-        sol = series_coefficients(AffineCoeffs.from_sextuple(ns.coeffs),
-                                  ns.alpha0, ns.alpha1, ns.N)
-        return series_soliton(sol, lam)
+        return series_soliton(_series(ns, "family series"), lam)
     raise ValueError(f"unknown family {fam!r}")
+
+
+def _series(ns, what: str):
+    """The series recurrence on --coeffs, which ``what`` needs."""
+    if not ns.coeffs:
+        raise ValueError(f"{what} needs --coeffs M,P,Q,A,B,C")
+    return series_coefficients(AffineCoeffs.from_sextuple(ns.coeffs), ns.alpha0, ns.alpha1, ns.N)
 
 
 def _window(ns, lo, hi):
@@ -489,12 +491,7 @@ def _cmd_verify(ns) -> int:
 
 
 def _cmd_series(ns) -> int:
-    if not ns.coeffs:
-        raise ValueError("series needs --coeffs M,P,Q,A,B,C")
-    ac = AffineCoeffs.from_sextuple(ns.coeffs)
-    runner = (series_coefficients if ns.method == "convolution"
-              else series_coefficients_triple_sum)
-    sol = runner(ac, ns.alpha0, ns.alpha1, ns.N)
+    sol = _series(ns, "series")
     rows = [[n, v] for n, v in enumerate(sol.alpha)]
     _emit(ns, sol.to_json_dict(), (["n", "alpha_n"], rows))
     # estimate_radius returns 0.0 when it cannot judge the tail

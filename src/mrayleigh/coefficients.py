@@ -135,29 +135,6 @@ class SpeedVector:
         return [float(v) for v in self.values]
 
 
-@dataclass(frozen=True)
-class EvalPoint:
-    """A first-jet evaluation point (x, t, eta, xi) for tensor fields."""
-
-    x: float
-    t: np.ndarray
-    eta: float = 0.0
-    xi: np.ndarray | None = None
-
-    def __post_init__(self):
-        t = np.atleast_1d(np.asarray(self.t, dtype=float))
-        object.__setattr__(self, "t", t)
-        xi = self.xi
-        xi = np.zeros_like(t) if xi is None else np.atleast_1d(np.asarray(xi, dtype=float))
-        if xi.shape != t.shape:
-            raise DimensionMismatch("xi must have the same length as t")
-        object.__setattr__(self, "xi", xi)
-
-    @property
-    def m(self) -> int:
-        return self.t.size
-
-
 TensorField = Callable[[float, np.ndarray, float, np.ndarray], np.ndarray]
 
 
@@ -339,16 +316,28 @@ class ReducedCoeffs:
         return (self.cubic(z, phi, psi) - self.c(z) * psi) / self.a(z)
 
 
+def _coeffs_from_params(params: dict) -> ReducedCoeffs:
+    """CONSTANT or AFFINE coefficients from ``params``, keyed a, c and the
+    cubic slot b or d: one number each, or a [slope, constant] pair each."""
+    params, numbers, fns = dict(params), {}, {}
+    for k, v in params.items():
+        if isinstance(v, list):
+            slope, const = params[k] = [float(p) for p in v]
+            numbers.update({f"{k}_slope": slope, f"{k}_const": const})
+            fns[f"{k}_fn"] = lambda z, s=slope, c=const: s * z + c
+        else:
+            numbers[k] = params[k] = float(v)
+            fns[f"{k}_fn"] = lambda z, c=params[k]: c
+    _require_finite(**numbers)
+    return ReducedCoeffs(params=params, **fns)
+
+
 def constant_coeffs(a, c, b=None, d=None) -> ReducedCoeffs:
     """Constant reduced coefficients; pass exactly one of b, d."""
     if (b is None) == (d is None):
         raise BadParameters("pass exactly one of b and d")
     slot = "b" if b is not None else "d"
-    params = {"a": float(a), "c": float(c), slot: float(b if d is None else d)}
-    _require_finite(**params)
-    a, c, cubic = params.values()
-    return ReducedCoeffs(lambda z: a, lambda z: c, params=params,
-                         **{slot + "_fn": lambda z: cubic})
+    return _coeffs_from_params({"a": a, "c": c, slot: b if d is None else d})
 
 
 @dataclass(frozen=True)
@@ -386,9 +375,7 @@ class AffineCoeffs:
     def to_reduced(self) -> ReducedCoeffs:
         """The AFFINE-kind ReducedCoeffs with these slopes and constants."""
         a1, b1, c1, a0, b0, c0 = self.sextuple()
-        params = {"a": [a1, a0], "b": [b1, b0], "c": [c1, c0]}
-        return ReducedCoeffs(lambda z: a1 * z + a0, lambda z: c1 * z + c0,
-                             b_fn=lambda z: b1 * z + b0, params=params)
+        return _coeffs_from_params({"a": [a1, a0], "b": [b1, b0], "c": [c1, c0]})
 
 
 def general_coeffs(a: ScalarFn, c: ScalarFn, b: ScalarFn | None = None,
@@ -419,15 +406,13 @@ def coeffs_to_json_dict(rc: ReducedCoeffs) -> dict:
 
 def coeffs_from_json_dict(obj: dict) -> ReducedCoeffs:
     kind = obj.get("kind")
-    if kind == CoeffKind.CONSTANT.value:
-        slot = "d" if obj.get("variant") == Variant.VAN_DER_POL.value else "b"
-        return constant_coeffs(obj["a"], obj["c"], **{slot: obj[slot]})
-    if kind == CoeffKind.AFFINE.value:
-        a1, a0 = obj["a"]
-        b1, b0 = obj["b"]
-        c1, c0 = obj["c"]
-        return AffineCoeffs(a1, b1, c1, a0, b0, c0).to_reduced()
-    raise ValueError(f"cannot deserialize coefficient kind {kind!r}")
+    if kind not in (CoeffKind.CONSTANT.value, CoeffKind.AFFINE.value):
+        raise ValueError(f"cannot deserialize coefficient kind {kind!r}")
+    slot = "d" if obj.get("variant") == Variant.VAN_DER_POL.value else "b"
+    params = {k: obj[k] for k in ("a", "c", slot)}
+    if any(isinstance(v, list) != (kind == CoeffKind.AFFINE.value) for v in params.values()):
+        raise ValueError(f"coefficients of kind {kind!r} do not match their values {params}")
+    return _coeffs_from_params(params)
 
 
 def _contraction(structure: GeometricStructure, lam: SpeedVector, name: str,
@@ -580,14 +565,13 @@ def prolongation_structure(m: int, epsilon: float,
     return replace(st, gamma=gamma)
 
 
-def _normalize_points(points, m: int) -> list[EvalPoint]:
-    out = []
-    for p in points:
-        pt = p if isinstance(p, EvalPoint) else EvalPoint(*p)
-        if pt.m != m:
-            raise DimensionMismatch("sample point has the wrong number of times")
-        out.append(pt)
-    return out
+def _jet_points(structure: GeometricStructure, x, t, eta, xi):
+    """(x, t, eta, xi) as one jet point or N stacked ones, after checking that
+    t and xi carry the structure's m times."""
+    t, xi = np.asarray(t, dtype=float), np.asarray(xi, dtype=float)
+    if t.shape[-1:] != (structure.m,) or xi.shape != t.shape:
+        raise DimensionMismatch(f"t and xi must have shape (m,) or (N, m), m = {structure.m}")
+    return _unwrap(x), t, _unwrap(eta), xi
 
 
 def _constraint_gap(structure: GeometricStructure, x, t, eta, xi):
@@ -600,19 +584,18 @@ def _constraint_gap(structure: GeometricStructure, x, t, eta, xi):
     return lhs - rhs
 
 
-def check_constraint(structure: GeometricStructure, sample_points) -> bool:
+def check_constraint(structure: GeometricStructure, x, t, eta, xi) -> bool:
     """Check h^{ab} Gamma^g_{ab} xi_g = C^g xi_g - B^{abc} xi_a xi_b xi_c.
 
     For the Van der Pol variant the right-hand side is
-    C^g xi_g - eta^2 D^g xi_g.  True iff the pointwise residual stays
-    within CONSTRAINT_TOL at every sample.  The constraint does not involve
-    the speeds; each sample point must carry the structure's m times.
+    C^g xi_g - eta^2 D^g xi_g.  Takes one jet point or N stacked ones, as
+    the tensor fields do, and evaluates the gap once over all of them.
+    True iff the pointwise residual stays within CONSTRAINT_TOL at every
+    point.  The constraint does not involve the speeds; t and xi must carry
+    the structure's m times (DimensionMismatch otherwise).
     """
-    for pt in _normalize_points(sample_points, structure.m):
-        gap = _constraint_gap(structure, pt.x, pt.t, pt.eta, pt.xi)
-        if not np.all(np.abs(gap) <= CONSTRAINT_TOL):
-            return False
-    return True
+    gap = _constraint_gap(structure, *_jet_points(structure, x, t, eta, xi))
+    return bool(np.all(np.abs(gap) <= CONSTRAINT_TOL))
 
 
 def verify_reduction_consistency(structure: GeometricStructure, lam: SpeedVector) -> bool:
@@ -622,20 +605,22 @@ def verify_reduction_consistency(structure: GeometricStructure, lam: SpeedVector
     time points t, t' with matching phase (x adjusted so x - lambda.t = z)
     and compares the contractions; any relative disagreement above
     CONSTRAINT_TOL means the structure does not reduce to well-defined
-    coefficient functions of z along this lambda.
+    coefficient functions of z along this lambda.  Each contraction is
+    evaluated once on the stack of t and once on the stack of t'.
     """
-    if lam.m != structure.m:
+    m = structure.m
+    if lam.m != m:
         raise DimensionMismatch("lambda does not match the structure")
-    rng = np.random.default_rng(CONSISTENCY_SEED)
-    zeros = np.zeros(structure.m)
-    names = ("a", "c", "b" if structure.variant is Variant.RAYLEIGH else "d")
-    for _ in range(CONSISTENCY_SAMPLES):
-        z = rng.uniform(*CONSISTENCY_Z_RANGE)
-        t1 = rng.uniform(-3.0, 3.0, structure.m)
-        t2 = rng.uniform(-3.0, 3.0, structure.m)
-        for key in names:
-            v1 = float(_contraction(structure, lam, key, z + lam.dot(t1), t1, 0.0, zeros))
-            v2 = float(_contraction(structure, lam, key, z + lam.dot(t2), t2, 0.0, zeros))
-            if not np.all(np.abs(v1 - v2) <= CONSTRAINT_TOL * max(1.0, abs(v1), abs(v2))):
-                return False
+    # row i holds sample i's z, t and t' in the order of per-sample uniform draws
+    u = np.random.default_rng(CONSISTENCY_SEED).random((CONSISTENCY_SAMPLES, 1 + 2 * m))
+    lo, hi = CONSISTENCY_Z_RANGE
+    z = lo + (hi - lo) * u[:, 0]
+    t1, t2 = -3.0 + 6.0 * u[:, 1:1 + m], -3.0 + 6.0 * u[:, 1 + m:]
+    zeros = np.zeros((CONSISTENCY_SAMPLES, m))
+    for key in ("a", "c", "b" if structure.variant is Variant.RAYLEIGH else "d"):
+        v1 = _contraction(structure, lam, key, z + lam.dot(t1), t1, 0.0, zeros)
+        v2 = _contraction(structure, lam, key, z + lam.dot(t2), t2, 0.0, zeros)
+        scale = np.maximum(1.0, np.maximum(np.abs(v1), np.abs(v2)))
+        if not np.all(np.abs(v1 - v2) <= CONSTRAINT_TOL * scale):
+            return False
     return True

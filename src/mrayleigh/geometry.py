@@ -28,11 +28,11 @@ import numpy as np
 from .coefficients import (
     CONSTRAINT_TOL,
     GeometricStructure,
-    _constraint_gap,
     _cubic_term,
-    _normalize_points,
+    _jet_points,
     _require_finite,
     _unwrap,
+    check_constraint,
 )
 from .errors import ConditionViolated, DimensionMismatch
 
@@ -255,19 +255,18 @@ def residual(u: FieldFunction, structure: GeometricStructure, x, t):
     return _unwrap(_assemble(structure, *_jet_at(u, structure, x, t)))
 
 
-def check_reversibility(structure: GeometricStructure, sample_points) -> bool:
+def check_reversibility(structure: GeometricStructure, x, t, eta, xi) -> bool:
     """True iff C and B (or D) are odd under t -> -t, within CONSTRAINT_TOL.
 
     Multitime reversibility: u(x, -t) solves the equation whenever u(x, t)
-    does exactly when the damping fields flip sign with time.
+    does exactly when the damping fields flip sign with time.  Takes one
+    jet point or N stacked ones, as the tensor fields do, and evaluates
+    each field once at t and once at -t; t and xi must carry the
+    structure's m times (DimensionMismatch otherwise).
     """
-    for pt in _normalize_points(sample_points, structure.m):
-        x, t, eta, xi = pt.x, pt.t, pt.eta, pt.xi
-        for f in (structure.c_field, structure.b_field or structure.d_field):
-            odd_gap = np.asarray(f(x, t, eta, xi), float) + np.asarray(f(x, -t, eta, xi), float)
-            if not np.all(np.abs(odd_gap) <= CONSTRAINT_TOL):
-                return False
-    return True
+    x, t, eta, xi = _jet_points(structure, x, t, eta, xi)
+    return all(np.all(np.abs(np.add(f(x, t, eta, xi), f(x, -t, eta, xi))) <= CONSTRAINT_TOL)
+               for f in (structure.c_field, structure.b_field or structure.d_field))
 
 
 def check_prolongation(u1: FieldFunction, structure: GeometricStructure,
@@ -275,11 +274,11 @@ def check_prolongation(u1: FieldFunction, structure: GeometricStructure,
     """Verify that v(x, t) = u1(x, t^1) solves the multitime equation.
 
     Reads the jet of u1 once, on the lattice's (x, t^1) axes, and lifts it
-    to every grid point (v is constant along t^2, ..., t^m).  Checks the
-    index-1 algebraic condition of ``check_constraint`` at every
-    ``max(1, N // 50)``-th grid point within CONSTRAINT_TOL (raising
-    ConditionViolated on failure), then evaluates the variant residual over
-    the whole grid.
+    to every grid point (v is constant along t^2, ..., t^m).  Calls
+    ``check_constraint`` once on the stack of every ``max(1, N // 50)``-th
+    grid point's jet, raising ConditionViolated when the index-1 algebraic
+    condition fails there, then evaluates the variant residual over the
+    whole grid.
     """
     m = structure.m
     if grid.m != m:
@@ -300,8 +299,7 @@ def check_prolongation(u1: FieldFunction, structure: GeometricStructure,
     x, t = grid.arrays()
 
     stride = max(1, x.size // 50)
-    gap = _constraint_gap(structure, x[::stride], t[::stride], eta[::stride], xi[::stride])
-    if not np.all(np.abs(gap) <= CONSTRAINT_TOL):
+    if not check_constraint(structure, x[::stride], t[::stride], eta[::stride], xi[::stride]):
         raise ConditionViolated(
             "index-1 condition fails on the sampled jet of the prolonged field")
 

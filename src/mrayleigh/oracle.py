@@ -493,7 +493,7 @@ class SingleTimeSolution:
     def _check_t(self, t):
         t = np.asarray(t, dtype=float)
         slack = 1e-12 * max(1.0, self.t_final)
-        outside = (t < -slack) | (t > self.t_final + slack)
+        outside = ~((t >= -slack) & (t <= self.t_final + slack))     # NaN is outside
         if np.any(outside):
             raise DomainExceeded(f"t = {np.ravel(t)[np.argmax(np.ravel(outside))]} "
                                  f"outside the integrated range [0, {self.t_final}]")

@@ -219,14 +219,15 @@ def test_criterion_7_structural_invariants():
 
     # damping fields odd in t pass the parity check, constant ones fail
     pts = [(rng.normal(), rng.normal(size=2)) for _ in range(10)]
+    x, t = (np.array(col) for col in zip(*pts))
     odd = constant_structure(np.eye(2))
     odd = type(odd)(m=2, h=odd.h, gamma=odd.gamma,
                     c_field=lambda x, t, eta, xi: np.asarray(t),
-                    b_field=lambda x, t, eta, xi: t[0] * np.ones((2, 2, 2)),
+                    b_field=lambda x, t, eta, xi: t[..., 0, None, None, None] * np.ones((2, 2, 2)),
                     d_field=None)
     even = constant_structure(np.eye(2), c=np.ones(2), b=np.zeros((2, 2, 2)))
-    assert check_reversibility(odd, pts)
-    assert not check_reversibility(even, pts)
+    assert check_reversibility(odd, x, t, 0.0, np.zeros_like(t))
+    assert not check_reversibility(even, x, t, 0.0, np.zeros_like(t))
 
     # prescribing coefficients and contracting them back is the identity
     target = constant_coeffs(2.0, 0.5, b=0.7)

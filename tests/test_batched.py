@@ -29,6 +29,8 @@ from mrayleigh.closed_form import (
 from mrayleigh.coefficients import (
     SpeedVector,
     Variant,
+    _constraint_gap,
+    _unwrap,
     constant_coeffs,
     general_coeffs,
     prolongation_structure,
@@ -502,3 +504,10 @@ def test_a_point_has_the_bits_of_its_row_in_any_stack(m):
     _assert_rows("prolonged jet", field.jet, on_circle, rng, specials)
     _assert_rows("prolonged residual", lambda x, t: residual(field, st, x, t),
                  on_circle, rng, specials)
+    # the index-1 gap that check_constraint, and through it check_prolongation, reads
+    specials = [(1.0, np.zeros(m), 0.5, np.ones(m)), (-0.0, np.ones(m), 0.0, -np.ones(m))]
+    for variant in Variant:
+        st = prolongation_structure(m, 0.3, variant)
+        _assert_rows(f"{variant.value} index-1 gap",
+                     lambda x, t, eta, xi, st=st: _unwrap(_constraint_gap(st, x, t, eta, xi)),
+                     points, rng, specials)

@@ -263,14 +263,6 @@ def test_series_subcommand_payload():
     assert obj["alpha"][2] == -0.5
 
 
-def test_series_methods_agree():
-    args = ("series", "--coeffs", "0,0,0,1,1,0", "--alpha0", "0",
-            "--alpha1", "1", "--N", "12")
-    conv = json.loads(run_cli(*args, "--method", "convolution").stdout)
-    trip = json.loads(run_cli(*args, "--method", "triple").stdout)
-    assert conv["alpha"] == trip["alpha"]
-
-
 def test_series_overflow_exits_2_naming_the_first_bad_coefficient():
     r = run_cli("series", "--coeffs", "0,0,0,1,1,0", "--alpha1", "5", "--N", "2000")
     assert r.returncode == 2

@@ -8,7 +8,6 @@ from mrayleigh.closed_form import soliton_arccosh, soliton_arcsinh
 from mrayleigh.coefficients import (
     AffineCoeffs,
     CoeffKind,
-    EvalPoint,
     SpeedVector,
     Variant,
     check_constraint,
@@ -139,6 +138,23 @@ def test_coeffs_json_round_trip():
             assert back.a(z) == co.a(z)
             assert back.c(z) == co.c(z)
 
+    # reduce tags a Van der Pol structure with affine contractions AFFINE
+    lam = SpeedVector(np.array([1.0, 0.5]))
+    co = reduce(synthesize_structure(general_coeffs(lambda z: 2 + 0.1 * z, lambda z: 0.5,
+                                                    d=lambda z: 1 + z), 2, lam), lam)
+    back = coeffs_from_json_dict(coeffs_to_json_dict(co))
+    assert (back.kind, back.variant) == (CoeffKind.AFFINE, Variant.VAN_DER_POL)
+    assert back.params == co.params
+    for z in (-1.2, 0.0, 2.7):
+        for got, want in ((back.a(z), 2 + 0.1 * z), (back.c(z), 0.5), (back.d(z), 1 + z)):
+            assert abs(got - want) <= 1e-14
+
+    # a payload whose values disagree with its kind is rejected
+    const = coeffs_to_json_dict(constant_coeffs(1.5, 0.0, d=3.0))
+    for payload in ({**const, "a": [0.1, 2.0]}, {**coeffs_to_json_dict(co), "a": 2.0}):
+        with pytest.raises(ValueError, match="do not match their values"):
+            coeffs_from_json_dict(payload)
+
     with pytest.raises(ValueError):
         coeffs_to_json_dict(general_coeffs(math.exp, math.exp, b=math.exp))
 
@@ -234,10 +250,10 @@ def test_prolongation_structure_satisfies_index1_condition():
     for variant in (Variant.RAYLEIGH, Variant.VAN_DER_POL):
         st = prolongation_structure(2, 0.3, variant)
         assert st.variant is variant
-        pts = [EvalPoint(rng.normal(), rng.normal(size=2),
-                         eta=rng.normal(), xi=np.array([rng.normal(), 0.0]))
+        pts = [(rng.normal(), rng.normal(size=2), rng.normal(), np.array([rng.normal(), 0.0]))
                for _ in range(25)]
-        assert check_constraint(st, pts)
+        x, t, eta, xi = (np.array(col) for col in zip(*pts))
+        assert check_constraint(st, x, t, eta, xi)
     with pytest.raises(DimensionMismatch, match="m must be at least 1"):
         prolongation_structure(0, 0.3)
 
@@ -245,15 +261,34 @@ def test_prolongation_structure_satisfies_index1_condition():
 def test_check_constraint_fails_for_unbalanced_damping():
     # constant C with zero Gamma cannot balance: lhs = 0, rhs = C^1 xi_1
     st = constant_structure(np.eye(2), c=1.0)
-    pt = EvalPoint(0.0, np.zeros(2), eta=0.0, xi=np.array([0.4, 0.0]))
-    assert not check_constraint(st, [pt])
+    assert not check_constraint(st, 0.0, np.zeros(2), 0.0, np.array([0.4, 0.0]))
+
+
+def test_check_constraint_judges_a_stack_as_all_of_its_rows():
+    gen = np.random.default_rng(19)
+    n, m = 30, 3
+    x, t = gen.uniform(-2.0, 2.0, n), gen.normal(size=(n, m))
+    eta, xi = gen.normal(size=n), gen.normal(size=(n, m))
+    x[int(gen.integers(n))] = 3.0       # the one row where Gamma is off
+    for variant in Variant:
+        st = prolongation_structure(m, 0.3, variant)
+        off = replace(st, gamma=lambda x, t, eta, xi, g=st.gamma:
+                      g(x, t, eta, xi) * np.where(x > 2.0, 1.5, 1.0)[..., None, None, None])
+        assert check_constraint(st, x, t, eta, xi)
+        rows = [check_constraint(off, *point) for point in zip(x, t, eta, xi)]
+        assert rows.count(False) == 1
+        assert check_constraint(off, x, t, eta, xi) is all(rows)
+        # a wrong m, or xi of another shape than t
+        for t_bad, xi_bad in ((t[:, :2], xi[:, :2]), (t, xi[:, :2]), (t[0], xi)):
+            with pytest.raises(DimensionMismatch, match="t and xi must have shape"):
+                check_constraint(st, x, t_bad, eta, xi_bad)
 
 
 def test_verify_reduction_consistency_detects_non_reducible():
     lam = SpeedVector(np.array([1.0, 1.0]))
 
     def h(x, t, eta, xi):
-        return np.eye(2) * (1.0 + 0.5 * t[0])  # depends on t beyond the phase
+        return np.eye(2) * (1.0 + 0.5 * t[..., 0, None, None])  # depends on t beyond the phase
 
     st_bad = constant_structure(np.eye(2), b=1.0)
     st_bad = type(st_bad)(m=2, h=h, gamma=st_bad.gamma, c_field=st_bad.c_field,
@@ -264,8 +299,7 @@ def test_verify_reduction_consistency_detects_non_reducible():
 def test_check_constraint_fails_on_a_nan_c_field():
     st = replace(constant_structure(np.eye(2), b=1.0),
                  c_field=lambda x, t, eta, xi: np.full(2, math.nan))
-    pt = EvalPoint(0.0, np.zeros(2), eta=0.0, xi=np.array([0.4, 0.0]))
-    assert not check_constraint(st, [pt])
+    assert not check_constraint(st, 0.0, np.zeros(2), 0.0, np.array([0.4, 0.0]))
 
 
 def test_verify_reduction_consistency_fails_on_a_nan_h():

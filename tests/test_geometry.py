@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mrayleigh.coefficients import (
-    EvalPoint,
     GeometricStructure,
     SpeedVector,
     constant_structure,
@@ -94,26 +93,47 @@ def test_hessian_symmetry():
 
 def test_reversibility_parity():
     m = 2
-    pts = [EvalPoint(rng.normal(), rng.normal(size=m)) for _ in range(20)]
+    pts = [(rng.normal(), rng.normal(size=m)) for _ in range(20)]
+    x, t = (np.array(col) for col in zip(*pts))
+    jet = (x, t, 0.0, np.zeros_like(t))
 
     def odd_c(x, t, eta, xi):
-        return np.array([t[0], t[1] ** 3])
+        return np.stack([t[..., 0], t[..., 1] ** 3], axis=-1)
 
     def odd_b(x, t, eta, xi):
-        out = np.zeros((m, m, m))
-        out[0, 0, 0] = t[0]
+        out = np.zeros(t.shape[:-1] + (m, m, m))
+        out[..., 0, 0, 0] = t[..., 0]
         return out
 
     st_odd = GeometricStructure(m=m, h=lambda *a: np.eye(m),
                                 gamma=lambda *a: np.zeros((m, m, m)),
                                 c_field=odd_c, b_field=odd_b)
-    assert check_reversibility(st_odd, pts)
+    assert check_reversibility(st_odd, *jet)
 
     st_const = constant_structure(np.eye(m), c=np.array([1.0, 0.0]))
-    assert not check_reversibility(st_const, pts)
+    assert not check_reversibility(st_const, *jet)
 
     st_zero = constant_structure(np.eye(m))
-    assert check_reversibility(st_zero, pts)
+    assert check_reversibility(st_zero, *jet)
+
+
+def test_reversibility_judges_a_stack_as_all_of_its_rows():
+    gen = np.random.default_rng(19)
+    n, m = 30, 2
+    x, t = gen.uniform(-2.0, 2.0, n), gen.normal(size=(n, m))
+    eta, xi = gen.normal(size=n), gen.normal(size=(n, m))
+    x[int(gen.integers(n))] = 3.0       # the one row where C has an even part
+    st = replace(constant_structure(np.eye(m)),
+                 c_field=lambda x, t, eta, xi: t + np.where(x > 2.0, 0.5, 0.0)[..., None])
+    keep = x <= 2.0
+    assert check_reversibility(st, x[keep], t[keep], eta[keep], xi[keep])
+    rows = [check_reversibility(st, *point) for point in zip(x, t, eta, xi)]
+    assert rows.count(False) == 1
+    assert check_reversibility(st, x, t, eta, xi) is all(rows)
+    # a wrong m, or xi of another shape than t
+    for t_bad, xi_bad in ((t[:, :1], xi[:, :1]), (t, xi[:, :1]), (t[0], xi)):
+        with pytest.raises(DimensionMismatch, match="t and xi must have shape"):
+            check_reversibility(st, x, t_bad, eta, xi_bad)
 
 
 def test_reversibility_reflects_residuals():
@@ -262,7 +282,7 @@ def test_check_prolongation_gives_the_bits_of_the_pointwise_residual(
 def test_reversibility_fails_on_a_nan_c_field():
     st = replace(constant_structure(np.eye(2)),
                  c_field=lambda x, t, eta, xi: np.full(2, math.nan))
-    assert not check_reversibility(st, [EvalPoint(0.3, np.array([0.5, -0.2]))])
+    assert not check_reversibility(st, 0.3, np.array([0.5, -0.2]), 0.0, np.zeros(2))
 
 
 def test_check_prolongation_rejects_a_nan_index1_gap():

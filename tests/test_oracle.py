@@ -334,6 +334,12 @@ def test_single_time_solver_interface_and_equilibrium():
     assert abs(f.at(1.0, np.array([0.25]))[0] - 3.3) <= 1e-12
     with pytest.raises(DomainExceeded):
         sol.jet(0.0, 0.6)
+    # a NaN time is outside the integrated range, alone or inside a stack
+    for x, t in ((0.5, math.nan), (np.array([0.5, 1.0]), np.array([0.25, math.nan]))):
+        with pytest.raises(DomainExceeded, match="t = nan"):
+            sol.jet(x, t)
+    with pytest.raises(DomainExceeded, match="t = nan"):
+        f.at(0.5, [math.nan])
     with pytest.raises(BadParameters):
         integrate_single_time_rayleigh(0.0, math.sin, lambda x: 0.0, -1.0)
     for counts in ({"n_x": 0}, {"n_t": 5}):     # the t interpolant has degree n_t - 1
