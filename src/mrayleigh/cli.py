@@ -456,18 +456,13 @@ def _cmd_verify(ns) -> int:
     swept = replace(prof, domain=_guarded(prof.domain)) if ns.grid else prof
     sweep = residual_sweep(swept, structure, grid, skip_out_of_domain=True)
 
-    checks = {
-        "ode_analytic_max": rep_an.max_abs,
-        "ode_fd_max": rep_fd.max_abs,
-        "oracle_max_dev": oracle_dev,
-        "chain_ok": chain_ok,
-        "sweep_max": sweep.max_abs,
-    } | ({"oracle_note": oracle_note} if oracle_note else {})
+    # each deviation is held to --tol: this table and the chain decide the verdict
+    devs = {"ode_analytic_max": rep_an.max_abs, "ode_fd_max": rep_fd.max_abs,
+            "oracle_max_dev": oracle_dev, "sweep_max": sweep.max_abs}
+    checks = devs | {"chain_ok": chain_ok} | ({"oracle_note": oracle_note} if oracle_note else {})
     # NaN passes no comparison, so it would fail unnamed: name it
-    nan = [k for k, v in checks.items() if isinstance(v, float) and math.isnan(v)]
-    verified = (not nan and sweep.max_abs <= ns.tol and rep_fd.max_abs <= ns.tol
-                and rep_an.max_abs <= ns.tol and oracle_dev <= ns.tol
-                and chain_ok)
+    nan = [k for k, v in devs.items() if math.isnan(v)]
+    verified = not nan and chain_ok and all(v <= ns.tol for v in devs.values())
     obj = {
         "family": prof.family.value,
         "window": [lo, hi],
@@ -482,8 +477,7 @@ def _cmd_verify(ns) -> int:
         in_domain = np.count_nonzero(prof.domain.contains(lam.z(*grid.arrays())))
         obj["guard_dropped"] = int(in_domain) - sweep.residuals.size
     _emit(ns, obj, (sweep.csv_header(), list(sweep.csv_rows())))
-    worst = ("NaN in " + ", ".join(nan) if nan else
-             fmt17(max(sweep.max_abs, rep_an.max_abs, rep_fd.max_abs, oracle_dev)))
+    worst = "NaN in " + ", ".join(nan) if nan else fmt17(max(devs.values()))
     _status(ns, f"{'verified' if verified else 'FAILED'}: worst deviation "
                 f"{worst} against tol {fmt17(ns.tol)}, chain "
                 f"{'ok' if chain_ok else 'failed'}")
@@ -494,8 +488,7 @@ def _cmd_series(ns) -> int:
     sol = _series(ns, "series")
     rows = [[n, v] for n, v in enumerate(sol.alpha)]
     _emit(ns, sol.to_json_dict(), (["n", "alpha_n"], rows))
-    # estimate_radius returns 0.0 when it cannot judge the tail
-    radius = fmt17(sol.radius_estimate) if sol.radius_estimate else "inconclusive"
+    radius = "inconclusive" if sol.radius_estimate is None else fmt17(sol.radius_estimate)
     _status(ns, f"{sol.n_terms + 1} coefficients, radius estimate {radius}")
     return 0
 

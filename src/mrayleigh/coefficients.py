@@ -567,10 +567,13 @@ def prolongation_structure(m: int, epsilon: float,
 
 def _jet_points(structure: GeometricStructure, x, t, eta, xi):
     """(x, t, eta, xi) as one jet point or N stacked ones, after checking that
-    t and xi carry the structure's m times."""
+    t and xi carry the structure's m times and that x and eta are each one
+    value or one per point."""
     t, xi = np.asarray(t, dtype=float), np.asarray(xi, dtype=float)
     if t.shape[-1:] != (structure.m,) or xi.shape != t.shape:
         raise DimensionMismatch(f"t and xi must have shape (m,) or (N, m), m = {structure.m}")
+    if any(np.shape(v) not in ((), t.shape[:-1]) for v in (x, eta)):
+        raise DimensionMismatch(f"x and eta must have shape () or {t.shape[:-1]}")
     return _unwrap(x), t, _unwrap(eta), xi
 
 

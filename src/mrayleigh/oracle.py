@@ -9,8 +9,9 @@ spectral method of lines.  Agreement between these routes and the
 constructed profiles is what the test suite certifies.
 
 Both integrating routes take their steps from one Dormand-Prince 5(4)
-stepper in numpy, ``_dp45``: the reduction as it stands, the single-time
-equation in integrating-factor form, so numpy is the only dependency.  Its
+stepper in numpy, ``_dp45``, in integrating-factor (Lawson) form: the
+reduction's flow is the identity, the single-time equation's the exact
+rotation of each Fourier mode, and numpy is the only dependency.  Its
 linear combinations stay np.dot, so its steps are scipy RK45's bit for
 bit; they combine stages, not points.  A point's value never depends on
 the other points in its call: no multi-row BLAS product runs across
@@ -97,7 +98,11 @@ def _rms(x: np.ndarray) -> float:
     return float(norm) / math.sqrt(x.size)
 
 
-def _dp45(fun, t0: float, t1: float, y0: np.ndarray, tol: float, flow=None):
+def _still(y, s):
+    return y        # the flow of a system with no linear part
+
+
+def _dp45(fun, t0: float, t1: float, y0: np.ndarray, tol: float, flow=_still):
     """Dormand-Prince 5(4) steps from t0 to t1 under scipy RK45's controller.
 
     The error is the RMS norm against rtol = atol = tol, the first step
@@ -106,23 +111,23 @@ def _dp45(fun, t0: float, t1: float, y0: np.ndarray, tol: float, flow=None):
     the error estimate and the continuous extension is one np.dot over
     scipy's operands, so the steps are RK45's bit for bit (a Python sum
     rounds otherwise, and the error estimate cancels).  The state is a 1-d
-    array, real or complex, stepped as it stands without ``flow``.  With
-    it the steps take integrating-factor (Lawson) form: flow(y, s) advances
-    y exactly by the time s (a scalar, or one per row of y) under a linear
-    part that ``fun`` leaves out, and only fun is stepped.  Yields
-    (t, y, dense) per accepted step, where dense(theta) gives the states at
-    the step fractions theta, one row each, from the continuous extension.
-    Raises StiffnessFailure when the step falls below ten float spacings
-    at t or is NaN.
+    array, real or complex, and the steps take integrating-factor (Lawson)
+    form: flow(y, s) advances y exactly by the time s (a scalar, or one per
+    row of y) under a linear part that ``fun`` leaves out, and only fun is
+    stepped.  A system with no linear part keeps the default flow, the
+    identity, under which these are plain steps.  Yields (t, y, dense) per
+    accepted step, where dense(theta) gives the states at the step
+    fractions theta, one row each, from the continuous extension; t0 = t1
+    yields nothing.  Raises StiffnessFailure when the step falls below ten
+    float spacings at t or is NaN.
     """
+    if t0 == t1:
+        return
     direction = 1.0 if t1 > t0 else -1.0
-    if flow is None:
-        def g(t, s, w):
-            return fun(t + s, w)
-    else:
-        def g(t, s, w):
-            # fun seen from t, in the frame that the flow carries along
-            return flow(fun(t + s, flow(w, s)), -s)
+
+    def g(t, s, w):
+        # fun seen from t, in the frame that the flow carries along
+        return flow(fun(t + s, flow(w, s)), -s)
 
     t, y = t0, y0
     f = fun(t, y)
@@ -153,9 +158,9 @@ def _dp45(fun, t0: float, t1: float, y0: np.ndarray, tol: float, flow=None):
             for i, c, Ki, row in stages:
                 K[i] = g(t, c * h, y + np.dot(Ki, row) * h)
             w = y + h * np.dot(KT[:, :6], _DP_B)
-            y_new = w if flow is None else flow(w, h)
+            y_new = flow(w, h)
             f_new = fun(t_new, y_new)
-            K[6] = f_new if flow is None else flow(f_new, -h)
+            K[6] = flow(f_new, -h)
             scale = tol + np.maximum(np.abs(y), np.abs(w)) * tol
             err = _rms(np.dot(KT, _DP_E) * h / scale)
             if err < 1:
@@ -169,7 +174,7 @@ def _dp45(fun, t0: float, t1: float, y0: np.ndarray, tol: float, flow=None):
             theta = np.asarray(theta, dtype=float)
             p = theta[None].repeat(4, axis=0).cumprod(axis=0)
             ys = (y[:, None] + h * np.dot(Q, p)).T
-            return ys if flow is None else flow(ys, theta * h)
+            return flow(ys, theta * h)
 
         yield t_new, y_new, dense
         t, y, f = t_new, y_new, f_new
@@ -238,8 +243,9 @@ _QUARTERS = np.array([0.25, 0.5, 0.75])
 
 
 def _integrate_one_way(rhs, z0, z1, y0, tol):
-    """One leg of the reduction, with three interior samples per accepted
-    step from the continuous extension; blow-up is told from stiffness."""
+    """One leg of the reduction from its first row (z0, y0) toward z1, with
+    three interior samples per accepted step from the continuous extension;
+    blow-up is told from stiffness."""
     zs, ys = [np.array([z0])], [y0[None, :]]
     try:
         for z, y, dense in _dp45(rhs, z0, z1, y0, tol):
@@ -256,8 +262,7 @@ def _integrate_one_way(rhs, z0, z1, y0, tol):
             raise BlowUp(f"solution escaped before z = {z1}",
                          z_reached=float(zs[-1][-1])) from None
         raise StiffnessFailure(f"integrator failed at z = {zs[-1][-1]}: {e}") from None
-    vals = np.concatenate(ys)
-    return np.concatenate(zs), vals[:, 0], vals[:, 1]
+    return np.concatenate(zs), np.concatenate(ys)
 
 
 def integrate_reduction(coeffs: ReducedCoeffs, phi0: float, phi_prime0: float,
@@ -286,20 +291,11 @@ def integrate_reduction(coeffs: ReducedCoeffs, phi0: float, phi_prime0: float,
 
     rhs = _rhs_for(coeffs)
     y0 = np.array([float(phi0), float(phi_prime0)])
-    segs = []
-    if z0 > lo:
-        zb, pb, qb = _integrate_one_way(rhs, z0, lo, y0, tol)
-        segs.append((zb[::-1][:-1], pb[::-1][:-1], qb[::-1][:-1]))
-    segs.append((np.array([z0]), y0[:1], y0[1:]))
-    if z0 < hi:
-        zf, pf, qf = _integrate_one_way(rhs, z0, hi, y0, tol)
-        segs.append((zf[1:], pf[1:], qf[1:]))
-
-    z = np.concatenate([s[0] for s in segs])
-    phi = np.concatenate([s[1] for s in segs])
-    psi = np.concatenate([s[2] for s in segs])
+    # the backward leg reversed ends on (z0, y0), which the forward leg starts on
+    (zb, yb), (zf, yf) = (_integrate_one_way(rhs, z0, end, y0, tol) for end in (lo, hi))
+    z, y = np.concatenate([zb[::-1], zf[1:]]), np.concatenate([yb[::-1], yf[1:]])
     keep = np.concatenate([[True], np.diff(z) > 0])
-    z, phi, psi = z[keep], phi[keep], psi[keep]
+    z, (phi, psi) = z[keep], y[keep].T.copy()
     psi_prime = coeffs.second(z, phi, psi)
 
     dom = Interval(float(z[0]), float(z[-1]))
@@ -479,7 +475,8 @@ class SingleTimeSolution:
     entering the residual at arbitrary (x, t): u_t from the velocity
     slices, u_tt from the barycentric differentiation matrix applied to
     them (never from the equation), u_xx by wavenumber multiplication,
-    all four from one basis exp(i k x) formed once per distinct x.
+    all four from one basis exp(i k x); each point forms its own
+    interpolation and basis rows.
     """
 
     epsilon: float
@@ -501,26 +498,21 @@ class SingleTimeSolution:
 
     def _interpolant(self, t):
         """Interpolation of coefficient slices to the times t, coefficients
-        on a trailing axis; its rows are formed once per distinct t and each
-        multiplies the slices alone, as BLAS rounds a multi-row product
-        otherwise (an einsum costs more)."""
+        on a trailing axis; each time's row multiplies the slices alone, as
+        BLAS rounds a multi-row product otherwise (an einsum costs more)."""
         nodes, w = _lobatto(len(self._cu), self.t_final)
-        flat, inv = np.unique(t, return_inverse=True)
-        d = flat[:, None] - nodes
+        d = t[..., None] - nodes
         with np.errstate(divide="ignore", invalid="ignore"):
             rows = w / d
-            rows /= rows.sum(axis=1, keepdims=True)
+            rows /= rows.sum(axis=-1, keepdims=True)
         hit = d == 0
-        on = hit.any(axis=1)
+        on = hit.any(axis=-1)
         rows[on] = hit[on]
-        return lambda slices: (rows[:, None] @ slices)[inv.ravel(), 0].reshape(t.shape + (-1,))
+        return lambda slices: (rows[..., None, :] @ slices)[..., 0, :]
 
     def _basis(self, x):
-        """exp(i k x) at x, wavenumbers on a trailing axis; its rows are
-        formed once per distinct x."""
-        flat, inv = np.unique(np.asarray(x, dtype=float), return_inverse=True)
-        rows = np.exp(1j * self._k * flat[:, None])
-        return rows[inv.ravel()].reshape(np.shape(x) + (-1,))
+        """exp(i k x) at x, wavenumbers on a trailing axis."""
+        return np.exp(1j * self._k * np.expand_dims(np.asarray(x, dtype=float), -1))
 
     def _trig(self, ch: np.ndarray, basis: np.ndarray, order: int = 0):
         """The order-th x-derivative of the real field with coefficients ch
@@ -535,7 +527,7 @@ class SingleTimeSolution:
 
     def jet(self, x, t):
         """(u, u_t, u_tt, u_xx) at x and t, which broadcast together, from
-        one Fourier basis formed once per distinct x."""
+        one Fourier basis formed per call and shared by the four."""
         at = self._interpolant(self._check_t(t))
         basis = self._basis(x)
         cu = at(self._cu)
@@ -554,14 +546,11 @@ class SingleTimeSolution:
         return FieldFunction(jet, m=1)
 
     def residual_estimate(self, n_probe_x: int = 48, n_probe_t: int = 33) -> float:
-        """Max |u_tt - u_xx - eps (u_t - u_t^3)| over an off-grid probe lattice."""
-        basis = self._basis(np.linspace(0.1, 2.0 * np.pi - 0.1, n_probe_x))
-        at = self._interpolant(np.linspace(0.0, self.t_final, n_probe_t)[:, None])
-        cu, cv, ca = at(self._cu), at(self._cv), at(self._ca)
-        ut = self._trig(cv, basis)
-        r = (self._trig(ca, basis) - self._trig(cu, basis, order=2)
-             - self.epsilon * (ut - ut * ut * ut))
-        return float(np.max(np.abs(r)))
+        """Max |u_tt - u_xx - eps (u_t - u_t^3)| over an off-grid probe lattice,
+        from ``jet``."""
+        _, ut, utt, uxx = self.jet(np.linspace(0.1, 2.0 * np.pi - 0.1, n_probe_x),
+                                   np.linspace(0.0, self.t_final, n_probe_t)[:, None])
+        return float(np.max(np.abs(utt - uxx - self.epsilon * (ut - ut * ut * ut))))
 
 
 def integrate_single_time_rayleigh(epsilon: float, u0, v0, t_final: float,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,11 +49,12 @@ SAFETY_FRACTION = 0.5
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """Truncated series phi = sum alpha_n z^n with its radius estimate."""
+    """Truncated series phi = sum alpha_n z^n with its radius estimate, set
+    once from ``estimate_radius`` (None when inconclusive)."""
 
     coeffs: AffineCoeffs
     alpha: np.ndarray
-    radius_estimate: float
+    radius_estimate: float | None = field(init=False)
 
     def __post_init__(self):
         arr = np.asarray(self.alpha, dtype=float)
@@ -62,6 +63,7 @@ class SeriesSolution:
             raise BadParameters(f"a series needs alpha0 and alpha1, got alpha of shape {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "alpha", arr)
+        object.__setattr__(self, "radius_estimate", estimate_radius(self))
 
     @property
     def n_terms(self) -> int:
@@ -74,8 +76,7 @@ class SeriesSolution:
             "alpha1": float(self.alpha[1]),
             "N": int(self.n_terms),
             "alpha": [float(v) for v in self.alpha],
-            # estimate_radius's inconclusive 0.0 is no radius: null
-            "radius_estimate": float(self.radius_estimate) or None,
+            "radius_estimate": self.radius_estimate,
         }
 
 
@@ -145,8 +146,7 @@ def _solve_recurrence(coeffs: AffineCoeffs, alpha0: float, alpha1: float,
                 raise BlowUp(f"the series recurrence to N = {n_terms} overflows: "
                              f"alpha_{n + 2} is not finite")
             t_nm1 = t_n
-    sol = SeriesSolution(coeffs, alpha, 0.0)
-    return SeriesSolution(coeffs, alpha, estimate_radius(sol))
+    return SeriesSolution(coeffs, alpha)
 
 
 def series_coefficients(coeffs: AffineCoeffs, alpha0: float, alpha1: float,
@@ -167,7 +167,7 @@ def series_coefficients_triple_sum(coeffs: AffineCoeffs, alpha0: float,
 
 
 def _warn_outside(series: SeriesSolution, z: float):
-    if abs(z) >= series.radius_estimate:
+    if series.radius_estimate is None or abs(z) >= series.radius_estimate:
         warnings.warn(
             f"|z| = {abs(z)} is at or beyond the radius estimate "
             f"{series.radius_estimate}; the truncation error is uncontrolled",
@@ -200,22 +200,22 @@ def evaluate_prime(series: SeriesSolution, z: float) -> float:
     return _horner(_derivative(series.alpha), float(z))
 
 
-def estimate_radius(series: SeriesSolution) -> float:
+def estimate_radius(series: SeriesSolution) -> float | None:
     """Convergence-radius estimate from the coefficient tail.
 
     Root test on the tail window [max(4, N // 2), N] of the coefficients:
     the median of |alpha_n|^{-1/n} over nonzero tail entries.  A window of
-    fewer than 3 indices is too short to judge and returns 0.0.  When the
+    fewer than 3 indices is too short to judge and returns None.  When the
     tail carries no information (constant or terminating series) the large
     sentinel LARGE_RADIUS is returned; when b(z) is identically zero the
     ODE is linear and the nearest zero of a(z) is used as an analytic
-    fallback.  A return of 0.0 means the estimate is inconclusive.
+    fallback.  A return of None means the estimate is inconclusive.
     """
     alpha = series.alpha
     n_top = alpha.size - 1
     start = max(4, n_top // 2)
     if n_top - start + 1 < 3:
-        return 0.0
+        return None
     tail_idx = [n for n in range(start, n_top + 1) if alpha[n] != 0.0]
     if len(tail_idx) >= 3:
         rn = [abs(alpha[n]) ** (-1.0 / n) for n in tail_idx]
@@ -228,15 +228,15 @@ def estimate_radius(series: SeriesSolution) -> float:
         if series.coeffs.a_slope != 0.0:
             return abs(series.coeffs.a_const / series.coeffs.a_slope)
         return LARGE_RADIUS
-    return 0.0
+    return None
 
 
 def series_soliton(series: SeriesSolution, lam: SpeedVector | None = None) -> SolitonProfile:
     """Wrap a truncated series as a profile on |z| < 0.5 * radius estimate."""
-    rho = SAFETY_FRACTION * series.radius_estimate
-    if rho <= 0.0:
+    if series.radius_estimate is None:
         raise DegenerateA(
             "radius estimate is inconclusive; cannot bound a validity interval")
+    rho = SAFETY_FRACTION * series.radius_estimate
     dom = Interval(-rho, rho)
     der1 = _derivative(series.alpha)
     # numpy's second derivative of a linear series is alpha_0 * 0

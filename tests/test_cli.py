@@ -272,7 +272,7 @@ def test_series_overflow_exits_2_naming_the_first_bad_coefficient():
 
 
 def test_series_with_too_short_a_tail_says_the_radius_is_inconclusive():
-    # estimate_radius's 0.0 sentinel is not a radius; the payload says null
+    # an inconclusive radius estimate is no radius; the payload says null
     r = run_cli("series", "--coeffs", "0,0,0,1,0,1", "--N", "1")
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["radius_estimate"] is None
@@ -289,9 +289,9 @@ def test_series_inconclusive_radius_is_null_in_the_payload(N, tmp_path):
     assert '"radius_estimate":null' in text and json.loads(text)["radius_estimate"] is None
     rows = (tmp_path / "series.csv").read_text().splitlines()
     assert rows[0] == "n,alpha_n" and len(rows) == int(N) + 2    # the CSV has no radius
-    # the library keeps its 0.0 sentinel
+    # the library's inconclusive radius is None too
     sol = series_coefficients(AffineCoeffs.from_sextuple((0, 0, 0, 1, 1, 1)), 0.0, 1.0, int(N))
-    assert sol.radius_estimate == 0.0
+    assert sol.radius_estimate is None
 
 
 def test_decay_exit_codes_and_crossing():

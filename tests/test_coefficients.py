@@ -282,6 +282,10 @@ def test_check_constraint_judges_a_stack_as_all_of_its_rows():
         for t_bad, xi_bad in ((t[:, :2], xi[:, :2]), (t, xi[:, :2]), (t[0], xi)):
             with pytest.raises(DimensionMismatch, match="t and xi must have shape"):
                 check_constraint(st, x, t_bad, eta, xi_bad)
+    # x and eta each one value or one per point: 7 x values for 4 times
+    with pytest.raises(DimensionMismatch, match="x and eta must have shape"):
+        check_constraint(constant_structure(np.eye(2), b=1.0), np.zeros(7), np.zeros((4, 2)),
+                         0.0, np.zeros((4, 2)))
 
 
 def test_verify_reduction_consistency_detects_non_reducible():

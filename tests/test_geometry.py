@@ -134,6 +134,10 @@ def test_reversibility_judges_a_stack_as_all_of_its_rows():
     for t_bad, xi_bad in ((t[:, :1], xi[:, :1]), (t, xi[:, :1]), (t[0], xi)):
         with pytest.raises(DimensionMismatch, match="t and xi must have shape"):
             check_reversibility(st, x, t_bad, eta, xi_bad)
+    # x and eta each one value or one per point: 7 x values for 4 times
+    with pytest.raises(DimensionMismatch, match="x and eta must have shape"):
+        check_reversibility(constant_structure(np.eye(2), b=1.0), np.zeros(7), np.zeros((4, 2)),
+                            0.0, np.zeros((4, 2)))
 
 
 def test_reversibility_reflects_residuals():

@@ -68,6 +68,22 @@ def test_integration_shadows_the_closed_form():
     assert dev <= 1e-9
 
 
+@pytest.mark.parametrize("z0", [-3.0, 0.7, 3.0], ids=["forward", "both", "backward"])
+def test_the_legs_join_at_the_initial_point(z0):
+    # forward only, both legs, or backward only: the nodes run from end to
+    # end through (z0, y0) itself
+    p = _arcsinh_profile()
+    y0 = (p.phi(z0), p.phi_prime(z0))
+    ivp = integrate_reduction(p.coeffs, *y0, span=(-3.0, 3.0), z0=z0, tol=1e-10)
+    assert np.all(np.diff(ivp.nodes) > 0) and ivp.span == (-3.0, 3.0)
+    at = np.flatnonzero(ivp.nodes == z0)
+    assert at.size == 1
+    assert (ivp.phi_values[at[0]], ivp.phi_prime_values[at[0]]) == y0
+    # bound fixed beforehand; measured 2.0e-8, 3.3e-10 and 6.0e-10
+    zs = np.linspace(-3.0, 3.0, 121)
+    assert np.max(np.abs(ivp.phi(zs) - p.phi(zs))) <= 1e-7
+
+
 def test_looser_tolerance_costs_accuracy():
     # the deviation from the exact profile must grow when the integrator
     # is run 16x looser; the margin demanded is a factor of 4

@@ -186,7 +186,7 @@ def test_radius_estimates_for_known_cases():
 
     # a tail window [max(4, N // 2), N] of fewer than 3 indices decides nothing
     for n in (1, 2, 5):
-        assert series_coefficients(CUBIC, 0.0, 1.0, n).radius_estimate == 0.0
+        assert series_coefficients(CUBIC, 0.0, 1.0, n).radius_estimate is None
     assert series_coefficients(LINEAR, 5.0, 0.0, 6).radius_estimate >= 1e299
 
 
@@ -228,7 +228,7 @@ def test_a_series_needs_alpha0_and_alpha1(alpha):
     # evaluate_prime and to_json_dict read alpha[1]; a shorter alpha is
     # refused when the solution is built, not met later as an IndexError
     with pytest.raises(BadParameters, match="a series needs alpha0 and alpha1"):
-        SeriesSolution(LINEAR, np.array(alpha), 1.0)
+        SeriesSolution(LINEAR, np.array(alpha))
 
 
 def test_series_profile_window_and_multitime_residual():
@@ -263,12 +263,12 @@ def test_constant_series_is_an_exact_equilibrium():
 def test_inconclusive_radius_blocks_the_profile():
     # too few tail coefficients for the root test, nonlinear so no fallback
     short = series_coefficients(CUBIC, 0.0, 1.0, 4)
-    assert short.radius_estimate == 0.0
+    assert short.radius_estimate is None
     with pytest.raises(DegenerateA):
         series_soliton(short)
 
 
 def test_estimate_radius_is_consistent_under_rebuild():
     sol = series_coefficients(CUBIC, 0.0, 1.0, 50)
-    again = estimate_radius(SeriesSolution(sol.coeffs, sol.alpha, 0.0))
+    again = estimate_radius(SeriesSolution(sol.coeffs, sol.alpha))
     assert again == sol.radius_estimate
