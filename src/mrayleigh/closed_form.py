@@ -40,8 +40,13 @@ of the same shape, or a Python float for a scalar z.  A phase's value never
 depends on the other phases in its call: no multi-row BLAS product runs
 across them, and integer powers are written as products.  The Chebyshev
 antiderivatives run numpy's chebval recurrence on Python floats for one
-phase, with numpy's bits.  Lifting to a multitime field via
-``as_multitime`` uses the chain rule du/dt^a = -lambda_a phi'.
+phase, with numpy's bits.  phi, phi' and phi'' of a profile share the
+family's per-phase work (``vdp_implicit``'s phi and, apart from it, d/a;
+``quadrature``'s phi'; the arc families' w; ``vdp_explicit``'s radicand),
+which keeps its last result keyed on the phases' shape and bytes: a call
+on the last call's phases reuses it, as read-only arrays, so a jet solves
+a ``vdp_implicit`` branch once per stack of phases.  Lifting to a multitime
+field via ``as_multitime`` uses the chain rule du/dt^a = -lambda_a phi'.
 Evaluation outside the domain raises DomainExceeded; at finite endpoints
 phi itself stays finite for the arc-family profiles while phi' may be
 unbounded there, which is why residual testing keeps a guard band.
@@ -119,6 +124,27 @@ def _check_domain(dom: Interval, z):
     if np.any(outside):
         raise DomainExceeded(f"z = {_first(z, outside)} outside validity "
                              f"interval [{dom.lo}, {dom.hi}]")
+
+
+def _reused(fn):
+    """``fn`` over a phase array, keeping its last result: a call whose phases
+    have the last call's shape and bytes returns the same arrays, which are
+    read-only so that no caller can alter a later result."""
+    # key and result are swapped as one tuple: a concurrent call may
+    # recompute, but never pairs a key with another call's result
+    last = (None, None)
+
+    def call(z):
+        nonlocal last
+        key = (z.shape, z.tobytes())
+        seen, out = last
+        if seen != key:
+            out = fn(z)
+            for arr in out if isinstance(out, tuple) else (out,):
+                arr.setflags(write=False)
+            last = (key, out)
+        return out
+    return call
 
 
 def _stacked(dom: Interval, fn):
@@ -307,6 +333,7 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
         F, G = build(d_lo, d_hi)
     dom = Interval(d_lo, d_hi)
 
+    @_reused
     def phi_prime(z):
         rad = K - 2.0 * G(z)
         if np.any(rad <= 0.0):
@@ -370,6 +397,7 @@ def _arc_family(family, a, b, c, K, r, sigma, lam) -> SolitonProfile:
 
     log_2k = math.log(2.0) + math.log(K)
 
+    @_reused
     def w(z):
         with np.errstate(over="ignore"):    # the callers handle w = inf and rad = inf
             ww = K * np.exp(-rate * z)
@@ -396,7 +424,7 @@ def _arc_family(family, a, b, c, K, r, sigma, lam) -> SolitonProfile:
         ww, rad, at_edge = w(z)
         huge = np.isinf(ww)
         if huge.any():
-            ww[huge] = 0.0      # phi'' ~ w^-2 underflows to a signed zero there
+            ww = np.where(huge, 0.0, ww)    # phi'' ~ w^-2 underflows to a signed zero there
         val = s * sigma * sq * rate * ww * np.where(at_edge, 1.0, rad) ** -1.5
         return np.where(at_edge, s * sigma * rate * math.inf, val)
 
@@ -557,12 +585,20 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
 
     def profile(params, dom, phi, prime_from, second_from):
         """The profile whose phi' and phi'' reuse one phi and one d/a."""
+        # kept apart, so that a call of phi alone computes no d/a
+        phi = _reused(phi)
+
+        @_reused
+        def ratio(z):
+            a = coeffs.a(z)
+            return a, coeffs.d(z) / a
+
         def phi_prime(z):
-            return prime_from(phi(z), coeffs.d(z) / coeffs.a(z))
+            p, (_, r) = phi(z), ratio(z)
+            return prime_from(p, r)
 
         def phi_second(z):
-            p, a = phi(z), coeffs.a(z)
-            r = coeffs.d(z) / a
+            p, (a, r) = phi(z), ratio(z)
             return second_from(p, r, -(coeffs.c(z) / a) * r, prime_from(p, r))
 
         params = {**params, "z0": float(z0), "phi0": phi0,
@@ -675,6 +711,7 @@ def vdp_explicit(a, c, d, K, lam=None) -> SolitonProfile:
         edge = zb - math.copysign(pad * max(1.0, abs(zb)), rate)
         dom = Interval(-math.inf, edge) if rate > 0 else Interval(edge, math.inf)
 
+    @_reused
     def radicand(z):
         """(e, tail, t): e = K e^{t} + off with t = ln|K| + rate z, and the
         points (K > 0 only) where t alone decides the value, whose e may be
@@ -735,7 +772,8 @@ def as_multitime(profile: SolitonProfile) -> FieldFunction:
     lambda is the profile's own speed vector (``with_speed`` changes it).
     The jet follows by the chain rule: du/dt^a = -lambda_a phi',
     d2u/dt^a dt^b = lambda_a lambda_b phi'', d2u/dx2 = phi''.  The phase is
-    computed once per call and phi, phi', phi'' are evaluated once each.
+    computed once per call and phi, phi', phi'' are called once each on
+    it, so the work they share runs once.
     Points whose phase leaves the profile domain raise DomainExceeded.
     """
     lam = profile.lam

@@ -350,12 +350,14 @@ def reduction_ode_residual(coeffs: ReducedCoeffs, profile, zs,
     if derivative_mode not in ("analytic", "fd"):
         raise BadParameters("derivative_mode must be 'analytic' or 'fd'")
     z = np.asarray(zs, dtype=float).reshape(-1)
-    p = _along(profile.phi_prime, z)
+    # phi at z right after phi', before the shifted phases of the fd route,
+    # so that a profile's per-phase work is reused between them
+    p, phi = _along(profile.phi_prime, z), _along(profile.phi, z)
     if derivative_mode == "fd":
         pp = _central(lambda s: _along(profile.phi_prime, s), z, FD_STEP_FIRST)
     else:
         pp = _along(profile.phi_second, z)
-    cubic = coeffs.cubic(z, _along(profile.phi, z), p)
+    cubic = coeffs.cubic(z, phi, p)
     residuals = coeffs.a(z) * pp - cubic + coeffs.c(z) * p
     return ResidualReport.from_samples(z.reshape(-1, 1), residuals, ("z",))
 
@@ -413,10 +415,11 @@ def decay_check(profile: SolitonProfile, direction, threshold: float = 1e-3,
 
     The phase is z = x - s (lambda . direction); the ray is sampled at
     DECAY_SAMPLES points up to the horizon, restricted to the profile's
-    validity interval.  ok means a crossing radius exists past which every
-    remaining sample stays under the threshold.  Known asymptotic limits
-    recorded on the profile are passed through as metadata for the relevant
-    phase direction.
+    validity interval; a ray that never meets the interval, or leaves it
+    before the horizon, raises EmptyDomain.  ok means a crossing radius
+    exists past which every remaining sample stays under the threshold.
+    Known asymptotic limits recorded on the profile are passed through as
+    metadata for the relevant phase direction.
     """
     horizon, threshold, x = float(horizon), float(threshold), float(x)
     for name, v in (("horizon", horizon), ("threshold", threshold)):
@@ -436,6 +439,10 @@ def decay_check(profile: SolitonProfile, direction, threshold: float = 1e-3,
     inside = profile.domain.contains(z)
     if not inside.any():
         raise EmptyDomain("the ray never meets the profile domain")
+    if not inside[-1]:
+        # the samples past the edge say nothing of the ray's tail
+        raise EmptyDomain(f"the ray leaves the profile domain after s = "
+                          f"{float(s[inside][-1])}, before the horizon {horizon}")
     s, z = s[inside], z[inside]
     vals = np.abs(_along(profile.phi, z))
 

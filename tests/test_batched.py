@@ -6,6 +6,7 @@ any stack.  The references here are built one point at a time from scalar
 calls, as the sweep used to be.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -39,7 +40,12 @@ from mrayleigh.coefficients import (
 )
 from mrayleigh.errors import DegenerateA, DomainExceeded
 from mrayleigh.geometry import GridSpec, prolong_field, residual
-from mrayleigh.oracle import integrate_reduction, integrate_single_time_rayleigh, residual_sweep
+from mrayleigh.oracle import (
+    integrate_reduction,
+    integrate_single_time_rayleigh,
+    reduction_ode_residual,
+    residual_sweep,
+)
 from mrayleigh.series import AffineCoeffs, series_coefficients, series_soliton
 
 EXP_CO = general_coeffs(a=math.exp, c=math.exp, d=lambda z: 3.0)
@@ -122,6 +128,55 @@ def test_profile_callables_keep_the_scalar_contract():
             stacked = fn(zs)
             assert isinstance(stacked, np.ndarray) and stacked.shape == zs.shape
             assert np.array_equal(stacked, [fn(float(z)) for z in zs]), name
+
+
+def test_reused_phase_work_cannot_be_seen_from_outside():
+    """phi, phi' and phi'' share a family's per-phase work: in any order, and
+    between calls on other phases, each gives a fresh profile's bits, and a
+    write into what it returned changes no later result."""
+    names = ("phi", "phi_prime", "phi_second")
+    # w = K e^{-z} overflows at z = -800, where phi'' must not write into w
+    huge = ("arcsinh-huge", soliton_arcsinh(1.0, 1.0, 1.0, 1.0), (-800.0, 1.0))
+    for i, (name, prof, (lo, hi)) in enumerate(_families() + [huge]):
+        zs = np.linspace(lo, hi, 7)
+        pairs = [(float(zs[3]), float(zs[1])), (zs, zs[::-1].copy()), (zs, zs[:5])]
+        for z, other in pairs:
+            want = {}
+            for n in names:
+                fresh = (_families() + [huge])[i][1]
+                want[n, 0], want[n, 1] = (_bits(getattr(fresh, n)(v)) for v in (z, other))
+            for order in itertools.permutations(names):
+                for n in order:
+                    assert _bits(getattr(prof, n)(z)) == want[n, 0], (name, order, n)
+                assert _bits(getattr(prof, order[0])(other)) == want[order[0], 1], (name, order)
+            for n in names:
+                out = getattr(prof, n)(z)
+                if isinstance(out, np.ndarray):
+                    try:
+                        out[0] = 123.0
+                    except ValueError:      # a reused array is read-only
+                        pass
+                assert _bits(getattr(prof, n)(z)) == want[n, 0], (name, n)
+
+
+def test_one_branch_solve_per_phase_stack(monkeypatch):
+    import mrayleigh.closed_form as cf
+
+    solves = []
+    monkeypatch.setattr(cf, "_solve_branch", lambda *a: solves.append(1) or _solve_branch(*a))
+    lam = SpeedVector(np.array([1.0, 0.5]))
+    prof = vdp_implicit(EXP_CO, k1=0.25, z0=0.0, phi0=1.0, domain=(-2.0, 2.0), lam=lam)
+    st = synthesize_structure(prof.coeffs, 2, lam)
+    rep = residual_sweep(prof, st, GridSpec((-1.5, 0.0, 9), ((0.0, 0.1, 3), (0.0, 0.1, 2))))
+    assert rep.residuals.size == 54 and len(solves) == 1
+    zs = np.linspace(-1.5, 0.5, 11)
+    solves.clear()
+    reduction_ode_residual(prof.coeffs, prof, zs, "analytic")
+    assert len(solves) == 1
+    # phi at z, then phi' at the two shifted phases
+    solves.clear()
+    reduction_ode_residual(prof.coeffs, prof, zs + 0.01, "fd")
+    assert len(solves) == 3
 
 
 @pytest.mark.parametrize("k1, phi0", [(0.25, 1.0), (0.25, 0.1), (-0.5, 1.0), (2.0, -3.0)])

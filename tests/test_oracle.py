@@ -15,6 +15,7 @@ from mrayleigh.closed_form import (
     SolitonProfile,
     as_multitime,
     soliton_arccosh,
+    soliton_arcsin,
     soliton_arcsinh,
     soliton_quadrature,
     vdp_explicit,
@@ -45,6 +46,7 @@ from mrayleigh.geometry import (
     stationary_solution,
 )
 from mrayleigh.oracle import (
+    DECAY_SAMPLES,
     bernoulli_chain_check,
     decay_check,
     integrate_reduction,
@@ -333,6 +335,52 @@ def test_decay_guards():
             decay_check(p, (1.0, 1.0), **bad)
 
 
+def _edge_profiles(rng):
+    """One profile per family with a finite domain edge, drawn inside its validity."""
+    def u(lo, hi):
+        return rng.uniform(lo, hi) * rng.choice((-1.0, 1.0))
+
+    a, c = u(0.5, 2.0), u(0.5, 2.0)
+    yield soliton_arcsin(a, -math.copysign(rng.uniform(0.5, 2.0), c), c,
+                         rng.uniform(0.1, 0.95), sigma=rng.choice((-1.0, 1.0)))
+    a, c = u(0.5, 2.0), u(0.5, 2.0)
+    yield soliton_arccosh(a, math.copysign(rng.uniform(0.5, 2.0), c), c,
+                          rng.uniform(1.2, 10.0), sigma=rng.choice((-1.0, 1.0)))
+    yield soliton_quadrature(constant_coeffs(*rng.uniform(0.5, 2.0, 2),
+                                             b=rng.uniform(0.5, 2.0)),
+                             rng.uniform(1.0, 8.0), domain=(-4.0, 4.0))
+    # K > 0 with d/(3c) < 0, or K < 0 with d/(3c) > 0
+    a, c, K = u(0.5, 2.0), u(0.5, 2.0), u(0.2, 5.0)
+    yield vdp_explicit(a, c, -math.copysign(rng.uniform(1.0, 5.0), c * K), K)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decay_rejects_a_ray_that_leaves_the_domain(seed):
+    rng = np.random.default_rng(2100 + seed)
+    m = int(rng.integers(1, 4))
+    lam = SpeedVector(rng.uniform(0.5, 1.5, m))
+    for prof in _edge_profiles(rng):
+        prof = with_speed(prof, lam)
+        lo, hi = prof.domain.lo, prof.domain.hi
+        for edge, out in ((lo, 1.0), (hi, -1.0)):
+            if math.isinf(edge):
+                continue
+            # the phase x - s (lambda . direction) runs out through this edge
+            direction = out * rng.uniform(0.2, 1.0, m)
+            rate = lam.dot(direction)
+            span = hi - lo if math.isfinite(hi - lo) else 5.0
+            x = edge + out * rng.uniform(0.0, 1.0) * span
+            with pytest.raises(EmptyDomain, match="leaves the profile domain after s =") as e:
+                decay_check(prof, direction, x=x)
+            named = float(str(e.value).split("s = ")[1].split(",")[0])
+            leaves = (x - edge) / rate
+            step = 1e3 / (DECAY_SAMPLES - 1)
+            assert leaves - step - 1e-9 <= named <= leaves + 1e-9, (prof.family, x, edge)
+            # the reverse ray stays inside when the domain runs on to infinity
+            if math.isinf(hi - lo):
+                assert decay_check(prof, -direction, x=x).horizon == 1e3
+
+
 def test_single_time_solver_reproduces_separated_solution():
     # epsilon = 0: u = sin(x) cos(t) solves the undamped equation
     sol = integrate_single_time_rayleigh(0.0, math.sin, lambda x: 0.0, 1.0)
@@ -420,11 +468,6 @@ def _bits(v):
     return np.asarray(v, dtype=float).tobytes()
 
 
-def _per_point_basis(sol):
-    """exp(i k x) formed afresh at every point, not once per distinct x."""
-    return lambda x: np.exp(1j * sol._k * np.expand_dims(np.asarray(x, dtype=float), -1))
-
-
 def test_jet_on_a_grid_with_repeated_x_equals_the_jet_one_x_at_a_time():
     sol = integrate_single_time_rayleigh(0.3, lambda x: 0.5 * math.sin(x),
                                          lambda x: 0.0, 1.0, n_x=64, n_t=21)
@@ -437,14 +480,3 @@ def test_jet_on_a_grid_with_repeated_x_equals_the_jet_one_x_at_a_time():
     for i in range(x.size):
         for g, p in zip(grid, sol.jet(float(x[i]), float(t[i]))):
             assert type(p) is float and _bits(p) == g[i].tobytes(), (x[i], t[i])
-    sol._basis = _per_point_basis(sol)
-    assert all(_bits(g) == _bits(p) for g, p in zip(grid, sol.jet(x, t)))
-
-
-@pytest.mark.parametrize("n_probe", [(48, 33), (7, 6)])
-def test_residual_estimate_is_unchanged_by_the_shared_basis(n_probe):
-    sol = integrate_single_time_rayleigh(0.1, lambda x: 0.1 * math.sin(x),
-                                         lambda x: 0.0, 1.0, n_x=128, n_t=51)
-    shared = sol.residual_estimate(*n_probe)
-    sol._basis = _per_point_basis(sol)
-    assert _bits(sol.residual_estimate(*n_probe)) == _bits(shared)
