@@ -23,8 +23,9 @@ on a reported validity interval.  Families:
     sign-flipped relation phi^2 = -(2/3)(int d/a + C) is also constructible
     (square_relation="direct") but does not satisfy the ODE and exists so
     tests can demonstrate that failure.  For k1 != 0 the profile is defined
-    implicitly and recovered for a whole array of z at once by a bracketed
-    Newton iteration on the monotone branch selected by phi(z0).
+    implicitly on the monotone branch selected by phi(z0); the branch is
+    solved once, when the profile is built, at the Chebyshev points of the
+    domain, and phi is the Chebyshev antiderivative of the phi' found there.
 ``vdp_explicit``
     constant-coefficient Van der Pol profile
     phi(z) = 1 / sqrt(K e^{(2c/a) z} + d/(3c)).
@@ -44,9 +45,10 @@ phase, with numpy's bits.  phi, phi' and phi'' of a profile share the
 family's per-phase work (``vdp_implicit``'s phi and, apart from it, d/a;
 ``quadrature``'s phi'; the arc families' w; ``vdp_explicit``'s radicand),
 which keeps its last result keyed on the phases' shape and bytes: a call
-on the last call's phases reuses it, as read-only arrays, so a jet solves
-a ``vdp_implicit`` branch once per stack of phases.  Lifting to a multitime
-field via ``as_multitime`` uses the chain rule du/dt^a = -lambda_a phi'.
+on the last call's phases reuses it, as read-only arrays.  No evaluation
+iterates: every phi is a closed form, a Chebyshev sum or a series.  Lifting
+to a multitime field via ``as_multitime`` uses the chain rule
+du/dt^a = -lambda_a phi'.
 Evaluation outside the domain raises DomainExceeded; at finite endpoints
 phi itself stays finite for the arc-family profiles while phi' may be
 unbounded there, which is why residual testing keeps a guard band.
@@ -483,56 +485,36 @@ def _first_integral_antiderivative(k1: float):
     return L
 
 
-# branch solver stopping rule: |step| <= _XTOL + _RTOL |phi| within _MAXITER steps
+# branch solver stopping rule: bracket within _XTOL + _RTOL |phi| within _MAXITER steps
 _XTOL, _RTOL, _MAXITER = 1e-14, 8.9e-16, 200
 
 
-def _solve_branch(L, k1: float, side: float, far_scale: float, target):
-    """phi = k1 + side * s with L(phi) = target, for an array of targets.
+def _solve_branch(L, k1: float, side: float, near: float, far: float, target):
+    """phi = k1 + side * s with L(phi) = target and near <= s <= far, for an
+    array of targets.
 
-    Along s > 0, L rises from -inf (at k1) towards its far limit.  Each
-    element is bracketed by dividing the near end by 8 and multiplying the
-    far end by 4 (NoBracket past their limits), then iterated from the near
-    end by Newton steps, dL/ds = 3 / |phi^3 - k1^3|.
-    A step that leaves the bracket or fails to halve the previous one is
-    replaced by bisection at the geometric mean of the bracket, which spans
-    decades.  An element stops when its step or its bracket is within
-    xtol + rtol |phi|, and is polished by one last Newton step.
+    Along s > 0, L rises from -inf (at k1) towards its far limit, so a target
+    outside [L(k1 + side near), L(k1 + side far)] has no root in the bracket
+    and raises NoBracket.  Each element bisects its bracket at the geometric
+    mean, which spans decades, until the bracket is within xtol + rtol |phi|,
+    and is polished by one Newton step, dL/dphi = 3 / (phi^3 - k1^3).
     """
-    unit, k3 = max(1.0, abs(k1)), k1 * k1 * k1
-    near = np.full(target.shape, 1e-3 * unit)
-    while np.any(high := L(k1 + side * near) > target):
-        near = np.where(high, near / 8.0, near)
-        if np.any(near < 4e-16 * unit):
-            # below float resolution the root is indistinguishable from k1
-            raise NoBracket("root collapses onto the constant solution")
-    far = np.full(target.shape, far_scale)
-    while np.any(low := L(k1 + side * far) < target):
-        far = np.where(low, far * 4.0, far)
-        if np.any(far > 1e13 * far_scale):
-            raise NoBracket("no far bracket endpoint on this branch")
-
-    s, lo, hi = near, near, far
-    moved = hi - lo
-    done = np.zeros(target.shape, bool)
+    lo, hi = np.full(target.shape, near), np.full(target.shape, far)
+    outside = ~((L(k1 + side * lo) <= target) & (target <= L(k1 + side * hi)))
+    if outside.any():
+        raise NoBracket(f"no root on this branch for the target {_first(target, outside)}")
     for _ in range(_MAXITER):
-        root = k1 + side * s
-        f = L(root) - target
-        lo, hi = np.where(f <= 0.0, s, lo), np.where(f >= 0.0, s, hi)
-        step = side * f * (root * root * root - k3) / 3.0
-        tol = _XTOL + _RTOL * np.abs(root)
-        finish = ~done & ((np.abs(step) <= tol) | (hi - lo <= tol))
-        newton = finish | ((s - step > lo) & (s - step < hi) & (np.abs(step) < 0.5 * moved))
-        nxt = np.where(done, s, np.where(newton, s - step, np.sqrt(lo * hi)))
-        moved = np.abs(nxt - s)
-        s, done = nxt, done | finish
-        if done.all():
+        wide = hi - lo > _XTOL + _RTOL * np.abs(k1 + side * hi)
+        if not wide.any():
             break
+        s = np.sqrt(lo * hi)
+        low = L(k1 + side * s) < target
+        lo, hi = np.where(wide & low, s, lo), np.where(wide & ~low, s, hi)
     else:
         raise NoBracket(f"branch root not found in {_MAXITER} steps")
-    root = k1 + side * s
-    denom = root * root * root - k3
-    return np.where(denom != 0.0, root - (L(root) - target) * denom / 3.0, root)
+    root = k1 + side * np.sqrt(lo * hi)
+    denom = root * root * root - k1 * k1 * k1
+    return root - (L(root) - target) * denom / 3.0
 
 
 def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
@@ -551,10 +533,17 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
         direct:     phi^2    = -(2/3) (H(z) + C),  C = -(3/2) phi0^2
 
     Only the reciprocal relation satisfies the ODE; the direct one is kept
-    strictly as a negative control for the residual tests.  The domain
-    shrinks to the maximal subinterval around z0 on which the squared
-    quantity stays positive (k1 = 0) or on which the requested branch still
-    has a root (k1 != 0).
+    strictly as a negative control for the residual tests, and exists for
+    k1 = 0 only.  The domain shrinks to the maximal subinterval around z0
+    on which the squared quantity stays positive (k1 = 0).
+
+    For k1 != 0, phi solves L(phi) = H(z) + C with L' = 3 / (phi^3 - k1^3)
+    and C = L(phi0).  The domain shrinks to the maximal subinterval around z0
+    on which |phi - k1| stays above 4e-16 max(1, |k1|), where the branch
+    collapses onto k1 to float resolution, and below 1e12 max(1, |k1|,
+    4 |phi0 - k1|), where it escapes.  The root is solved once, at the
+    Chebyshev points of the domain, and phi is phi0 plus the Chebyshev
+    antiderivative of phi' = (d/a)(phi^3 - k1^3)/3 there.
     """
     if coeffs.variant is not Variant.VAN_DER_POL:
         raise WrongVariant("vdp_implicit needs Van der Pol coefficients")
@@ -568,6 +557,8 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
         raise BadParameters("need lo < hi with z0 inside the domain")
     if square_relation not in ("reciprocal", "direct"):
         raise BadParameters("square_relation must be 'reciprocal' or 'direct'")
+    if square_relation == "direct" and k1 != 0.0:
+        raise BadParameters("square_relation 'direct' exists only for k1 = 0")
 
     _check_compatibility(coeffs, lo, hi)
     H = _cheb_antiderivative(lambda s: coeffs.d(s) / coeffs.a(s), lo, hi, z0)
@@ -649,23 +640,25 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
     L = _first_integral_antiderivative(k1)
     side = 1.0 if phi0 > k1 else -1.0
     C = float(L(phi0))
-    far_scale = max(1.0, abs(k1), 4.0 * abs(phi0 - k1))
-    L_far = float(L(k1 + side * 1e12 * far_scale))
-
-    def solvable(target):
-        return target < L_far - 1e-12 * max(1.0, abs(L_far))
-
-    run = _positive_run(zs, np.where(solvable(H(zs) + C), 1.0, -1.0), z0)
+    near = 4e-16 * max(1.0, abs(k1))
+    far = 1e12 * max(1.0, abs(k1), 4.0 * abs(phi0 - k1))
+    L_near, L_far = (float(L(k1 + side * s)) for s in (near, far))
+    target = H(zs) + C
+    solvable = (L_near < target) & (target < L_far - 1e-12 * max(1.0, abs(L_far)))
+    run = _positive_run(zs, np.where(solvable, 1.0, -1.0), z0)
     if run is None:
         raise NoBracket("the requested branch has no root at the anchor")
     dom = Interval(run[0], run[1])
 
+    def branch_prime(z):
+        p = _solve_branch(L, k1, side, near, far, H(z) + C)
+        return prime_from(p, coeffs.d(z) / coeffs.a(z))
+
+    # phi' is sampled once, at the Chebyshev points of the domain
+    PHI = _cheb_antiderivative(branch_prime, dom.lo, dom.hi, z0)
+
     def phi(z):
-        target = H(z) + C
-        escaped = ~solvable(target)
-        if np.any(escaped):
-            raise DomainExceeded(f"branch escapes to infinity before z = {_first(z, escaped)}")
-        return _solve_branch(L, k1, side, far_scale, target)
+        return phi0 + PHI(z)
 
     return profile({"k1": k1, "branch": "above" if side > 0 else "below"}, dom,
                    phi, prime_from, second_from)

@@ -38,7 +38,7 @@ from mrayleigh.coefficients import (
     reduce,
     synthesize_structure,
 )
-from mrayleigh.errors import DegenerateA, DomainExceeded
+from mrayleigh.errors import DegenerateA, DomainExceeded, NoBracket
 from mrayleigh.geometry import GridSpec, prolong_field, residual
 from mrayleigh.oracle import (
     integrate_reduction,
@@ -159,24 +159,23 @@ def test_reused_phase_work_cannot_be_seen_from_outside():
                 assert _bits(getattr(prof, n)(z)) == want[n, 0], (name, n)
 
 
-def test_one_branch_solve_per_phase_stack(monkeypatch):
+def test_branch_solves_only_at_construction(monkeypatch):
     import mrayleigh.closed_form as cf
 
     solves = []
     monkeypatch.setattr(cf, "_solve_branch", lambda *a: solves.append(1) or _solve_branch(*a))
     lam = SpeedVector(np.array([1.0, 0.5]))
     prof = vdp_implicit(EXP_CO, k1=0.25, z0=0.0, phi0=1.0, domain=(-2.0, 2.0), lam=lam)
+    assert solves
+    solves.clear()
     st = synthesize_structure(prof.coeffs, 2, lam)
     rep = residual_sweep(prof, st, GridSpec((-1.5, 0.0, 9), ((0.0, 0.1, 3), (0.0, 0.1, 2))))
-    assert rep.residuals.size == 54 and len(solves) == 1
+    assert rep.residuals.size == 54
     zs = np.linspace(-1.5, 0.5, 11)
-    solves.clear()
-    reduction_ode_residual(prof.coeffs, prof, zs, "analytic")
-    assert len(solves) == 1
-    # phi at z, then phi' at the two shifted phases
-    solves.clear()
-    reduction_ode_residual(prof.coeffs, prof, zs + 0.01, "fd")
-    assert len(solves) == 3
+    for mode in ("analytic", "fd"):
+        reduction_ode_residual(prof.coeffs, prof, zs + 0.01, mode)
+    prof.phi(0.3)
+    assert solves == []
 
 
 @pytest.mark.parametrize("k1, phi0", [(0.25, 1.0), (0.25, 0.1), (-0.5, 1.0), (2.0, -3.0)])
@@ -186,7 +185,7 @@ def test_branch_solver_agrees_with_brentq(k1, phi0):
     far_scale = max(1.0, abs(k1), 4.0 * abs(phi0 - k1))
     want = k1 + side * np.geomspace(1e-8, 1e2, 60) * far_scale
     target = L(want)
-    got = _solve_branch(L, k1, side, far_scale, target)
+    got = _solve_branch(L, k1, side, 4e-16 * max(1.0, abs(k1)), 1e12 * far_scale, target)
     for g, w, tg in zip(got, want, target):
         lo, hi = sorted((k1 + side * 1e-12 * far_scale, k1 + side * 1e4 * far_scale))
         ref = brentq(lambda p: L(p) - tg, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
@@ -194,6 +193,14 @@ def test_branch_solver_agrees_with_brentq(k1, phi0):
         # leaves any root defined only to that width
         floor = 4.0 * np.finfo(float).eps * max(1.0, abs(tg)) * abs(ref ** 3 - k1 ** 3) / 3.0
         assert abs(g - ref) <= 1e-14 + 8.9e-16 * abs(ref) + floor, (g, ref, w)
+
+
+def test_branch_solver_raises_outside_its_bracket():
+    L = _first_integral_antiderivative(0.25)
+    ends = L(0.25 + np.array([1e-3, 1e3]))
+    for target in (ends[0] - 1.0, ends[1] + 1e-6):
+        with pytest.raises(NoBracket):
+            _solve_branch(L, 0.25, 1.0, 1e-3, 1e3, np.array([0.5 * ends.sum(), target]))
 
 
 def _bits(v):

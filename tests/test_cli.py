@@ -403,6 +403,9 @@ def test_non_finite_profile_parameters_exit_2(family_args, name):
      "phi0 = k1 is the constant solution; the implicit branches exclude it"),
     (("profile", "--family", "vdp-explicit", "--a", "1", "--c", "1", "--d=-3", "--K", "0"),
      "constant radicand is nonpositive"),
+    (("verify", "--family", "vdp-implicit", "--a", "exp", "--c", "exp", "--d", "3",
+      "--k1", "0.25", "--phi0", "1", "--zmin", "-1.5", "--zmax", "0.5",
+      "--square-relation", "direct"), "square_relation 'direct' exists only for k1 = 0"),
 ])
 def test_non_finite_inputs_exit_2(args, message):
     r = run_cli(*args)

@@ -7,6 +7,7 @@ with the independent ODE evaluator in two derivative modes.
 
 import itertools
 import math
+import random
 import warnings
 
 import numpy as np
@@ -16,6 +17,8 @@ from mrayleigh.closed_form import (
     Family,
     Interval,
     SolitonProfile,
+    _first_integral_antiderivative,
+    _solve_branch,
     as_multitime,
     soliton_arccosh,
     soliton_arcsin,
@@ -201,6 +204,9 @@ def test_vdp_implicit_rejects_unknown_relation_and_incompatible_data():
     co = general_coeffs(a=math.exp, c=math.exp, d=lambda z: 3.0)
     with pytest.raises(BadParameters):
         vdp_implicit(co, k1=0.0, phi0=0.7, square_relation="bogus")
+    # the direct relation is a k1 = 0 negative control only
+    with pytest.raises(BadParameters):
+        vdp_implicit(co, k1=0.25, phi0=1.0, square_relation="direct")
     # constants a = c = 1, d = 3 violate a'd - ad' = dc
     with pytest.raises(CompatibilityViolated):
         vdp_implicit(constant_coeffs(1.0, 1.0, d=3.0), k1=0.0, phi0=0.7)
@@ -217,12 +223,35 @@ def test_vdp_implicit_nonzero_k1_branch():
     p = vdp_implicit(co, k1=0.25, z0=0.0, phi0=1.0, domain=(-2.0, 2.0))
     assert abs(p.phi(0.0) - 1.0) <= 1e-9
     assert p.params["branch"] == "above"
-    assert p.domain.hi < 2.0                  # branch solver trims the span
+    assert p.domain.hi < 2.0                  # the domain scan trims the escape end
     zs = [z for z in np.linspace(-1.9, p.domain.hi - 0.05, 201)
           if p.domain.contains(z)]
     rep = reduction_ode_residual(p.coeffs, p, zs, "analytic")
     assert rep.max_abs <= 1e-8
     assert min(p.phi(z) for z in zs) > 0.25   # stays on the phi > k1 side
+
+
+def test_vdp_implicit_nonzero_k1_evaluates_across_its_domain():
+    # the k1 != 0 draws of the vdp-implicit parameter ranges, on the CLI's
+    # default domain, where the branch both collapses onto k1 and escapes
+    rng = random.Random("rates/vdp-implicit-k1")
+    for _ in range(30):
+        d, k1 = rng.uniform(1.0, 5.0), rng.uniform(0.2, 1.0)
+        phi0 = k1 + rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.0)
+        co = general_coeffs(a=math.exp, c=math.exp, d=lambda z, d=d: d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = vdp_implicit(co, k1=k1, phi0=phi0)
+        zs = np.linspace(p.domain.lo, p.domain.hi, 2001)
+        for fn in (p.phi, p.phi_prime, p.phi_second):
+            assert np.isfinite(fn(zs)).all(), (d, k1, phi0, fn)
+        assert abs(p.phi(0.0) - phi0) <= 1e-14
+        # a direct solve of L(phi) = H + C, with H = d (1 - e^{-z}) exactly
+        L, side = _first_integral_antiderivative(k1), math.copysign(1.0, phi0 - k1)
+        inner = zs[100:-100]
+        want = _solve_branch(L, k1, side, 4e-16, 1e12 * max(1.0, 4.0 * abs(phi0 - k1)),
+                             L(phi0) + d * (1.0 - np.exp(-inner)))
+        assert np.max(np.abs(p.phi(inner) - want)) <= 1e-12, (d, k1, phi0)
 
 
 def test_vdp_explicit_values_limits_and_far_tail():
