@@ -40,15 +40,17 @@ callable checks its domain, then takes z of shape (N,) and returns an array
 of the same shape, or a Python float for a scalar z.  A phase's value never
 depends on the other phases in its call: no multi-row BLAS product runs
 across them, and integer powers are written as products.  The Chebyshev
-antiderivatives run numpy's chebval recurrence on Python floats for one
-phase, with numpy's bits.  phi, phi' and phi'' of a profile share the
-family's per-phase work (``vdp_implicit``'s phi and, apart from it, d/a;
-``quadrature``'s phi'; the arc families' w; ``vdp_explicit``'s radicand),
-which keeps its last result keyed on the phases' shape and bytes: a call
-on the last call's phases reuses it, as read-only arrays.  No evaluation
-iterates: every phi is a closed form, a Chebyshev sum or a series.  Lifting
-to a multitime field via ``as_multitime`` uses the chain rule
-du/dt^a = -lambda_a phi'.
+antiderivatives are fitted with numpy's nodes and matrix, made once per
+degree, and integrated in float arithmetic, with numpy's bits; their sums
+run numpy's chebval recurrence, on Python floats for one phase, and
+``quadrature``'s F and G share one recurrence over an array of phases.
+phi, phi' and phi'' of a profile share the family's per-phase work
+(``vdp_implicit``'s phi and, apart from it, d/a; ``quadrature``'s phi';
+the arc families' w; ``vdp_explicit``'s radicand), which keeps its last
+result keyed on the phases' shape and bytes: a call on the last call's
+phases reuses it, as read-only arrays.  No evaluation iterates: every phi
+is a closed form, a Chebyshev sum or a series.  Lifting to a multitime
+field via ``as_multitime`` uses the chain rule du/dt^a = -lambda_a phi'.
 Evaluation outside the domain raises DomainExceeded; at finite endpoints
 phi itself stays finite for the arc-family profiles while phi' may be
 unbounded there, which is why residual testing keeps a guard band.
@@ -57,6 +59,7 @@ unbounded there, which is why residual testing keeps a guard band.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -212,24 +215,57 @@ COMPAT_TOL = 1e-6           # vdp_implicit's sampled check of (a/d)' = c/d
 COMPAT_STEP = 1e-6          # _check_compatibility's central-difference step on a and d
 
 
-def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float):
-    """Antiderivative F(z) = int_anchor^z fn, cached as a Chebyshev series.
+@functools.cache
+def _cheb_nodes(deg: int):
+    """numpy's Chebyshev points of the first kind for a degree-``deg`` fit and
+    their Vandermonde matrix, made once per degree and kept read-only."""
+    x = _cheb.chebpts1(deg + 1)
+    m = _cheb.chebvander(x, deg)
+    x.setflags(write=False)
+    m.setflags(write=False)
+    return x, m
+
+
+def _cheb_map(lo: float, hi: float):
+    """numpy's mapparms from the domain [lo, hi] to the window [-1, 1]: (off, scl)."""
+    return (hi * -1.0 - lo * 1.0) / (hi - lo), 2.0 / (hi - lo)
+
+
+def _clenshaw(c, x):
+    """numpy's chebval recurrence for sum_k c[k] T_k(x), len(c) >= 3.
+
+    ``c`` holds Python floats, for a float or an array x, or one (k, 1, ...)
+    array per degree for k series at once, each row of the result the sum
+    of one series.  Zeros that pad a shorter series at the top leave its
+    bits, unless its top coefficient is -0.0.
+    """
+    x2 = 2 * x
+    c0, c1 = c[-2], c[-1]
+    for ci in c[-3::-1]:
+        c0, c1 = ci - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
+def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float) -> list:
+    """F(z) = int_anchor^z fn as Chebyshev coefficients on [lo, hi], a list
+    of Python floats that ``_cheb_sum(lo, hi, ...)`` evaluates.
 
     ``fn`` is sampled at all Chebyshev points of [lo, hi] in one call (it
-    takes and returns arrays); the interpolant is
-    integrated term by term, and the degree doubles until the coefficient
-    tail is negligible.  Smooth integrands resolve to near machine
-    precision; non-smooth ones get CHEB_MAX_DEGREE and whatever accuracy
-    that buys, which the downstream residual checks will expose.  A sample
-    that is not finite raises BadParameters.  The callable returned runs
-    numpy's mapping and chebval recurrence over Python-float coefficients,
-    in float arithmetic for one phase: numpy fuses no multiply-add, so the
-    bits are numpy's.
+    takes and returns arrays); the interpolant is integrated term by term,
+    and the degree doubles until the coefficient tail is negligible.
+    Smooth integrands resolve to near machine precision; non-smooth ones
+    get CHEB_MAX_DEGREE and whatever accuracy that buys, which the
+    downstream residual checks will expose.  A sample that is not finite
+    raises BadParameters.  The fit is numpy's chebinterpolate on the nodes
+    and matrix ``_cheb_nodes`` keeps per degree, and the integration is
+    numpy's Chebyshev(coef, domain=[lo, hi]).integ(1, lbnd=anchor) in float
+    arithmetic, so the coefficients have numpy's bits.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-
-    def samples(us):
+    deg = 64
+    while True:
+        us, m = _cheb_nodes(deg)
         zs = mid + half * us
         with np.errstate(over="ignore", invalid="ignore"):
             vals = fn(zs)
@@ -237,35 +273,55 @@ def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float):
         if bad.any():
             raise BadParameters(f"integrand not finite at z = {_first(zs, bad)} "
                                 f"on the window [{lo}, {hi}]")
-        return vals
-
-    deg = 64
-    while True:
-        coef = _cheb.chebinterpolate(samples, deg)
+        coef = np.dot(m.T, vals)
+        coef[0] /= deg + 1
+        coef[1:] /= 0.5 * (deg + 1)
         scale = float(np.max(np.abs(coef)))
         if float(np.max(np.abs(coef[-6:]))) <= 1e-13 * max(1.0, scale):
             break
         if deg >= CHEB_MAX_DEGREE:
             break
         deg *= 2
-    anti = _cheb.Chebyshev(coef, domain=[lo, hi]).integ(1, lbnd=anchor)
-    off, scl = (float(v) for v in anti.mapparms())
-    c = anti.coef.tolist()
+    # numpy's chebint(coef, lbnd=off + scl anchor, scl=1/scl), term by term
+    off, scl = _cheb_map(lo, hi)
+    inv = 1.0 / scl
+    c = [v * inv for v in coef.tolist()]
+    anti = [c[0] * 0, c[0], c[1] / 4] + [0.0] * (len(c) - 2)
+    for j in range(2, len(c)):
+        anti[j + 1] = c[j] / (2 * (j + 1))
+        anti[j - 1] -= c[j] / (2 * (j - 1))
+    anti[0] += 0 - _clenshaw(anti, off + scl * anchor)
+    return anti
 
-    def clenshaw(x):
-        x2 = 2 * x
-        c0, c1 = c[-2], c[-1]
-        for ci in c[-3::-1]:
-            c0, c1 = ci - c1, c0 + c1 * x2
-        return c0 + c1 * x
 
-    def antiderivative(z):
+def _cheb_sum(lo: float, hi: float, *series):
+    """The callable z -> sum of each Chebyshev ``series`` on [lo, hi] at z.
+
+    One series gives an array of z's shape; k series give k rows, stacked
+    on a leading axis, from one recurrence over an array of phases, the
+    shorter series padded with zeros at the top.  One phase runs the
+    recurrence in float arithmetic, series by series: numpy fuses no
+    multiply-add, so every row has the bits numpy's Chebyshev class gives.
+    """
+    off, scl = _cheb_map(lo, hi)
+    n = max(map(len, series))
+    rows = np.array([s + [0.0] * (n - len(s)) for s in series]).T
+    lead = () if len(series) == 1 else (len(series),)
+
+    def call(z):
         z = np.asarray(z)
-        if z.size == 1:     # its shape is all ones, which ndmin restores
-            return np.array(clenshaw(off + scl * z.item()), ndmin=z.ndim)
-        return clenshaw(off + scl * z)
+        if z.size == 1:
+            x = off + scl * z.item()
+            out = np.array([_clenshaw(s, x) for s in series])
+        elif lead:
+            # x repeated per series, so that only the coefficient rows broadcast
+            x = np.stack([off + scl * z] * len(series))
+            out = _clenshaw(rows.reshape(rows.shape + (1,) * z.ndim), x)
+        else:
+            out = _clenshaw(series[0], off + scl * z)
+        return out.reshape(lead + z.shape)
 
-    return antiderivative
+    return call
 
 
 def _positive_run(zs: np.ndarray, vals: np.ndarray, z0: float):
@@ -301,8 +357,9 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
     to the maximal positive subinterval containing z0 (EmptyDomain if the
     anchor itself fails).
     Antiderivatives are cached on Chebyshev grids and evaluated by numpy's
-    Clenshaw recurrence, on Python floats for one phase, so evaluation is
-    cheap and deterministic.
+    Clenshaw recurrence, on Python floats for one phase and for F and G
+    stacked in one pass over an array, so evaluation is cheap and
+    deterministic.
     """
     if coeffs.variant is not Variant.RAYLEIGH:
         raise WrongVariant("quadrature family solves the Rayleigh reduction")
@@ -318,13 +375,15 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
         raise EmptyDomain("the radicand K - 2G is nonpositive at the anchor")
 
     def build(a_lo, a_hi):
+        """(G, FG): G alone, and F and G stacked, which share one recurrence."""
         F = _cheb_antiderivative(lambda s: coeffs.c(s) / coeffs.a(s), a_lo, a_hi, z0)
+        F_at = _cheb_sum(a_lo, a_hi, F)
         G = _cheb_antiderivative(
-            lambda s: coeffs.b(s) / coeffs.a(s) * np.exp(-2.0 * F(s)),
+            lambda s: coeffs.b(s) / coeffs.a(s) * np.exp(-2.0 * F_at(s)),
             a_lo, a_hi, z0)
-        return F, G
+        return _cheb_sum(a_lo, a_hi, G), _cheb_sum(a_lo, a_hi, F, G)
 
-    F, G = build(lo, hi)
+    G, FG = build(lo, hi)
     zs = np.linspace(lo, hi, QUADRATURE_SCAN)
     radicand = K - 2.0 * G(zs)
     run = _positive_run(zs, radicand, z0)
@@ -332,18 +391,19 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
         raise EmptyDomain("the radicand K - 2G is nonpositive at the anchor")
     d_lo, d_hi, shrunk_lo, shrunk_hi = run
     if shrunk_lo or shrunk_hi:
-        F, G = build(d_lo, d_hi)
+        G, FG = build(d_lo, d_hi)
     dom = Interval(d_lo, d_hi)
 
     @_reused
     def phi_prime(z):
-        rad = K - 2.0 * G(z)
+        F, G = FG(z)
+        rad = K - 2.0 * G
         if np.any(rad <= 0.0):
             raise DomainExceeded(f"radicand nonpositive at z = {_first(z, rad <= 0.0)}")
-        return np.exp(-F(z)) / np.sqrt(rad)
+        return np.exp(-F) / np.sqrt(rad)
 
     # the Chebyshev points lie inside the domain, so phi' is sampled unchecked
-    PHI = _cheb_antiderivative(phi_prime, d_lo, d_hi, z0)
+    PHI = _cheb_sum(d_lo, d_hi, _cheb_antiderivative(phi_prime, d_lo, d_hi, z0))
 
     def phi_second(z):
         # the Rayleigh cubic term does not read phi
@@ -561,7 +621,7 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
         raise BadParameters("square_relation 'direct' exists only for k1 = 0")
 
     _check_compatibility(coeffs, lo, hi)
-    H = _cheb_antiderivative(lambda s: coeffs.d(s) / coeffs.a(s), lo, hi, z0)
+    H = _cheb_sum(lo, hi, _cheb_antiderivative(lambda s: coeffs.d(s) / coeffs.a(s), lo, hi, z0))
     zs = np.linspace(lo, hi, VDP_SCAN)
 
     k3 = k1 * k1 * k1
@@ -655,7 +715,7 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
         return prime_from(p, coeffs.d(z) / coeffs.a(z))
 
     # phi' is sampled once, at the Chebyshev points of the domain
-    PHI = _cheb_antiderivative(branch_prime, dom.lo, dom.hi, z0)
+    PHI = _cheb_sum(dom.lo, dom.hi, _cheb_antiderivative(branch_prime, dom.lo, dom.hi, z0))
 
     def phi(z):
         return phi0 + PHI(z)

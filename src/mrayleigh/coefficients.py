@@ -70,9 +70,13 @@ def _first(z, bad) -> float:
 
 
 def _central(fn, z, step):
-    """Central difference (fn(z + h) - fn(z - h)) / 2h, h = step max(1, |z|)."""
+    """Central difference (fn(z + h) - fn(z - h)) / 2h, h = step max(1, |z|),
+    for z of shape (N,), from one call of fn on the 2N shifted phases; fn's
+    value is split on its last axis, and a phase's bits do not depend on
+    the other phases in its call."""
     h = step * np.maximum(1.0, np.abs(z))
-    return (fn(z + h) - fn(z - h)) / (2.0 * h)
+    both = fn(np.concatenate([z + h, z - h]))
+    return (both[..., :z.size] - both[..., z.size:]) / (2.0 * h)
 
 
 def _require_finite(**values):

@@ -14,6 +14,7 @@ import pytest
 from scipy.optimize import brentq
 
 from mrayleigh.closed_form import (
+    Family,
     Interval,
     _first_integral_antiderivative,
     _positive_run,
@@ -208,31 +209,30 @@ def _bits(v):
 
 
 def _fitted_antiderivatives(monkeypatch, build):
-    """Each Chebyshev antiderivative that ``build()`` makes, paired with numpy's
-    own series on the coefficients it fitted."""
+    """What ``build()`` returns, and (lo, hi, coefficients, numpy's series) for
+    each Chebyshev antiderivative that it fits.  numpy's series refits the
+    same integrand with chebinterpolate, at the degree where the fit stopped,
+    and integrates it with the Chebyshev class."""
     import mrayleigh.closed_form as cf
     from numpy.polynomial import chebyshev
 
-    fits, pairs = [], []
-    fit, antiderivative = chebyshev.chebinterpolate, cf._cheb_antiderivative
-
-    def spy_fit(fn, deg):
-        fits.append(fit(fn, deg))
-        return fits[-1]
+    fits, antiderivative = [], cf._cheb_antiderivative
 
     def spy(fn, lo, hi, anchor):
         got = antiderivative(fn, lo, hi, anchor)
-        ref = chebyshev.Chebyshev(fits[-1], domain=[lo, hi]).integ(1, lbnd=anchor)
-        pairs.append((got, ref))
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        coef = chebyshev.chebinterpolate(lambda u: fn(mid + half * u), len(got) - 2)
+        fits.append((lo, hi, got,
+                     chebyshev.Chebyshev(coef, domain=[lo, hi]).integ(1, lbnd=anchor)))
         return got
 
-    monkeypatch.setattr(chebyshev, "chebinterpolate", spy_fit)
     monkeypatch.setattr(cf, "_cheb_antiderivative", spy)
-    build()
-    return pairs
+    return build(), fits
 
 
 def test_chebyshev_antiderivatives_evaluate_as_numpy_does(monkeypatch):
+    from mrayleigh.closed_form import _cheb_sum
+
     rng = np.random.default_rng(12)
     a, b, c = rng.uniform(0.5, 2.0, 3)
     builds = [
@@ -243,17 +243,63 @@ def test_chebyshev_antiderivatives_evaluate_as_numpy_does(monkeypatch):
                                    domain=(-3.0, 3.0)),
         lambda: soliton_quadrature(general_coeffs(a=math.exp, c=lambda z: 1.0,
                                                   b=lambda z: 0.5), K=2.0, domain=(-2.0, 2.0)),
+        # F fits at degree 64 and G at 128, so phi' pads F in its stacked sum
+        lambda: soliton_quadrature(general_coeffs(a=lambda z: 1.0, c=lambda z: math.cos(5.0 * z),
+                                                  b=lambda z: 0.5), K=2.0, domain=(-3.0, 3.0)),
         lambda: vdp_implicit(EXP_CO, k1=0.0, phi0=rng.uniform(0.68, 0.72), domain=(-4.9, 0.5)),
         lambda: vdp_implicit(EXP_CO, k1=0.25, phi0=1.0, domain=(-2.0, 2.0)),
     ]
-    pairs = [p for build in builds for p in _fitted_antiderivatives(monkeypatch, build)]
-    assert max(ref.coef.size for _, ref in pairs) == 1026
-    for got, ref in pairs:
-        zs = np.linspace(*ref.domain, 41)
+    fits = []
+    for build in builds:
+        prof, made = _fitted_antiderivatives(monkeypatch, build)
+        fits += made
+        if prof.family is not Family.QUADRATURE:
+            continue
+        # phi' sums F and G, the two fits before phi's, in one stacked recurrence
+        (*_, F), (*_, G) = made[-3:-1]
+        K = prof.params["K"]
+        zs = np.linspace(prof.domain.lo, prof.domain.hi, 41)
+        for z in (float(zs[7]), zs[7:8], zs):
+            want = np.exp(-F(z)) / np.sqrt(K - 2.0 * G(z))
+            assert _bits(prof.phi_prime(z)) == _bits(want), z
+    assert max(len(got) for _, _, got, _ in fits) == 1026
+    for lo, hi, got, ref in fits:
+        assert _bits(got) == _bits(ref.coef), ref.coef.size
+        zs = np.linspace(lo, hi, 41)
         for z in (float(zs[7]), zs[7], zs[7:8], zs, zs[:40].reshape(5, 8)):
-            out, want = got(z), ref(z)
+            out, want = _cheb_sum(lo, hi, got)(z), ref(z)
             assert np.shape(out) == np.shape(want)
             assert _bits(out) == _bits(want), (ref.coef.size, z)
+
+
+def test_central_difference_calls_fn_once():
+    """One call on the stacked shifted phases gives the bits of the two calls
+    (fn(z + h) - fn(z - h)) / 2h, for every family's phi' and the chain's pair."""
+    from mrayleigh.coefficients import _central
+
+    def two_calls(fn, z, step):
+        h = step * np.maximum(1.0, np.abs(z))
+        return (fn(z + h) - fn(z - h)) / (2.0 * h)
+
+    rng = np.random.default_rng(23)
+    for name, prof, (lo, hi) in _families():
+        def psi_xi(s, p=prof.phi_prime):
+            v = p(s)
+            return np.stack([v, 1.0 / (v * v)])
+
+        for fn in (prof.phi_prime, psi_xi):
+            calls = []
+
+            def counted(s, fn=fn):
+                calls.append(s.shape)
+                return fn(s)
+
+            for n in (1, 2, 7, 100):
+                z = rng.uniform(lo, hi, n)
+                calls.clear()
+                got = _central(counted, z, 1e-6)
+                assert calls == [(2 * n,)], (name, n)
+                assert _bits(got) == _bits(two_calls(fn, z, 1e-6)), (name, n)
 
 
 def test_scalar_calls_give_the_bits_of_the_array_call():
