@@ -443,12 +443,13 @@ def _cmd_verify(ns) -> int:
         # that is a failed verification, not bad input
         oracle_dev = math.inf
         oracle_note = str(e)
-    chain_ok = True
+    chain_ok, chain = True, {}
     if prof.coeffs.variant is Variant.RAYLEIGH:
         # xi = phi'^-2 squares away small phi', so an absolute tolerance is
-        # only meaningful where phi' is not tiny
-        chain_zs = zs[np.abs(prof.phi_prime(zs)) >= 0.05]
-        chain_ok = bernoulli_chain_check(prof.coeffs, prof, chain_zs, tol=ns.tol)
+        # only meaningful where phi' is not tiny; the samples left out are counted
+        steep = np.abs(prof.phi_prime(zs)) >= 0.05
+        chain = {"chain_skipped": int(zs.size - np.count_nonzero(steep))}
+        chain_ok = bernoulli_chain_check(prof.coeffs, prof, zs[steep], tol=ns.tol)
 
     structure = synthesize_structure(prof.coeffs, ns.m, lam)
     # a given grid may reach a closed endpoint, where phi' is singular: its
@@ -459,7 +460,8 @@ def _cmd_verify(ns) -> int:
     # each deviation is held to --tol: this table and the chain decide the verdict
     devs = {"ode_analytic_max": rep_an.max_abs, "ode_fd_max": rep_fd.max_abs,
             "oracle_max_dev": oracle_dev, "sweep_max": sweep.max_abs}
-    checks = devs | {"chain_ok": chain_ok} | ({"oracle_note": oracle_note} if oracle_note else {})
+    checks = (devs | {"chain_ok": chain_ok} | chain
+              | ({"oracle_note": oracle_note} if oracle_note else {}))
     # NaN passes no comparison, so it would fail unnamed: name it
     nan = [k for k, v in devs.items() if math.isnan(v)]
     verified = not nan and chain_ok and all(v <= ns.tol for v in devs.values())

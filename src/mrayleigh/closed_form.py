@@ -257,9 +257,13 @@ def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float) -> list:
     get CHEB_MAX_DEGREE and whatever accuracy that buys, which the
     downstream residual checks will expose.  A sample that is not finite
     raises BadParameters.  The fit is numpy's chebinterpolate on the nodes
-    and matrix ``_cheb_nodes`` keeps per degree, and the integration is
-    numpy's Chebyshev(coef, domain=[lo, hi]).integ(1, lbnd=anchor) in float
-    arithmetic, so the coefficients have numpy's bits.
+    and matrix ``_cheb_nodes`` keeps per degree, trimmed at its rounding
+    floor: numpy's chebtrim drops the trailing coefficients at or below
+    (deg + 1) 2^-52 max|coef|, the rounding of the (deg + 1)-term product
+    that made them, keeping at least two.  An unconverged fit's tail lies
+    far above that floor, so it keeps its whole series.  The integration
+    is numpy's Chebyshev(coef, domain=[lo, hi]).integ(1, lbnd=anchor) in
+    float arithmetic, so the coefficients have numpy's bits.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
@@ -282,6 +286,9 @@ def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float) -> list:
         if deg >= CHEB_MAX_DEGREE:
             break
         deg *= 2
+    # the tail at or below the rounding floor of the (deg + 1)-term product
+    floor = (deg + 1) * 2.0 ** -52 * scale
+    coef = coef[:max(2, len(_cheb.chebtrim(coef, floor)))]
     # numpy's chebint(coef, lbnd=off + scl anchor, scl=1/scl), term by term
     off, scl = _cheb_map(lo, hi)
     inv = 1.0 / scl
@@ -297,6 +304,8 @@ def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float) -> list:
 def _cheb_sum(lo: float, hi: float, *series):
     """The callable z -> sum of each Chebyshev ``series`` on [lo, hi] at z.
 
+    Each series is a trimmed fit from ``_cheb_antiderivative``, so the
+    recurrence runs one step per coefficient above its rounding floor.
     One series gives an array of z's shape; k series give k rows, stacked
     on a leading axis, from one recurrence over an array of phases, the
     shorter series padded with zeros at the top.  One phase runs the
@@ -356,10 +365,11 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
     QUADRATURE_SCAN points of the requested interval and the domain shrinks
     to the maximal positive subinterval containing z0 (EmptyDomain if the
     anchor itself fails).
-    Antiderivatives are cached on Chebyshev grids and evaluated by numpy's
-    Clenshaw recurrence, on Python floats for one phase and for F and G
-    stacked in one pass over an array, so evaluation is cheap and
-    deterministic.
+    Antiderivatives are cached on Chebyshev grids, each numpy's fit trimmed
+    at its rounding floor, and evaluated by numpy's Clenshaw recurrence, on
+    Python floats for one phase and for F and G stacked in one pass over an
+    array, so evaluation is cheap and deterministic.  ``params`` records
+    each series' kept length as ``cheb_terms``.
     """
     if coeffs.variant is not Variant.RAYLEIGH:
         raise WrongVariant("quadrature family solves the Rayleigh reduction")
@@ -375,15 +385,17 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
         raise EmptyDomain("the radicand K - 2G is nonpositive at the anchor")
 
     def build(a_lo, a_hi):
-        """(G, FG): G alone, and F and G stacked, which share one recurrence."""
+        """(G, FG, terms): G alone, F and G stacked, which share one
+        recurrence, and the length of each series."""
         F = _cheb_antiderivative(lambda s: coeffs.c(s) / coeffs.a(s), a_lo, a_hi, z0)
         F_at = _cheb_sum(a_lo, a_hi, F)
         G = _cheb_antiderivative(
             lambda s: coeffs.b(s) / coeffs.a(s) * np.exp(-2.0 * F_at(s)),
             a_lo, a_hi, z0)
-        return _cheb_sum(a_lo, a_hi, G), _cheb_sum(a_lo, a_hi, F, G)
+        return (_cheb_sum(a_lo, a_hi, G), _cheb_sum(a_lo, a_hi, F, G),
+                {"F": len(F), "G": len(G)})
 
-    G, FG = build(lo, hi)
+    G, FG, terms = build(lo, hi)
     zs = np.linspace(lo, hi, QUADRATURE_SCAN)
     radicand = K - 2.0 * G(zs)
     run = _positive_run(zs, radicand, z0)
@@ -391,7 +403,7 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
         raise EmptyDomain("the radicand K - 2G is nonpositive at the anchor")
     d_lo, d_hi, shrunk_lo, shrunk_hi = run
     if shrunk_lo or shrunk_hi:
-        G, FG = build(d_lo, d_hi)
+        G, FG, terms = build(d_lo, d_hi)
     dom = Interval(d_lo, d_hi)
 
     @_reused
@@ -403,13 +415,15 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
         return np.exp(-F) / np.sqrt(rad)
 
     # the Chebyshev points lie inside the domain, so phi' is sampled unchecked
-    PHI = _cheb_sum(d_lo, d_hi, _cheb_antiderivative(phi_prime, d_lo, d_hi, z0))
+    phi_series = _cheb_antiderivative(phi_prime, d_lo, d_hi, z0)
+    PHI = _cheb_sum(d_lo, d_hi, phi_series)
 
     def phi_second(z):
         # the Rayleigh cubic term does not read phi
         return coeffs.second(z, None, phi_prime(z))
 
-    params = {"K": K, "z0": z0, "coeffs": _coeffs_payload(coeffs)}
+    params = {"K": K, "z0": z0, "coeffs": _coeffs_payload(coeffs),
+              "cheb_terms": terms | {"phi": len(phi_series)}}
     return SolitonProfile(Family.QUADRATURE, params, lam, dom, _stacked(dom, PHI),
                           _stacked(dom, phi_prime), _stacked(dom, phi_second),
                           coeffs=coeffs)
@@ -602,8 +616,10 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
     on which |phi - k1| stays above 4e-16 max(1, |k1|), where the branch
     collapses onto k1 to float resolution, and below 1e12 max(1, |k1|,
     4 |phi0 - k1|), where it escapes.  The root is solved once, at the
-    Chebyshev points of the domain, and phi is phi0 plus the Chebyshev
-    antiderivative of phi' = (d/a)(phi^3 - k1^3)/3 there.
+    Chebyshev points of the domain, against H refitted there when the
+    domain shrinks, and phi is phi0 plus the Chebyshev antiderivative of
+    phi' = (d/a)(phi^3 - k1^3)/3 there.  ``params`` records the kept
+    length of each series (H, and phi for k1 != 0) as ``cheb_terms``.
     """
     if coeffs.variant is not Variant.VAN_DER_POL:
         raise WrongVariant("vdp_implicit needs Van der Pol coefficients")
@@ -621,7 +637,13 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
         raise BadParameters("square_relation 'direct' exists only for k1 = 0")
 
     _check_compatibility(coeffs, lo, hi)
-    H = _cheb_sum(lo, hi, _cheb_antiderivative(lambda s: coeffs.d(s) / coeffs.a(s), lo, hi, z0))
+
+    def fit_H(h_lo, h_hi):
+        """H on [h_lo, h_hi], and the length of its series."""
+        H = _cheb_antiderivative(lambda s: coeffs.d(s) / coeffs.a(s), h_lo, h_hi, z0)
+        return _cheb_sum(h_lo, h_hi, H), len(H)
+
+    H, n_H = fit_H(lo, hi)
     zs = np.linspace(lo, hi, VDP_SCAN)
 
     k3 = k1 * k1 * k1
@@ -680,7 +702,8 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
                                      f"nonpositive at z = {_first(z, P <= 0.0)}")
             return sgn / np.sqrt(P) if reciprocal else sgn * np.sqrt(P)
 
-        params = {"k1": 0.0, "square_relation": square_relation}
+        params = {"k1": 0.0, "square_relation": square_relation,
+                  "cheb_terms": {"H": n_H}}
         if reciprocal:
             return profile(params, dom, phi, prime_from, second_from)
 
@@ -709,19 +732,26 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
     if run is None:
         raise NoBracket("the requested branch has no root at the anchor")
     dom = Interval(run[0], run[1])
+    if (dom.lo, dom.hi) != (lo, hi):
+        # as quadrature refits F and G: H on [lo, hi] carries the rounding
+        # of its largest values there, which the branch amplifies where phi
+        # is large
+        H, n_H = fit_H(dom.lo, dom.hi)
 
     def branch_prime(z):
         p = _solve_branch(L, k1, side, near, far, H(z) + C)
         return prime_from(p, coeffs.d(z) / coeffs.a(z))
 
     # phi' is sampled once, at the Chebyshev points of the domain
-    PHI = _cheb_sum(dom.lo, dom.hi, _cheb_antiderivative(branch_prime, dom.lo, dom.hi, z0))
+    phi_series = _cheb_antiderivative(branch_prime, dom.lo, dom.hi, z0)
+    PHI = _cheb_sum(dom.lo, dom.hi, phi_series)
 
     def phi(z):
         return phi0 + PHI(z)
 
-    return profile({"k1": k1, "branch": "above" if side > 0 else "below"}, dom,
-                   phi, prime_from, second_from)
+    return profile({"k1": k1, "branch": "above" if side > 0 else "below",
+                    "cheb_terms": {"H": n_H, "phi": len(phi_series)}},
+                   dom, phi, prime_from, second_from)
 
 
 def vdp_explicit(a, c, d, K, lam=None) -> SolitonProfile:

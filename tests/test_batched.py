@@ -209,23 +209,34 @@ def _bits(v):
 
 
 def _fitted_antiderivatives(monkeypatch, build):
-    """What ``build()`` returns, and (lo, hi, coefficients, numpy's series) for
-    each Chebyshev antiderivative that it fits.  numpy's series refits the
-    same integrand with chebinterpolate, at the degree where the fit stopped,
-    and integrates it with the Chebyshev class."""
+    """What ``build()`` returns, and (lo, hi, coefficients, numpy's fit, its
+    rounding floor, numpy's series) for each Chebyshev antiderivative that it
+    fits.  numpy's fit is chebinterpolate of the same integrand, at the degree
+    where the fit stopped.  numpy's series trims that fit with chebtrim at the
+    floor, keeping at least two coefficients, and integrates it with the
+    Chebyshev class."""
     import mrayleigh.closed_form as cf
     from numpy.polynomial import chebyshev
 
-    fits, antiderivative = [], cf._cheb_antiderivative
+    fits, degrees = [], []
+    antiderivative, nodes = cf._cheb_antiderivative, cf._cheb_nodes
+
+    def spy_nodes(deg):
+        degrees.append(deg)
+        return nodes(deg)
 
     def spy(fn, lo, hi, anchor):
         got = antiderivative(fn, lo, hi, anchor)
+        deg = degrees[-1]
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        coef = chebyshev.chebinterpolate(lambda u: fn(mid + half * u), len(got) - 2)
-        fits.append((lo, hi, got,
-                     chebyshev.Chebyshev(coef, domain=[lo, hi]).integ(1, lbnd=anchor)))
+        coef = chebyshev.chebinterpolate(lambda u: fn(mid + half * u), deg)
+        floor = (deg + 1) * 2.0 ** -52 * np.max(np.abs(coef))
+        kept = coef[:max(2, len(chebyshev.chebtrim(coef, floor)))]
+        fits.append((lo, hi, got, coef, floor,
+                     chebyshev.Chebyshev(kept, domain=[lo, hi]).integ(1, lbnd=anchor)))
         return got
 
+    monkeypatch.setattr(cf, "_cheb_nodes", spy_nodes)
     monkeypatch.setattr(cf, "_cheb_antiderivative", spy)
     return build(), fits
 
@@ -262,8 +273,9 @@ def test_chebyshev_antiderivatives_evaluate_as_numpy_does(monkeypatch):
         for z in (float(zs[7]), zs[7:8], zs):
             want = np.exp(-F(z)) / np.sqrt(K - 2.0 * G(z))
             assert _bits(prof.phi_prime(z)) == _bits(want), z
-    assert max(len(got) for _, _, got, _ in fits) == 1026
-    for lo, hi, got, ref in fits:
+    # a fit that ends unconverged at CHEB_MAX_DEGREE keeps its whole series
+    assert max(len(fit[2]) for fit in fits) == 1026
+    for lo, hi, got, _, _, ref in fits:
         assert _bits(got) == _bits(ref.coef), ref.coef.size
         zs = np.linspace(lo, hi, 41)
         for z in (float(zs[7]), zs[7], zs[7:8], zs, zs[:40].reshape(5, 8)):
@@ -272,6 +284,52 @@ def test_chebyshev_antiderivatives_evaluate_as_numpy_does(monkeypatch):
             assert _bits(out) == _bits(want), (ref.coef.size, z)
 
 
+def test_trimmed_chebyshev_profiles_match_their_closed_forms(monkeypatch):
+    """Seeded draws from the benchmark's quadrature and k1 = 0 vdp_implicit
+    ranges: each series is trimmed exactly at its fit's rounding floor, the
+    kept lengths are the published ``cheb_terms``, and phi' (and phi for
+    vdp_implicit) keep 1e-13 relative accuracy against the closed forms on
+    2,001 phases of the reported domain."""
+    rng = np.random.default_rng(24)
+    worst = 0.0
+    for _ in range(30):
+        # constant a, b, c: F = (c/a) z, G = (b/a) (1 - e^{-2 (c/a) z}) / (2 c/a)
+        a, b, c = rng.uniform(0.8, 1.2, 3)
+        K = rng.uniform(3.0, 5.0)
+        prof, fits = _fitted_antiderivatives(monkeypatch, lambda: soliton_quadrature(
+            constant_coeffs(a, c, b=b), K, domain=(-2.0, 2.0)))
+        assert prof.params["cheb_terms"] == dict(zip(("F", "G", "phi"),
+                                                     (len(f[2]) for f in fits[-3:])))
+        z = np.linspace(prof.domain.lo, prof.domain.hi, 2001)
+        k = c / a
+        F, G = k * z, (b / a) * -np.expm1(-2.0 * k * z) / (2.0 * k)
+        want = np.exp(-F) / np.sqrt(K - 2.0 * G)
+        worst = max(worst, np.max(np.abs(prof.phi_prime(z) / want - 1.0)))
+
+        # a = c = A e^z and d = D: H = (D/A) (1 - e^{-z}), phi^-2 = -(2/3)(H + C)
+        A, D, phi0 = rng.uniform(0.95, 1.05), rng.uniform(2.85, 3.15), rng.uniform(0.68, 0.72)
+        co = general_coeffs(a=lambda s: A * math.exp(s), c=lambda s: A * math.exp(s),
+                            d=lambda s: D)
+        prof, made = _fitted_antiderivatives(
+            monkeypatch, lambda: vdp_implicit(co, k1=0.0, phi0=phi0, domain=(-2.0, 2.0)))
+        fits += made
+        assert prof.params["cheb_terms"] == {"H": len(made[-1][2])}
+        z = np.linspace(prof.domain.lo, prof.domain.hi, 2001)
+        phi = 1.0 / np.sqrt(-(2.0 / 3.0) * ((D / A) * -np.expm1(-z) - 1.5 / phi0 ** 2))
+        for got, want in ((prof.phi(z), phi), (prof.phi_prime(z), (D / A) * np.exp(-z) * phi ** 3 / 3.0)):
+            worst = max(worst, np.max(np.abs(got / want - 1.0)))
+
+        for _, _, got, coef, floor, _ in fits:
+            kept = len(got) - 1                  # integrand terms under the antiderivative
+            assert np.all(np.abs(coef[kept:]) <= floor)
+            assert kept == 2 or abs(coef[kept - 1]) > floor
+    assert worst <= 1e-13
+    # the trim reads the bits of the fit's BLAS product: the kept lengths are
+    # the same at any thread count
+    prof = soliton_quadrature(constant_coeffs(1.0, 1.1, b=0.9), 4.0, domain=(-2.0, 2.0))
+    assert prof.params["cheb_terms"] == {"F": 3, "G": 23, "phi": 46}
+    prof = vdp_implicit(EXP_CO, k1=0.5, phi0=0.7, domain=(-2.0, 2.0))
+    assert prof.params["cheb_terms"] == {"H": 18, "phi": 36}
 def test_central_difference_calls_fn_once():
     """One call on the stacked shifted phases gives the bits of the two calls
     (fn(z + h) - fn(z - h)) / 2h, for every family's phi' and the chain's pair."""

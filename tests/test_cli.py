@@ -163,6 +163,11 @@ def test_verify_accepts_a_closed_form_profile():
     assert checks["ode_analytic_max"] <= 1e-8
     assert checks["oracle_max_dev"] <= 1e-6
     assert checks["chain_ok"] is True
+    # phi' = -w / sqrt(w^2 + 1) with w = e^{-z}: |phi'| < 0.05 once z > ln(1/0.05) ~ 2.995
+    (lo, hi), n = obj["window"], obj["n"]
+    zs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    assert checks["chain_skipped"] == sum(math.exp(-z) / math.hypot(math.exp(-z), 1.0) < 0.05
+                                          for z in zs) > 0
     assert "verified" in r.stderr
 
 
