@@ -564,6 +564,8 @@ def main(argv=None) -> int:
             ns = ap.parse_args(argv[:at] + _config_flags(ap, ns) + argv[at:])
         if getattr(ns, "tol", None) is not None:     # verify and prolong only
             _require_finite(tol=ns.tol)
+            if ns.tol <= 0.0:
+                raise ValueError(f"tol must be positive, got {ns.tol}")
         return ns.run(ns)
     except ConditionViolated as e:
         print(f"verification failed: {e}", file=sys.stderr)

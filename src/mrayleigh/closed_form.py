@@ -41,9 +41,9 @@ of the same shape, or a Python float for a scalar z.  A phase's value never
 depends on the other phases in its call: no multi-row BLAS product runs
 across them, and integer powers are written as products.  The Chebyshev
 antiderivatives are fitted with numpy's nodes and matrix, made once per
-degree, and integrated in float arithmetic, with numpy's bits; their sums
-run numpy's chebval recurrence, on Python floats for one phase, and
-``quadrature``'s F and G share one recurrence over an array of phases.
+degree, and integrated in float arithmetic, with numpy's bits; each is
+summed on its own by numpy's chebval recurrence, on Python floats for one
+phase.
 phi, phi' and phi'' of a profile share the family's per-phase work
 (``vdp_implicit``'s phi and, apart from it, d/a; ``quadrature``'s phi';
 the arc families' w; ``vdp_explicit``'s radicand), which keeps its last
@@ -232,13 +232,8 @@ def _cheb_map(lo: float, hi: float):
 
 
 def _clenshaw(c, x):
-    """numpy's chebval recurrence for sum_k c[k] T_k(x), len(c) >= 3.
-
-    ``c`` holds Python floats, for a float or an array x, or one (k, 1, ...)
-    array per degree for k series at once, each row of the result the sum
-    of one series.  Zeros that pad a shorter series at the top leave its
-    bits, unless its top coefficient is -0.0.
-    """
+    """numpy's chebval recurrence for sum_k c[k] T_k(x), len(c) >= 3, with
+    ``c`` Python floats and x a float or an array of phases."""
     x2 = 2 * x
     c0, c1 = c[-2], c[-1]
     for ci in c[-3::-1]:
@@ -301,34 +296,22 @@ def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float) -> list:
     return anti
 
 
-def _cheb_sum(lo: float, hi: float, *series):
-    """The callable z -> sum of each Chebyshev ``series`` on [lo, hi] at z.
+def _cheb_sum(lo: float, hi: float, series):
+    """The callable z -> sum of the Chebyshev ``series`` on [lo, hi] at z, an
+    array of z's shape.
 
-    Each series is a trimmed fit from ``_cheb_antiderivative``, so the
-    recurrence runs one step per coefficient above its rounding floor.
-    One series gives an array of z's shape; k series give k rows, stacked
-    on a leading axis, from one recurrence over an array of phases, the
-    shorter series padded with zeros at the top.  One phase runs the
-    recurrence in float arithmetic, series by series: numpy fuses no
-    multiply-add, so every row has the bits numpy's Chebyshev class gives.
+    The series is a trimmed fit from ``_cheb_antiderivative``, so the
+    recurrence runs one step per coefficient above its rounding floor.  One
+    phase runs it in float arithmetic: numpy fuses no multiply-add, so the
+    sum has the bits numpy's Chebyshev class gives.
     """
     off, scl = _cheb_map(lo, hi)
-    n = max(map(len, series))
-    rows = np.array([s + [0.0] * (n - len(s)) for s in series]).T
-    lead = () if len(series) == 1 else (len(series),)
 
     def call(z):
         z = np.asarray(z)
         if z.size == 1:
-            x = off + scl * z.item()
-            out = np.array([_clenshaw(s, x) for s in series])
-        elif lead:
-            # x repeated per series, so that only the coefficient rows broadcast
-            x = np.stack([off + scl * z] * len(series))
-            out = _clenshaw(rows.reshape(rows.shape + (1,) * z.ndim), x)
-        else:
-            out = _clenshaw(series[0], off + scl * z)
-        return out.reshape(lead + z.shape)
+            return np.full(z.shape, _clenshaw(series, off + scl * z.item()))
+        return _clenshaw(series, off + scl * z)
 
     return call
 
@@ -336,8 +319,8 @@ def _cheb_sum(lo: float, hi: float, *series):
 def _positive_run(zs: np.ndarray, vals: np.ndarray, z0: float):
     """Maximal contiguous subinterval of zs with vals > 0 containing z0.
 
-    Returns (lo, hi, shrunk_lo, shrunk_hi) or None when the anchor sample
-    is not positive.  Shrunk edges are pulled one scan step inward so that
+    Returns (lo, hi) or None when the anchor sample is not positive.  An
+    edge short of the scan's end is pulled one scan step inward so that
     evaluation at the reported endpoint stays finite.
     """
     i0 = int(np.argmin(np.abs(zs - z0)))
@@ -347,13 +330,11 @@ def _positive_run(zs: np.ndarray, vals: np.ndarray, z0: float):
     before, after = stops[stops < i0], stops[stops > i0]
     lo_i = int(before[-1]) + 1 if before.size else 0
     hi_i = int(after[0]) - 1 if after.size else len(zs) - 1
-    shrunk_lo = lo_i > 0
-    shrunk_hi = hi_i < len(zs) - 1
-    if shrunk_lo and lo_i + 1 < hi_i:
+    if lo_i > 0 and lo_i + 1 < hi_i:
         lo_i += 1
-    if shrunk_hi and hi_i - 1 > lo_i:
+    if hi_i < len(zs) - 1 and hi_i - 1 > lo_i:
         hi_i -= 1
-    return float(zs[lo_i]), float(zs[hi_i]), shrunk_lo, shrunk_hi
+    return float(zs[lo_i]), float(zs[hi_i])
 
 
 def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
@@ -366,9 +347,9 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
     to the maximal positive subinterval containing z0 (EmptyDomain if the
     anchor itself fails).
     Antiderivatives are cached on Chebyshev grids, each numpy's fit trimmed
-    at its rounding floor, and evaluated by numpy's Clenshaw recurrence, on
-    Python floats for one phase and for F and G stacked in one pass over an
-    array, so evaluation is cheap and deterministic.  ``params`` records
+    at its rounding floor, refitted on the domain when it shrinks, and each
+    summed on its own by numpy's Clenshaw recurrence, on Python floats for
+    one phase, so evaluation is cheap and deterministic.  ``params`` records
     each series' kept length as ``cheb_terms``.
     """
     if coeffs.variant is not Variant.RAYLEIGH:
@@ -385,34 +366,31 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
         raise EmptyDomain("the radicand K - 2G is nonpositive at the anchor")
 
     def build(a_lo, a_hi):
-        """(G, FG, terms): G alone, F and G stacked, which share one
-        recurrence, and the length of each series."""
+        """(F, G, terms): the sums of F and G on [a_lo, a_hi], and the
+        length of each series."""
         F = _cheb_antiderivative(lambda s: coeffs.c(s) / coeffs.a(s), a_lo, a_hi, z0)
         F_at = _cheb_sum(a_lo, a_hi, F)
         G = _cheb_antiderivative(
             lambda s: coeffs.b(s) / coeffs.a(s) * np.exp(-2.0 * F_at(s)),
             a_lo, a_hi, z0)
-        return (_cheb_sum(a_lo, a_hi, G), _cheb_sum(a_lo, a_hi, F, G),
-                {"F": len(F), "G": len(G)})
+        return F_at, _cheb_sum(a_lo, a_hi, G), {"F": len(F), "G": len(G)}
 
-    G, FG, terms = build(lo, hi)
+    F, G, terms = build(lo, hi)
     zs = np.linspace(lo, hi, QUADRATURE_SCAN)
-    radicand = K - 2.0 * G(zs)
-    run = _positive_run(zs, radicand, z0)
+    run = _positive_run(zs, K - 2.0 * G(zs), z0)
     if run is None:
         raise EmptyDomain("the radicand K - 2G is nonpositive at the anchor")
-    d_lo, d_hi, shrunk_lo, shrunk_hi = run
-    if shrunk_lo or shrunk_hi:
-        G, FG, terms = build(d_lo, d_hi)
+    d_lo, d_hi = run
+    if (d_lo, d_hi) != (lo, hi):
+        F, G, terms = build(d_lo, d_hi)
     dom = Interval(d_lo, d_hi)
 
     @_reused
     def phi_prime(z):
-        F, G = FG(z)
-        rad = K - 2.0 * G
+        rad = K - 2.0 * G(z)
         if np.any(rad <= 0.0):
             raise DomainExceeded(f"radicand nonpositive at z = {_first(z, rad <= 0.0)}")
-        return np.exp(-F) / np.sqrt(rad)
+        return np.exp(-F(z)) / np.sqrt(rad)
 
     # the Chebyshev points lie inside the domain, so phi' is sampled unchecked
     phi_series = _cheb_antiderivative(phi_prime, d_lo, d_hi, z0)
@@ -693,7 +671,7 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
         run = _positive_run(zs, squared(zs), z0)
         if run is None:
             raise EmptyDomain("the squared relation is nonpositive at the anchor")
-        dom = Interval(run[0], run[1])
+        dom = Interval(*run)
 
         def phi(z):
             P = squared(z)
@@ -731,7 +709,7 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
     run = _positive_run(zs, np.where(solvable, 1.0, -1.0), z0)
     if run is None:
         raise NoBracket("the requested branch has no root at the anchor")
-    dom = Interval(run[0], run[1])
+    dom = Interval(*run)
     if (dom.lo, dom.hi) != (lo, hi):
         # as quadrature refits F and G: H on [lo, hi] carries the rounding
         # of its largest values there, which the branch amplifies where phi

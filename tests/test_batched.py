@@ -254,7 +254,7 @@ def test_chebyshev_antiderivatives_evaluate_as_numpy_does(monkeypatch):
                                    domain=(-3.0, 3.0)),
         lambda: soliton_quadrature(general_coeffs(a=math.exp, c=lambda z: 1.0,
                                                   b=lambda z: 0.5), K=2.0, domain=(-2.0, 2.0)),
-        # F fits at degree 64 and G at 128, so phi' pads F in its stacked sum
+        # F fits at degree 64 and G at 128, so F and G have different lengths
         lambda: soliton_quadrature(general_coeffs(a=lambda z: 1.0, c=lambda z: math.cos(5.0 * z),
                                                   b=lambda z: 0.5), K=2.0, domain=(-3.0, 3.0)),
         lambda: vdp_implicit(EXP_CO, k1=0.0, phi0=rng.uniform(0.68, 0.72), domain=(-4.9, 0.5)),
@@ -266,7 +266,7 @@ def test_chebyshev_antiderivatives_evaluate_as_numpy_does(monkeypatch):
         fits += made
         if prof.family is not Family.QUADRATURE:
             continue
-        # phi' sums F and G, the two fits before phi's, in one stacked recurrence
+        # phi' sums F and G, the two fits before phi's, each on its own
         (*_, F), (*_, G) = made[-3:-1]
         K = prof.params["K"]
         zs = np.linspace(prof.domain.lo, prof.domain.hi, 41)
@@ -508,13 +508,11 @@ def _positive_run_loops(zs, vals, z0):
     hi_i = i0
     while hi_i < len(zs) - 1 and vals[hi_i + 1] > 0.0:
         hi_i += 1
-    shrunk_lo = lo_i > 0
-    shrunk_hi = hi_i < len(zs) - 1
-    if shrunk_lo and lo_i + 1 < hi_i:
+    if lo_i > 0 and lo_i + 1 < hi_i:
         lo_i += 1
-    if shrunk_hi and hi_i - 1 > lo_i:
+    if hi_i < len(zs) - 1 and hi_i - 1 > lo_i:
         hi_i -= 1
-    return float(zs[lo_i]), float(zs[hi_i]), shrunk_lo, shrunk_hi
+    return float(zs[lo_i]), float(zs[hi_i])
 
 
 def test_positive_run_is_the_two_loop_scan():

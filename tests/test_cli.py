@@ -411,6 +411,9 @@ def test_non_finite_profile_parameters_exit_2(family_args, name):
     (("verify", "--family", "vdp-implicit", "--a", "exp", "--c", "exp", "--d", "3",
       "--k1", "0.25", "--phi0", "1", "--zmin", "-1.5", "--zmax", "0.5",
       "--square-relation", "direct"), "square_relation 'direct' exists only for k1 = 0"),
+    (("verify", "--tol", "0"), "tol must be positive, got 0.0"),
+    (("verify", "--tol", "-1"), "tol must be positive, got -1.0"),
+    (("prolong", "--tol", "-1", "--n-x", "32", "--n-t", "11"), "tol must be positive, got -1.0"),
 ])
 def test_non_finite_inputs_exit_2(args, message):
     r = run_cli(*args)
@@ -550,6 +553,15 @@ def test_a_config_tol_is_unknown_to_series(tmp_path):
     r = run_cli("series", "--coeffs", "0,0,0,1,0,1", "--config", str(cfg))
     assert r.returncode == 2
     assert "unknown config keys: tol" in r.stderr
+
+
+def test_a_config_tol_must_be_positive(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"tol": -1e-6}))
+    r = run_cli("verify", "--config", str(cfg), "--quiet")
+    assert r.returncode == 2
+    assert "tol must be positive, got -1e-06" in r.stderr
+    assert r.stdout == ""
 
 
 def test_verify_and_prolong_read_tol():
