@@ -39,11 +39,11 @@ chain rule to its first integral, with (d/a)' = -(c/a)(d/a).  Each
 callable checks its domain, then takes z of shape (N,) and returns an array
 of the same shape, or a Python float for a scalar z.  A phase's value never
 depends on the other phases in its call: no multi-row BLAS product runs
-across them, and integer powers are written as products.  The Chebyshev
-antiderivatives are fitted with numpy's nodes and matrix, made once per
-degree, and integrated in float arithmetic, with numpy's bits; each is
-summed on its own by numpy's chebval recurrence, on Python floats for one
-phase.
+across them, and integer powers are written as products.  Each Chebyshev
+antiderivative is one call that fits the integrand on numpy's nodes and
+matrix, made once per degree, trims the fit at its rounding floor,
+integrates it in float arithmetic and returns its sum, numpy's chebval
+recurrence on Python floats for one phase, all with numpy's bits.
 phi, phi' and phi'' of a profile share the family's per-phase work
 (``vdp_implicit``'s phi and, apart from it, d/a; ``quadrature``'s phi';
 the arc families' w; ``vdp_explicit``'s radicand), which keeps its last
@@ -226,11 +226,6 @@ def _cheb_nodes(deg: int):
     return x, m
 
 
-def _cheb_map(lo: float, hi: float):
-    """numpy's mapparms from the domain [lo, hi] to the window [-1, 1]: (off, scl)."""
-    return (hi * -1.0 - lo * 1.0) / (hi - lo), 2.0 / (hi - lo)
-
-
 def _clenshaw(c, x):
     """numpy's chebval recurrence for sum_k c[k] T_k(x), len(c) >= 3, with
     ``c`` Python floats and x a float or an array of phases."""
@@ -241,9 +236,9 @@ def _clenshaw(c, x):
     return c0 + c1 * x
 
 
-def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float) -> list:
-    """F(z) = int_anchor^z fn as Chebyshev coefficients on [lo, hi], a list
-    of Python floats that ``_cheb_sum(lo, hi, ...)`` evaluates.
+def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float):
+    """(F, series): F(z) = int_anchor^z fn on [lo, hi], an array of z's
+    shape, and its Chebyshev coefficients, a list of Python floats.
 
     ``fn`` is sampled at all Chebyshev points of [lo, hi] in one call (it
     takes and returns arrays); the interpolant is integrated term by term,
@@ -258,7 +253,9 @@ def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float) -> list:
     that made them, keeping at least two.  An unconverged fit's tail lies
     far above that floor, so it keeps its whole series.  The integration
     is numpy's Chebyshev(coef, domain=[lo, hi]).integ(1, lbnd=anchor) in
-    float arithmetic, so the coefficients have numpy's bits.
+    float arithmetic, so the coefficients have numpy's bits, and F sums
+    them by numpy's chebval recurrence, which fuses no multiply-add, on
+    Python floats for one phase: F has the bits numpy's Chebyshev class gives.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
@@ -284,36 +281,23 @@ def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float) -> list:
     # the tail at or below the rounding floor of the (deg + 1)-term product
     floor = (deg + 1) * 2.0 ** -52 * scale
     coef = coef[:max(2, len(_cheb.chebtrim(coef, floor)))]
-    # numpy's chebint(coef, lbnd=off + scl anchor, scl=1/scl), term by term
-    off, scl = _cheb_map(lo, hi)
+    # numpy's mapparms, then chebint(coef, lbnd=off + scl anchor, scl=1/scl)
+    off, scl = (hi * -1.0 - lo * 1.0) / (hi - lo), 2.0 / (hi - lo)
     inv = 1.0 / scl
     c = [v * inv for v in coef.tolist()]
-    anti = [c[0] * 0, c[0], c[1] / 4] + [0.0] * (len(c) - 2)
+    series = [c[0] * 0, c[0], c[1] / 4] + [0.0] * (len(c) - 2)
     for j in range(2, len(c)):
-        anti[j + 1] = c[j] / (2 * (j + 1))
-        anti[j - 1] -= c[j] / (2 * (j - 1))
-    anti[0] += 0 - _clenshaw(anti, off + scl * anchor)
-    return anti
+        series[j + 1] = c[j] / (2 * (j + 1))
+        series[j - 1] -= c[j] / (2 * (j - 1))
+    series[0] += 0 - _clenshaw(series, off + scl * anchor)
 
-
-def _cheb_sum(lo: float, hi: float, series):
-    """The callable z -> sum of the Chebyshev ``series`` on [lo, hi] at z, an
-    array of z's shape.
-
-    The series is a trimmed fit from ``_cheb_antiderivative``, so the
-    recurrence runs one step per coefficient above its rounding floor.  One
-    phase runs it in float arithmetic: numpy fuses no multiply-add, so the
-    sum has the bits numpy's Chebyshev class gives.
-    """
-    off, scl = _cheb_map(lo, hi)
-
-    def call(z):
+    def F(z):
         z = np.asarray(z)
         if z.size == 1:
             return np.full(z.shape, _clenshaw(series, off + scl * z.item()))
         return _clenshaw(series, off + scl * z)
 
-    return call
+    return F, series
 
 
 def _positive_run(zs: np.ndarray, vals: np.ndarray, z0: float):
@@ -321,7 +305,8 @@ def _positive_run(zs: np.ndarray, vals: np.ndarray, z0: float):
 
     Returns (lo, hi) or None when the anchor sample is not positive.  An
     edge short of the scan's end is pulled one scan step inward so that
-    evaluation at the reported endpoint stays finite.
+    evaluation at the reported endpoint stays finite, unless that step
+    would pass z0.
     """
     i0 = int(np.argmin(np.abs(zs - z0)))
     if vals[i0] <= 0.0:
@@ -330,9 +315,9 @@ def _positive_run(zs: np.ndarray, vals: np.ndarray, z0: float):
     before, after = stops[stops < i0], stops[stops > i0]
     lo_i = int(before[-1]) + 1 if before.size else 0
     hi_i = int(after[0]) - 1 if after.size else len(zs) - 1
-    if lo_i > 0 and lo_i + 1 < hi_i:
+    if lo_i > 0 and lo_i + 1 < hi_i and zs[lo_i + 1] <= z0:
         lo_i += 1
-    if hi_i < len(zs) - 1 and hi_i - 1 > lo_i:
+    if hi_i < len(zs) - 1 and hi_i - 1 > lo_i and zs[hi_i - 1] >= z0:
         hi_i -= 1
     return float(zs[lo_i]), float(zs[hi_i])
 
@@ -368,12 +353,11 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
     def build(a_lo, a_hi):
         """(F, G, terms): the sums of F and G on [a_lo, a_hi], and the
         length of each series."""
-        F = _cheb_antiderivative(lambda s: coeffs.c(s) / coeffs.a(s), a_lo, a_hi, z0)
-        F_at = _cheb_sum(a_lo, a_hi, F)
-        G = _cheb_antiderivative(
-            lambda s: coeffs.b(s) / coeffs.a(s) * np.exp(-2.0 * F_at(s)),
-            a_lo, a_hi, z0)
-        return F_at, _cheb_sum(a_lo, a_hi, G), {"F": len(F), "G": len(G)}
+        F, F_series = _cheb_antiderivative(lambda s: coeffs.c(s) / coeffs.a(s),
+                                           a_lo, a_hi, z0)
+        G, G_series = _cheb_antiderivative(
+            lambda s: coeffs.b(s) / coeffs.a(s) * np.exp(-2.0 * F(s)), a_lo, a_hi, z0)
+        return F, G, {"F": len(F_series), "G": len(G_series)}
 
     F, G, terms = build(lo, hi)
     zs = np.linspace(lo, hi, QUADRATURE_SCAN)
@@ -393,8 +377,7 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
         return np.exp(-F(z)) / np.sqrt(rad)
 
     # the Chebyshev points lie inside the domain, so phi' is sampled unchecked
-    phi_series = _cheb_antiderivative(phi_prime, d_lo, d_hi, z0)
-    PHI = _cheb_sum(d_lo, d_hi, phi_series)
+    PHI, phi_series = _cheb_antiderivative(phi_prime, d_lo, d_hi, z0)
 
     def phi_second(z):
         # the Rayleigh cubic term does not read phi
@@ -616,12 +599,10 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
 
     _check_compatibility(coeffs, lo, hi)
 
-    def fit_H(h_lo, h_hi):
-        """H on [h_lo, h_hi], and the length of its series."""
-        H = _cheb_antiderivative(lambda s: coeffs.d(s) / coeffs.a(s), h_lo, h_hi, z0)
-        return _cheb_sum(h_lo, h_hi, H), len(H)
+    def d_over_a(s):
+        return coeffs.d(s) / coeffs.a(s)
 
-    H, n_H = fit_H(lo, hi)
+    H, H_series = _cheb_antiderivative(d_over_a, lo, hi, z0)
     zs = np.linspace(lo, hi, VDP_SCAN)
 
     k3 = k1 * k1 * k1
@@ -681,7 +662,7 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
             return sgn / np.sqrt(P) if reciprocal else sgn * np.sqrt(P)
 
         params = {"k1": 0.0, "square_relation": square_relation,
-                  "cheb_terms": {"H": n_H}}
+                  "cheb_terms": {"H": len(H_series)}}
         if reciprocal:
             return profile(params, dom, phi, prime_from, second_from)
 
@@ -714,21 +695,20 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
         # as quadrature refits F and G: H on [lo, hi] carries the rounding
         # of its largest values there, which the branch amplifies where phi
         # is large
-        H, n_H = fit_H(dom.lo, dom.hi)
+        H, H_series = _cheb_antiderivative(d_over_a, dom.lo, dom.hi, z0)
 
     def branch_prime(z):
         p = _solve_branch(L, k1, side, near, far, H(z) + C)
-        return prime_from(p, coeffs.d(z) / coeffs.a(z))
+        return prime_from(p, d_over_a(z))
 
     # phi' is sampled once, at the Chebyshev points of the domain
-    phi_series = _cheb_antiderivative(branch_prime, dom.lo, dom.hi, z0)
-    PHI = _cheb_sum(dom.lo, dom.hi, phi_series)
+    PHI, phi_series = _cheb_antiderivative(branch_prime, dom.lo, dom.hi, z0)
 
     def phi(z):
         return phi0 + PHI(z)
 
     return profile({"k1": k1, "branch": "above" if side > 0 else "below",
-                    "cheb_terms": {"H": n_H, "phi": len(phi_series)}},
+                    "cheb_terms": {"H": len(H_series), "phi": len(phi_series)}},
                    dom, phi, prime_from, second_from)
 
 

@@ -209,12 +209,12 @@ def _bits(v):
 
 
 def _fitted_antiderivatives(monkeypatch, build):
-    """What ``build()`` returns, and (lo, hi, coefficients, numpy's fit, its
-    rounding floor, numpy's series) for each Chebyshev antiderivative that it
-    fits.  numpy's fit is chebinterpolate of the same integrand, at the degree
-    where the fit stopped.  numpy's series trims that fit with chebtrim at the
-    floor, keeping at least two coefficients, and integrates it with the
-    Chebyshev class."""
+    """What ``build()`` returns, and (lo, hi, (sum, coefficients), numpy's
+    fit, its rounding floor, numpy's series) for each Chebyshev
+    antiderivative that it fits.  numpy's fit is chebinterpolate of the same
+    integrand, at the degree where the fit stopped.  numpy's series trims
+    that fit with chebtrim at the floor, keeping at least two coefficients,
+    and integrates it with the Chebyshev class."""
     import mrayleigh.closed_form as cf
     from numpy.polynomial import chebyshev
 
@@ -242,8 +242,6 @@ def _fitted_antiderivatives(monkeypatch, build):
 
 
 def test_chebyshev_antiderivatives_evaluate_as_numpy_does(monkeypatch):
-    from mrayleigh.closed_form import _cheb_sum
-
     rng = np.random.default_rng(12)
     a, b, c = rng.uniform(0.5, 2.0, 3)
     builds = [
@@ -274,12 +272,12 @@ def test_chebyshev_antiderivatives_evaluate_as_numpy_does(monkeypatch):
             want = np.exp(-F(z)) / np.sqrt(K - 2.0 * G(z))
             assert _bits(prof.phi_prime(z)) == _bits(want), z
     # a fit that ends unconverged at CHEB_MAX_DEGREE keeps its whole series
-    assert max(len(fit[2]) for fit in fits) == 1026
-    for lo, hi, got, _, _, ref in fits:
+    assert max(len(fit[2][1]) for fit in fits) == 1026
+    for lo, hi, (summed, got), _, _, ref in fits:
         assert _bits(got) == _bits(ref.coef), ref.coef.size
         zs = np.linspace(lo, hi, 41)
         for z in (float(zs[7]), zs[7], zs[7:8], zs, zs[:40].reshape(5, 8)):
-            out, want = _cheb_sum(lo, hi, got)(z), ref(z)
+            out, want = summed(z), ref(z)
             assert np.shape(out) == np.shape(want)
             assert _bits(out) == _bits(want), (ref.coef.size, z)
 
@@ -299,7 +297,7 @@ def test_trimmed_chebyshev_profiles_match_their_closed_forms(monkeypatch):
         prof, fits = _fitted_antiderivatives(monkeypatch, lambda: soliton_quadrature(
             constant_coeffs(a, c, b=b), K, domain=(-2.0, 2.0)))
         assert prof.params["cheb_terms"] == dict(zip(("F", "G", "phi"),
-                                                     (len(f[2]) for f in fits[-3:])))
+                                                     (len(f[2][1]) for f in fits[-3:])))
         z = np.linspace(prof.domain.lo, prof.domain.hi, 2001)
         k = c / a
         F, G = k * z, (b / a) * -np.expm1(-2.0 * k * z) / (2.0 * k)
@@ -313,13 +311,13 @@ def test_trimmed_chebyshev_profiles_match_their_closed_forms(monkeypatch):
         prof, made = _fitted_antiderivatives(
             monkeypatch, lambda: vdp_implicit(co, k1=0.0, phi0=phi0, domain=(-2.0, 2.0)))
         fits += made
-        assert prof.params["cheb_terms"] == {"H": len(made[-1][2])}
+        assert prof.params["cheb_terms"] == {"H": len(made[-1][2][1])}
         z = np.linspace(prof.domain.lo, prof.domain.hi, 2001)
         phi = 1.0 / np.sqrt(-(2.0 / 3.0) * ((D / A) * -np.expm1(-z) - 1.5 / phi0 ** 2))
         for got, want in ((prof.phi(z), phi), (prof.phi_prime(z), (D / A) * np.exp(-z) * phi ** 3 / 3.0)):
             worst = max(worst, np.max(np.abs(got / want - 1.0)))
 
-        for _, _, got, coef, floor, _ in fits:
+        for _, _, (_, got), coef, floor, _ in fits:
             kept = len(got) - 1                  # integrand terms under the antiderivative
             assert np.all(np.abs(coef[kept:]) <= floor)
             assert kept == 2 or abs(coef[kept - 1]) > floor
@@ -330,6 +328,8 @@ def test_trimmed_chebyshev_profiles_match_their_closed_forms(monkeypatch):
     assert prof.params["cheb_terms"] == {"F": 3, "G": 23, "phi": 46}
     prof = vdp_implicit(EXP_CO, k1=0.5, phi0=0.7, domain=(-2.0, 2.0))
     assert prof.params["cheb_terms"] == {"H": 18, "phi": 36}
+
+
 def test_central_difference_calls_fn_once():
     """One call on the stacked shifted phases gives the bits of the two calls
     (fn(z + h) - fn(z - h)) / 2h, for every family's phi' and the chain's pair."""
@@ -508,9 +508,9 @@ def _positive_run_loops(zs, vals, z0):
     hi_i = i0
     while hi_i < len(zs) - 1 and vals[hi_i + 1] > 0.0:
         hi_i += 1
-    if lo_i > 0 and lo_i + 1 < hi_i:
+    if lo_i > 0 and lo_i + 1 < hi_i and zs[lo_i + 1] <= z0:
         lo_i += 1
-    if hi_i < len(zs) - 1 and hi_i - 1 > lo_i:
+    if hi_i < len(zs) - 1 and hi_i - 1 > lo_i and zs[hi_i - 1] >= z0:
         hi_i -= 1
     return float(zs[lo_i]), float(zs[hi_i])
 

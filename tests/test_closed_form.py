@@ -254,6 +254,39 @@ def test_vdp_implicit_nonzero_k1_evaluates_across_its_domain():
         assert np.max(np.abs(p.phi(inner) - want)) <= 1e-12, (d, k1, phi0)
 
 
+def test_scanned_domains_hold_their_anchor():
+    """Seeded draws from the quadrature and vdp-implicit parameter ranges on
+    the CLI's default windows: the domain that the scan reports holds z0,
+    and phi(z0) is a finite float.  The scanned runs of quadrature draws 3,
+    7, 10, 12, 28, 40 and 42 end at the anchor sample."""
+    builds = []
+    rng = random.Random("rates/quadrature")
+    for _ in range(60):
+        a, b, c = (rng.uniform(0.5, 2.0) for _ in range(3))
+        K = rng.uniform(1.0, 8.0)
+        builds.append(lambda a=a, b=b, c=c, K=K: soliton_quadrature(
+            constant_coeffs(a, c, b=b), K))
+    rng = random.Random("rates/vdp-implicit")
+    for _ in range(30):
+        d, phi0 = rng.uniform(1.0, 5.0), rng.uniform(0.3, 1.5)
+        co = general_coeffs(a=math.exp, c=math.exp, d=lambda z, d=d: d)
+        builds.append(lambda co=co, phi0=phi0: vdp_implicit(co, k1=0.0, phi0=phi0))
+    rng = random.Random("rates/vdp-implicit-k1")
+    for _ in range(30):
+        d, k1 = rng.uniform(1.0, 5.0), rng.uniform(0.2, 1.0)
+        phi0 = k1 + rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.0)
+        co = general_coeffs(a=math.exp, c=math.exp, d=lambda z, d=d: d)
+        builds.append(lambda co=co, k1=k1, phi0=phi0: vdp_implicit(co, k1=k1, phi0=phi0))
+    # phi^-2 = -(2/3)(H + C) turns nonpositive just past the anchor
+    co = general_coeffs(a=math.exp, c=math.exp, d=lambda z: 3.0)
+    builds.append(lambda: vdp_implicit(co, k1=0.0, phi0=1e8))
+    for i, build in enumerate(builds):
+        p = build()
+        assert p.domain.lo <= 0.0 <= p.domain.hi, (i, p.domain)
+        v = p.phi(0.0)
+        assert type(v) is float and math.isfinite(v), (i, v)
+
+
 def test_vdp_explicit_values_limits_and_far_tail():
     p = vdp_explicit(1.0, 1.0, 3.0, 1.0)
     assert abs(p.phi(0.0) - 1.0 / math.sqrt(2.0)) <= 1e-15
