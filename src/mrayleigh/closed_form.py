@@ -300,18 +300,18 @@ def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float):
     return F, series
 
 
-def _positive_run(zs: np.ndarray, vals: np.ndarray, z0: float):
-    """Maximal contiguous subinterval of zs with vals > 0 containing z0.
+def _positive_run(zs: np.ndarray, ok: np.ndarray, z0: float, error: Exception) -> Interval:
+    """Maximal contiguous subinterval of zs where the bool mask ok holds,
+    containing the sample nearest z0.
 
-    Returns (lo, hi) or None when the anchor sample is not positive.  An
-    edge short of the scan's end is pulled one scan step inward so that
-    evaluation at the reported endpoint stays finite, unless that step
-    would pass z0.
+    Raises ``error`` when ok fails at that anchor sample.  An edge short of
+    the scan's end is pulled one scan step inward so that evaluation at the
+    reported endpoint stays finite, unless that step would pass z0.
     """
     i0 = int(np.argmin(np.abs(zs - z0)))
-    if vals[i0] <= 0.0:
-        return None
-    stops = np.flatnonzero(~(vals > 0.0))      # NaN samples end the run too
+    if not ok[i0]:
+        raise error
+    stops = np.flatnonzero(~ok)
     before, after = stops[stops < i0], stops[stops > i0]
     lo_i = int(before[-1]) + 1 if before.size else 0
     hi_i = int(after[0]) - 1 if after.size else len(zs) - 1
@@ -319,7 +319,7 @@ def _positive_run(zs: np.ndarray, vals: np.ndarray, z0: float):
         lo_i += 1
     if hi_i < len(zs) - 1 and hi_i - 1 > lo_i and zs[hi_i - 1] >= z0:
         hi_i -= 1
-    return float(zs[lo_i]), float(zs[hi_i])
+    return Interval(float(zs[lo_i]), float(zs[hi_i]))
 
 
 def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
@@ -361,13 +361,10 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
 
     F, G, terms = build(lo, hi)
     zs = np.linspace(lo, hi, QUADRATURE_SCAN)
-    run = _positive_run(zs, K - 2.0 * G(zs), z0)
-    if run is None:
-        raise EmptyDomain("the radicand K - 2G is nonpositive at the anchor")
-    d_lo, d_hi = run
-    if (d_lo, d_hi) != (lo, hi):
-        F, G, terms = build(d_lo, d_hi)
-    dom = Interval(d_lo, d_hi)
+    dom = _positive_run(zs, K - 2.0 * G(zs) > 0.0, z0,
+                        EmptyDomain("the radicand K - 2G is nonpositive at the anchor"))
+    if (dom.lo, dom.hi) != (lo, hi):
+        F, G, terms = build(dom.lo, dom.hi)
 
     @_reused
     def phi_prime(z):
@@ -377,7 +374,7 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
         return np.exp(-F(z)) / np.sqrt(rad)
 
     # the Chebyshev points lie inside the domain, so phi' is sampled unchecked
-    PHI, phi_series = _cheb_antiderivative(phi_prime, d_lo, d_hi, z0)
+    PHI, phi_series = _cheb_antiderivative(phi_prime, dom.lo, dom.hi, z0)
 
     def phi_second(z):
         # the Rayleigh cubic term does not read phi
@@ -649,10 +646,8 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
         def squared(z):
             return -(2.0 / 3.0) * (H(z) + C)
 
-        run = _positive_run(zs, squared(zs), z0)
-        if run is None:
-            raise EmptyDomain("the squared relation is nonpositive at the anchor")
-        dom = Interval(*run)
+        dom = _positive_run(zs, squared(zs) > 0.0, z0,
+                            EmptyDomain("the squared relation is nonpositive at the anchor"))
 
         def phi(z):
             P = squared(z)
@@ -687,10 +682,8 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
     L_near, L_far = (float(L(k1 + side * s)) for s in (near, far))
     target = H(zs) + C
     solvable = (L_near < target) & (target < L_far - 1e-12 * max(1.0, abs(L_far)))
-    run = _positive_run(zs, np.where(solvable, 1.0, -1.0), z0)
-    if run is None:
-        raise NoBracket("the requested branch has no root at the anchor")
-    dom = Interval(*run)
+    dom = _positive_run(zs, solvable, z0,
+                        NoBracket("the requested branch has no root at the anchor"))
     if (dom.lo, dom.hi) != (lo, hi):
         # as quadrature refits F and G: H on [lo, hi] carries the rounding
         # of its largest values there, which the branch amplifies where phi

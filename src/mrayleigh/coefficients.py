@@ -15,7 +15,7 @@ so that the PDE residual on the ansatz equals a phi'' - b (phi')^3 + c phi'
 (respectively a phi'' - d phi^2 phi' + c phi').  The reverse map
 ``synthesize_structure`` realizes prescribed reduced coefficients through a
 canonical diagonal structure; ``reduce`` of that structure returns the
-original coefficients.
+original coefficients' values, as GENERAL coefficients.
 
 All tensor fields are callables ``f(x, t, eta, xi)``; ``eta`` stands for
 the field value u and ``xi`` for its temporal gradient at the evaluation
@@ -41,7 +41,6 @@ from .errors import (
     BadParameters,
     DegenerateA,
     DimensionMismatch,
-    MrayleighError,
     WrongVariant,
     ZeroLeadingSpeed,
 )
@@ -439,30 +438,6 @@ def _cubic_term(structure: GeometricStructure, x, t, eta, xi):
     return eta * eta * np.einsum("...g,...g->...", structure.d_field(x, t, eta, xi), xi)
 
 
-def _classify(fns: dict) -> dict | None:
-    """Sample the contraction closures around z = 0 for their params: one
-    number each when constant, a [slope, constant] pair each when affine,
-    None otherwise (the params that decide ReducedCoeffs.kind)."""
-    step = 0.7
-    zs = step * np.arange(-2.0, 3.0)
-    try:
-        samples = {k: np.broadcast_to(fn(zs), zs.shape) for k, fn in fns.items()}
-    except MrayleighError:
-        # e.g. a profile probe whose domain does not reach every sample
-        return None
-    scale = max(1.0, *(np.max(np.abs(v)) for v in samples.values()))
-    tol = 1e-12 * scale
-    if all(np.max(np.abs(v - v[2])) <= tol for v in samples.values()):
-        return {k: float(v[2]) for k, v in samples.items()}
-    if all(np.max(np.abs(np.diff(v, n=2))) <= step * step * tol for v in samples.values()):
-        params = {}
-        for k, v in samples.items():
-            slope = (v[3] - v[1]) / (2.0 * step)
-            params[k] = [float(slope), float(v[2] - slope * zs[2])]
-        return params
-    return None
-
-
 def reduce(structure: GeometricStructure, lam: SpeedVector,
            probe=None) -> ReducedCoeffs:
     """Contract a structure with lambda into reduced ODE coefficients.
@@ -473,6 +448,11 @@ def reduce(structure: GeometricStructure, lam: SpeedVector,
     follow the ansatz, eta = phi(z) and xi = -lambda phi'(z).  Structures
     that ignore the jet, such as synthesized ones, reduce to the same
     coefficients either way.
+
+    The result is always GENERAL: ``reduce`` never infers a CONSTANT or
+    AFFINE kind from sampled values, which can miss a varying coefficient.
+    Serializable kinds come only from their constructors (``constant_coeffs``,
+    ``AffineCoeffs.to_reduced`` and ``coeffs_from_json_dict``).
 
     Raises DegenerateA when |a(0)| <= DEGENERACY_TOL.
     """
@@ -500,8 +480,7 @@ def reduce(structure: GeometricStructure, lam: SpeedVector,
     if abs(a_ref) <= DEGENERACY_TOL:
         raise DegenerateA(f"a(0.0) = {a_ref} at the probed point")
 
-    return ReducedCoeffs(fns["a"], fns["c"], b_fn=fns.get("b"), d_fn=fns.get("d"),
-                         params=_classify(fns))
+    return ReducedCoeffs(fns["a"], fns["c"], b_fn=fns.get("b"), d_fn=fns.get("d"))
 
 
 def synthesize_structure(target: ReducedCoeffs, m: int, lam: SpeedVector) -> GeometricStructure:
@@ -512,7 +491,7 @@ def synthesize_structure(target: ReducedCoeffs, m: int, lam: SpeedVector) -> Geo
     and unit remaining diagonal, C supported on index 1 with
     C^1 = c(z)/lambda_1, B supported on (1,1,1) with B^111 = b(z)/lambda_1^3
     (or D^1 = d(z)/lambda_1), and Gamma identically zero.  ``reduce`` of
-    the result with the same lambda returns the target coefficients.
+    the result with the same lambda returns the target's values.
     """
     if lam.m != m:
         raise DimensionMismatch(f"lambda has {lam.m} components, m = {m}")

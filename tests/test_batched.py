@@ -500,7 +500,7 @@ def test_one_phase_words_a_degenerate_a_as_the_array_call():
 def _positive_run_loops(zs, vals, z0):
     """The two while loops _positive_run replaced, kept as its reference."""
     i0 = int(np.argmin(np.abs(zs - z0)))
-    if vals[i0] <= 0.0:
+    if not vals[i0] > 0.0:      # a NaN anchor sample fails too
         return None
     lo_i = i0
     while lo_i > 0 and vals[lo_i - 1] > 0.0:
@@ -524,7 +524,12 @@ def test_positive_run_is_the_two_loop_scan():
         # mostly positive, so runs are long enough to shrink
         vals = samples[rng.choice(samples.size, n, p=[0.5, 0.2, 0.1, 0.05, 0.1, 0.05])]
         z0 = rng.choice([rng.uniform(-1.2, 1.2), -3.0, 3.0])      # anchors off the scan too
-        assert _positive_run(zs, vals, z0) == _positive_run_loops(zs, vals, z0), (vals, z0)
+        want = _positive_run_loops(zs, vals, z0)
+        try:
+            got = _positive_run(zs, vals > 0.0, z0, LookupError("anchor"))
+        except LookupError:
+            got = None
+        assert got == (None if want is None else Interval(*want)), (vals, z0)
 
 
 STACK_SIZES = (1, 2, 7, 100)

@@ -138,20 +138,19 @@ def test_coeffs_json_round_trip():
             assert back.a(z) == co.a(z)
             assert back.c(z) == co.c(z)
 
-    # reduce tags a Van der Pol structure with affine contractions AFFINE
-    lam = SpeedVector(np.array([1.0, 0.5]))
-    co = reduce(synthesize_structure(general_coeffs(lambda z: 2 + 0.1 * z, lambda z: 0.5,
-                                                    d=lambda z: 1 + z), 2, lam), lam)
-    back = coeffs_from_json_dict(coeffs_to_json_dict(co))
+    # an affine Van der Pol payload reads back as its lines and writes itself
+    affine = {"kind": "affine", "variant": "van_der_pol",
+              "a": [0.1, 2.0], "c": [0.0, 0.5], "d": [1.0, 1.0]}
+    back = coeffs_from_json_dict(affine)
     assert (back.kind, back.variant) == (CoeffKind.AFFINE, Variant.VAN_DER_POL)
-    assert back.params == co.params
+    assert coeffs_to_json_dict(back) == affine
     for z in (-1.2, 0.0, 2.7):
         for got, want in ((back.a(z), 2 + 0.1 * z), (back.c(z), 0.5), (back.d(z), 1 + z)):
             assert abs(got - want) <= 1e-14
 
     # a payload whose values disagree with its kind is rejected
     const = coeffs_to_json_dict(constant_coeffs(1.5, 0.0, d=3.0))
-    for payload in ({**const, "a": [0.1, 2.0]}, {**coeffs_to_json_dict(co), "a": 2.0}):
+    for payload in ({**const, "a": [0.1, 2.0]}, {**affine, "a": 2.0}):
         with pytest.raises(ValueError, match="do not match their values"):
             coeffs_from_json_dict(payload)
 
@@ -208,6 +207,18 @@ def test_synthesize_reduce_round_trip_general():
         assert abs(got.a(z) - target.a(z)) <= 1e-12
         assert abs(got.d(z) - target.d(z)) <= 1e-12
 
+    # c vanishes at every multiple of 0.7 and a, b are constant, so values
+    # sampled on that lattice read as constant; reduce must not stamp a kind
+    # that serializes c as 0
+    target = general_coeffs(a=lambda z: 2.0, c=lambda z: math.sin(math.pi * z / 0.7),
+                            b=lambda z: 1.0)
+    got = reduce(synthesize_structure(target, 2, lam), lam)
+    for z in (0.35, 1.0):
+        assert abs(got.c(z) - target.c(z)) <= 1e-12
+    assert got.kind is CoeffKind.GENERAL and got.params is None
+    with pytest.raises(ValueError):
+        coeffs_to_json_dict(got)
+
 
 def test_synthesize_reduce_round_trip_over_speeds_and_kinds():
     # constant Rayleigh, constant Van der Pol and affine Rayleigh targets come
@@ -232,7 +243,6 @@ def test_synthesize_reduce_round_trip_over_speeds_and_kinds():
         st = synthesize_structure(target, m, lam)
         got = reduce(st, lam)
         probed = reduce(st, lam, probe=prof)
-        assert got.kind is probed.kind is target.kind
         for name in ("a", "c", slot):
             want = getattr(target, name)(zs)
             vals = getattr(got, name)(zs)
@@ -313,19 +323,20 @@ def test_verify_reduction_consistency_fails_on_a_nan_h():
 
 
 def test_reduce_lets_a_field_type_error_propagate():
-    # C is first evaluated while classifying; a programming error there must
-    # surface instead of tagging the coefficients as general
+    # reduce evaluates only a at the anchor, so C is first evaluated at the
+    # first c(...) call; a programming error there must surface as itself
     def broken_c(x, t, eta, xi):
         raise TypeError("broken field")
 
     st = replace(constant_structure(np.eye(1), b=1.0), c_field=broken_c)
+    co = reduce(st, SpeedVector(np.array([2.0])))
     with pytest.raises(TypeError, match="broken field"):
-        reduce(st, SpeedVector(np.array([2.0])))
+        co.c(0.0)
 
 
 def test_reduce_tags_a_profile_probe_past_its_domain_as_general():
-    # the arccosh half-line ends at z = 1: it holds the reference phase 0
-    # but not the classification sample at 1.4
+    # the arccosh half-line ends at z = 1: it holds the anchor phase 0 that
+    # reduce probes, and a is read at 0.5 inside it
     prof = soliton_arccosh(1.0, 1.0, 1.0, math.e)
     lam = SpeedVector(np.array([1.0, 1.0]))
     st = synthesize_structure(constant_coeffs(2.0, 1.0, b=1.0), 2, lam)
