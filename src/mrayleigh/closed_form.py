@@ -37,11 +37,13 @@ and ``series`` differentiate their closed form; ``quadrature`` reads phi''
 off the solved ODE (``ReducedCoeffs.second``); ``vdp_implicit`` applies the
 chain rule to its first integral, with (d/a)' = -(c/a)(d/a).  Each
 callable checks its domain, then takes z of shape (N,) and returns an array
-of the same shape, or a Python float for a scalar z.  A phase's value never
-depends on the other phases in its call: no multi-row BLAS product runs
-across them, and integer powers are written as products.  Each Chebyshev
-antiderivative is one call that fits the integrand on numpy's nodes and
-matrix, made once per degree, trims the fit at its rounding floor,
+of the same shape, or a Python float for a scalar z, in float arithmetic
+with numpy's ufuncs on floats (a rare branch, such as an arc edge or an
+overflowing exponential, takes the array expression).  A phase's value
+never depends on the other phases in its call: no multi-row BLAS product
+runs across them, and integer powers are written as products.  Each
+Chebyshev antiderivative is one call that fits the integrand on numpy's
+nodes and matrix, made once per degree, trims the fit at its rounding floor,
 integrates it in float arithmetic and returns its sum, numpy's chebval
 recurrence on Python floats for one phase, all with numpy's bits.
 phi, phi' and phi'' of a profile share the family's per-phase work
@@ -152,18 +154,38 @@ def _reused(fn):
     return call
 
 
-def _stacked(dom: Interval, fn):
+def _any(mask) -> bool:
+    """Whether a bool, or any element of a bool array, is set."""
+    return mask if isinstance(mask, bool) else bool(mask.any())
+
+
+def _stacked(dom: Interval, fn, one=None):
     """Profile callable over z of shape (N,) that raises DomainExceeded for z
-    outside ``dom`` before ``fn`` runs; a scalar z gives a Python float."""
+    outside ``dom`` before ``fn`` runs.  A scalar z, checked by two float
+    comparisons, goes to ``one`` (``fn`` by default) as a Python float, or
+    to ``fn`` as a 1-element array where ``one`` returns None (a rare
+    branch), and gives a Python float with the bits of the array call."""
+    one = fn if one is None else one
+
     def call(z):
         z = np.asarray(z, dtype=float)
         if z.ndim == 0:
+            x = z.item()
             lo, hi = dom.outer
-            if not lo <= z.item() <= hi:    # NaN included; _check_domain words it
+            if not lo <= x <= hi:   # NaN included; _check_domain words it
                 _check_domain(dom, z)
-            return float(fn(z.reshape(1))[0])
+            val = one(x)
+            return float(fn(z.reshape(1))[0] if val is None else val)
         _check_domain(dom, z)
         return fn(z)
+    return call
+
+
+def _one(state, of):
+    """The float path ``of(*state(x))``, None where ``state(x)`` is (a rare branch)."""
+    def call(x):
+        st = state(x)
+        return None if st is None else of(*st)
     return call
 
 
@@ -292,9 +314,6 @@ def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float):
     series[0] += 0 - _clenshaw(series, off + scl * anchor)
 
     def F(z):
-        z = np.asarray(z)
-        if z.size == 1:
-            return np.full(z.shape, _clenshaw(series, off + scl * z.item()))
         return _clenshaw(series, off + scl * z)
 
     return F, series
@@ -366,25 +385,26 @@ def soliton_quadrature(coeffs: ReducedCoeffs, K: float, z0: float = 0.0,
     if (dom.lo, dom.hi) != (lo, hi):
         F, G, terms = build(dom.lo, dom.hi)
 
-    @_reused
-    def phi_prime(z):
+    def prime(z):
+        """phi' over one phase as a float or an array of phases."""
         rad = K - 2.0 * G(z)
-        if np.any(rad <= 0.0):
+        if _any(rad <= 0.0):
             raise DomainExceeded(f"radicand nonpositive at z = {_first(z, rad <= 0.0)}")
         return np.exp(-F(z)) / np.sqrt(rad)
 
+    def second(prime):
+        # the Rayleigh cubic term does not read phi
+        return lambda z: coeffs.second(z, None, prime(z))
+
+    phi_prime = _reused(prime)
     # the Chebyshev points lie inside the domain, so phi' is sampled unchecked
     PHI, phi_series = _cheb_antiderivative(phi_prime, dom.lo, dom.hi, z0)
-
-    def phi_second(z):
-        # the Rayleigh cubic term does not read phi
-        return coeffs.second(z, None, phi_prime(z))
 
     params = {"K": K, "z0": z0, "coeffs": _coeffs_payload(coeffs),
               "cheb_terms": terms | {"phi": len(phi_series)}}
     return SolitonProfile(Family.QUADRATURE, params, lam, dom, _stacked(dom, PHI),
-                          _stacked(dom, phi_prime), _stacked(dom, phi_second),
-                          coeffs=coeffs)
+                          _stacked(dom, phi_prime, prime),
+                          _stacked(dom, second(phi_prime), second(prime)), coeffs=coeffs)
 
 
 # (g, s) per arc family: the radicand under phi' is rad = g w^2 + s
@@ -402,7 +422,10 @@ def _arc_family(family, a, b, c, K, r, sigma, lam) -> SolitonProfile:
     (-1, 1) and rad = g w^2 + s, positive inside the domain.  Then
     phi' = -sigma sqrt(g c/b) w / sqrt(rad) and
     phi'' = s sigma sqrt(g c/b) (c/a) w rad^-1.5.  Where rad overflows
-    (w > ~1e154), phi' = -sigma sqrt(g c/b) / sqrt(g + s / w^2).  arcsinh
+    (w > ~1e154), phi' = -sigma sqrt(g c/b) / sqrt(g + s / w^2) and
+    phi'' = s sigma sqrt(g c/b) (c/a) w^-2 (g + s w^-2)^-1.5.  One phase
+    runs in float arithmetic, with numpy's ufuncs on floats; the edge and
+    an overflowing w or rad take the array expression.  arcsinh
     has rad >= 1 on all of R; the other two are valid on a half-line ending
     at (a/c) ln K, where rad <= 0, phi stays finite and phi', phi'' are
     infinite.
@@ -438,33 +461,52 @@ def _arc_family(family, a, b, c, K, r, sigma, lam) -> SolitonProfile:
             rad = g * ww * ww + s
         return ww, rad, rad <= 0.0
 
+    def w_one(x):
+        """(w, rad) at one phase as Python floats, or None on a rare branch:
+        w or w^2 overflowing, or the edge rad <= 0.  A Python float
+        product overflows to inf without a warning."""
+        t = -rate * x       # np.exp overflows past 709.78
+        ww = K * float(np.exp(t)) if t < 709.0 else math.inf
+        rad = g * ww * ww + s
+        return (ww, rad) if 0.0 < rad < math.inf else None
+
+    # the regular branch, over floats or arrays
+    def phi_of(ww, rad):
+        return amp * arc(ww) + r
+
+    def prime_of(ww, rad):
+        return -sigma * sq * ww / np.sqrt(rad)
+
+    def second_of(ww, rad):
+        return s * sigma * sq * rate * ww * np.power(rad, -1.5)
+
     def phi(z):
-        ww, _, at_edge = w(z)
-        val = amp * arc(np.where(at_edge, 1.0, ww)) + r
+        ww, rad, at_edge = w(z)
+        val = phi_of(np.where(at_edge, 1.0, ww), rad)
         huge = np.isinf(ww)     # arccosh w = arcsinh w = ln 2w in double there
         if huge.any():
             val[huge] = amp * (log_2k - rate * z[huge]) + r
         return val
 
-    def phi_prime(z):
-        ww, rad, at_edge = w(z)
-        big = np.isinf(rad)
-        val = -sigma * sq * ww / np.sqrt(np.where(at_edge | big, 1.0, rad))
-        if big.any():
-            val[big] = -sigma * sq / np.sqrt(g + s * (1.0 / ww[big]) ** 2)
-        return np.where(at_edge, -sigma * math.inf, val)
-
-    def phi_second(z):
-        ww, rad, at_edge = w(z)
-        huge = np.isinf(ww)
-        if huge.any():
-            ww = np.where(huge, 0.0, ww)    # phi'' ~ w^-2 underflows to a signed zero there
-        val = s * sigma * sq * rate * ww * np.where(at_edge, 1.0, rad) ** -1.5
-        return np.where(at_edge, s * sigma * rate * math.inf, val)
+    def derivative(of, k, edge):
+        """phi' (k = 0) or phi'' (k = 1), ``edge`` at the edge.  Where rad
+        overflows, rad = w^2 q with v = 1/w^2 and q = g + s v turns
+        of(w, rad) into of(v^k, q), so that w enters no product there."""
+        def fn(z):
+            ww, rad, at_edge = w(z)
+            big = np.isinf(rad)
+            val = of(np.where(big, 1.0, ww), np.where(at_edge | big, 1.0, rad))
+            if big.any():
+                v = (1.0 / ww[big]) ** 2
+                val[big] = of(v ** k, g + s * v)
+            return np.where(at_edge, edge, val)
+        return _stacked(dom, fn, _one(w_one, of))
 
     params = {"a": a, "b": b, "c": c, "K": K, "r": r, "sigma": sigma}
-    return SolitonProfile(family, params, _default_lam(lam), dom, _stacked(dom, phi),
-                          _stacked(dom, phi_prime), _stacked(dom, phi_second),
+    return SolitonProfile(family, params, _default_lam(lam), dom,
+                          _stacked(dom, phi, _one(w_one, phi_of)),
+                          derivative(prime_of, 0, -sigma * math.inf),
+                          derivative(second_of, 1, s * sigma * rate * math.inf),
                           coeffs=constant_coeffs(a, c, b=b))
 
 
@@ -613,28 +655,28 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
         return dr * (p * p * p - k3) / 3.0 + r * p * p * dp
 
     def profile(params, dom, phi, prime_from, second_from):
-        """The profile whose phi' and phi'' reuse one phi and one d/a."""
-        # kept apart, so that a call of phi alone computes no d/a
-        phi = _reused(phi)
-
-        @_reused
+        """The profile whose phi' and phi'' reuse one phi and one d/a over
+        an array of phases; one phase, a float, computes them afresh."""
         def ratio(z):
             a = coeffs.a(z)
             return a, coeffs.d(z) / a
 
-        def phi_prime(z):
-            p, (_, r) = phi(z), ratio(z)
-            return prime_from(p, r)
+        def jet(phi, ratio):
+            def phi_prime(z):
+                p, (_, r) = phi(z), ratio(z)
+                return prime_from(p, r)
 
-        def phi_second(z):
-            p, (a, r) = phi(z), ratio(z)
-            return second_from(p, r, -(coeffs.c(z) / a) * r, prime_from(p, r))
+            def phi_second(z):
+                p, (a, r) = phi(z), ratio(z)
+                return second_from(p, r, -(coeffs.c(z) / a) * r, prime_from(p, r))
+            return phi, phi_prime, phi_second
 
         params = {**params, "z0": float(z0), "phi0": phi0,
                   "coeffs": _coeffs_payload(coeffs)}
-        return SolitonProfile(Family.VDP_IMPLICIT, params, lam, dom, _stacked(dom, phi),
-                              _stacked(dom, phi_prime), _stacked(dom, phi_second),
-                              coeffs=coeffs)
+        # phi and d/a are kept apart, so that a call of phi alone computes no d/a
+        fns = zip(jet(_reused(phi), _reused(ratio)), jet(phi, ratio))
+        return SolitonProfile(Family.VDP_IMPLICIT, params, lam, dom,
+                              *(_stacked(dom, fn, one) for fn, one in fns), coeffs=coeffs)
 
     if k1 == 0.0:
         if phi0 == 0.0:
@@ -651,7 +693,7 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
 
         def phi(z):
             P = squared(z)
-            if np.any(P <= 0.0):
+            if _any(P <= 0.0):
                 raise DomainExceeded(f"phi{'^-2' if reciprocal else '^2'} "
                                      f"nonpositive at z = {_first(z, P <= 0.0)}")
             return sgn / np.sqrt(P) if reciprocal else sgn * np.sqrt(P)
@@ -761,22 +803,34 @@ def vdp_explicit(a, c, d, K, lam=None) -> SolitonProfile:
             raise DomainExceeded(f"radicand nonpositive at z = {_first(z, bad)}")
         return e, tail, np.where(tail, t, 0.0)
 
+    def radicand_one(x):
+        """(e,) at one phase as a Python float, or None on a rare branch: an
+        exponent past the tail floor or exp's range, or e <= 0."""
+        if K == 0.0:
+            return (off,)
+        t = log_abs_k + rate * x
+        e = math.copysign(float(np.exp(t)), K) + off if t <= min(709.0, tail_floor) else 0.0
+        return (e,) if e > 0.0 else None
+
     # derivatives are written through s = (e - off)/e = 1 - off/e, which stays
-    # bounded where e is large; (e - off)^2 would overflow long before then
-    def phi(z):
-        e, tail, t = radicand(z)
-        return np.where(tail, np.exp(-0.5 * t), 1.0 / np.sqrt(e))
+    # bounded where e is large; (e - off)^2 would overflow long before then.
+    # Off the tail, over floats or arrays:
+    def phi_of(e):
+        return 1.0 / np.sqrt(e)
 
-    def phi_prime(z):
-        e, tail, t = radicand(z)
-        return np.where(tail, -0.5 * rate * np.exp(-0.5 * t),
-                        -0.5 * rate * (1.0 - off / e) / np.sqrt(e))
+    def prime_of(e):
+        return -0.5 * rate * (1.0 - off / e) / np.sqrt(e)
 
-    def phi_second(z):
-        e, tail, t = radicand(z)
+    def second_of(e):
         s = 1.0 - off / e
-        return np.where(tail, 0.25 * rate * rate * np.exp(-0.5 * t),
-                        rate * rate * (0.75 * s - 0.5) * s / np.sqrt(e))
+        return rate * rate * (0.75 * s - 0.5) * s / np.sqrt(e)
+
+    def stacked(k, of):
+        """The profile callable that is of(e) off the tail and k e^{-t/2} on it."""
+        def fn(z):
+            e, tail, t = radicand(z)
+            return np.where(tail, k * np.exp(-0.5 * t), of(e))
+        return _stacked(dom, fn, _one(radicand_one, of))
 
     def tail_limit(e_tail):
         if e_tail is None or e_tail <= 0.0:
@@ -795,8 +849,8 @@ def vdp_explicit(a, c, d, K, lam=None) -> SolitonProfile:
         "limit_pos_inf": tail_limit(e_plus) if math.isinf(dom.hi) else None,
         "limit_neg_inf": tail_limit(e_minus) if math.isinf(dom.lo) else None,
     }
-    return SolitonProfile(Family.VDP_EXPLICIT, params, lam, dom, _stacked(dom, phi),
-                          _stacked(dom, phi_prime), _stacked(dom, phi_second),
+    return SolitonProfile(Family.VDP_EXPLICIT, params, lam, dom, stacked(1.0, phi_of),
+                          stacked(-0.5 * rate, prime_of), stacked(0.25 * rate * rate, second_of),
                           coeffs=constant_coeffs(a, c, d=d))
 
 

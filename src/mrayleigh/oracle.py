@@ -189,7 +189,8 @@ def _rhs_for(coeffs: ReducedCoeffs):
 
 def _hermite(z: np.ndarray, y: np.ndarray, dy: np.ndarray, derivative: bool = False):
     """The piecewise cubic Hermite interpolant through (z, y) with slopes
-    dy, or its derivative, as a callable over arrays.  One phase finds its
+    dy, or its derivative, as the callables ``_stacked`` takes: over an
+    array of phases, and at one phase as a float.  One phase finds its
     interval by bisect over the nodes as floats, the index searchsorted
     gives, and runs the same cubic in float arithmetic: numpy fuses no
     multiply-add, so the bits are numpy's."""
@@ -206,13 +207,11 @@ def _hermite(z: np.ndarray, y: np.ndarray, dy: np.ndarray, derivative: bool = Fa
         return y[i] + s * (d0 + s * (c2 + s * c3))
 
     def fn(x):
-        if x.size == 1:     # its shape is all ones, which ndmin restores
-            x1 = x.item()
-            i = min(max(bisect.bisect_right(zs, x1) - 1, 0), last)
-            return np.array(cubic(x1, zs, ys, dys, i), ndmin=x.ndim)
-        i = np.clip(np.searchsorted(z, x, side="right") - 1, 0, last)
-        return cubic(x, z, y, dy, i)
-    return fn
+        return cubic(x, z, y, dy, np.clip(np.searchsorted(z, x, side="right") - 1, 0, last))
+
+    def one(x):
+        return cubic(x, zs, ys, dys, min(max(bisect.bisect_right(zs, x) - 1, 0), last))
+    return fn, one
 
 
 @dataclass
@@ -299,9 +298,9 @@ def integrate_reduction(coeffs: ReducedCoeffs, phi0: float, phi_prime0: float,
     psi_prime = coeffs.second(z, phi, psi)
 
     dom = Interval(float(z[0]), float(z[-1]))
-    return IvpSolution(coeffs, z, phi, psi, _stacked(dom, _hermite(z, phi, psi)),
-                       _stacked(dom, _hermite(z, psi, psi_prime)),
-                       _stacked(dom, _hermite(z, psi, psi_prime, derivative=True)))
+    return IvpSolution(coeffs, z, phi, psi, _stacked(dom, *_hermite(z, phi, psi)),
+                       _stacked(dom, *_hermite(z, psi, psi_prime)),
+                       _stacked(dom, *_hermite(z, psi, psi_prime, derivative=True)))
 
 
 def bernoulli_chain_check(coeffs: ReducedCoeffs, profile, samples,

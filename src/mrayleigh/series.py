@@ -50,11 +50,13 @@ SAFETY_FRACTION = 0.5
 @dataclass(frozen=True)
 class SeriesSolution:
     """Truncated series phi = sum alpha_n z^n with its radius estimate, set
-    once from ``estimate_radius`` (None when inconclusive)."""
+    once from ``estimate_radius`` (None when inconclusive), as are alpha and
+    its derivative's coefficients from the top down, which Horner reads."""
 
     coeffs: AffineCoeffs
     alpha: np.ndarray
     radius_estimate: float | None = field(init=False)
+    _top_down: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.alpha, dtype=float)
@@ -64,6 +66,8 @@ class SeriesSolution:
         arr.flags.writeable = False
         object.__setattr__(self, "alpha", arr)
         object.__setattr__(self, "radius_estimate", estimate_radius(self))
+        object.__setattr__(self, "_top_down",
+                           (arr.tolist()[::-1], _derivative(arr).tolist()[::-1]))
 
     @property
     def n_terms(self) -> int:
@@ -174,12 +178,13 @@ def _warn_outside(series: SeriesSolution, z: float):
             RuntimeWarning, stacklevel=3)
 
 
-def _horner(coef: np.ndarray, z):
-    """sum_n coef[n] z^n for a float or an array z, by Horner's rule from the
-    top coefficient down, the order numpy evaluates in."""
-    c = coef.tolist()
-    acc = c[-1] + z * 0
-    for cn in c[-2::-1]:
+def _horner(top_down, z):
+    """sum_n coef[n] z^n for a float or an array z, with ``top_down`` the
+    Python floats coef[N], ..., coef[0], by Horner's rule from the top
+    coefficient down, the order numpy evaluates in."""
+    coefs = iter(top_down)
+    acc = next(coefs) + z * 0
+    for cn in coefs:
         acc = cn + acc * z
     return acc
 
@@ -192,12 +197,12 @@ def _derivative(coef: np.ndarray) -> np.ndarray:
 def evaluate(series: SeriesSolution, z: float) -> float:
     """Horner evaluation of phi at z (warns outside the radius estimate)."""
     _warn_outside(series, z)
-    return _horner(series.alpha, float(z))
+    return _horner(series._top_down[0], float(z))
 
 
 def evaluate_prime(series: SeriesSolution, z: float) -> float:
     _warn_outside(series, z)
-    return _horner(_derivative(series.alpha), float(z))
+    return _horner(series._top_down[1], float(z))
 
 
 def estimate_radius(series: SeriesSolution) -> float | None:
@@ -232,7 +237,8 @@ def estimate_radius(series: SeriesSolution) -> float | None:
 
 
 def series_soliton(series: SeriesSolution, lam: SpeedVector | None = None) -> SolitonProfile:
-    """Wrap a truncated series as a profile on |z| < 0.5 * radius estimate."""
+    """Wrap a truncated series as a profile on |z| < 0.5 * radius estimate,
+    whose Horner sums take an array of phases or one phase as a float."""
     if series.radius_estimate is None:
         raise DegenerateA(
             "radius estimate is inconclusive; cannot bound a validity interval")
@@ -242,8 +248,8 @@ def series_soliton(series: SeriesSolution, lam: SpeedVector | None = None) -> So
     # numpy's second derivative of a linear series is alpha_0 * 0
     der2 = _derivative(der1) if der1.size > 1 else series.alpha[:1] * 0.0
 
-    def horner(coef):
-        return _stacked(dom, lambda z: _horner(coef, z))
+    def horner(top_down):
+        return _stacked(dom, lambda z: _horner(top_down, z))
 
     params = {
         "coeffs": list(series.coeffs.sextuple()),
@@ -253,5 +259,5 @@ def series_soliton(series: SeriesSolution, lam: SpeedVector | None = None) -> So
         "radius_estimate": float(series.radius_estimate),
     }
     return SolitonProfile(Family.SERIES, params, _default_lam(lam), dom,
-                          horner(series.alpha), horner(der1), horner(der2),
+                          *map(horner, series._top_down + (der2.tolist()[::-1],)),
                           coeffs=series.coeffs.to_reduced())

@@ -8,6 +8,7 @@ calls, as the sweep used to be.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mrayleigh.closed_form import (
     _first_integral_antiderivative,
     _positive_run,
     _solve_branch,
+    _stacked,
     as_multitime,
     soliton_arccosh,
     soliton_arcsin,
@@ -47,7 +49,15 @@ from mrayleigh.oracle import (
     reduction_ode_residual,
     residual_sweep,
 )
-from mrayleigh.series import AffineCoeffs, series_coefficients, series_soliton
+from mrayleigh.series import (
+    AffineCoeffs,
+    _derivative,
+    _horner,
+    evaluate,
+    evaluate_prime,
+    series_coefficients,
+    series_soliton,
+)
 
 EXP_CO = general_coeffs(a=math.exp, c=math.exp, d=lambda z: 3.0)
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -360,6 +370,37 @@ def test_central_difference_calls_fn_once():
                 assert _bits(got) == _bits(two_calls(fn, z, 1e-6)), (name, n)
 
 
+def _rare_branches():
+    """(name, profile, phases): builds whose phases reach each branch that a
+    one-phase call hands to the array expression, next to regular phases."""
+    series = series_coefficients(AffineCoeffs.from_sextuple((0, 0, 0, 1.0, 0.3, 0.9)),
+                                 0.1, 1.0, 400)
+    band = [-360.0, -709.7, -709.5, -709.3, -800.0, -1.0]
+    return [
+        # the edge (rad <= 0) at z = 0, its slack, and phases just inside it
+        ("arccosh-edge", soliton_arccosh(1.0, 1.0, 1.0, 1.0), [0.0, 1e-12, -1e-13, -0.5]),
+        ("arcsin-edge", soliton_arcsin(1.0, -1.0, 1.0, 1.0, sigma=-1.0), [0.0, -1e-12, 1e-13, 0.5]),
+        # w^2 = inf with w finite (sq rate w past the float range from
+        # -709.3 down), and w = inf at z = -800
+        ("arcsinh-band", soliton_arcsinh(1.0, 0.25, 1.0, 1.0), band),
+        ("arccosh-band", soliton_arccosh(1.0, 0.25, 1.0, 1.0, sigma=-1.0), band),
+        ("arcsinh-band-2", soliton_arcsinh(1.0, 2.0, 2.0, 1.0), [-354.85, -354.6, -400.0, 0.0]),
+        # vdp_explicit's tail (t = 2z > 690), e = inf off the tail (t > 709
+        # below a tail floor of 731), K < 0 up to its edge, and K = 0
+        ("vdp-explicit-tail", vdp_explicit(1.0, 1.0, 3.0, 1.0),
+         [0.5, 344.0, 345.0, 346.0, 354.0, 355.0, 400.0]),
+        ("vdp-explicit-huge-off", vdp_explicit(1.0, 1.0, 3e300, 1.0),
+         [0.0, 354.0, 360.0, 366.0, 370.0]),
+        ("vdp-explicit-K<0", vdp_explicit(1.0, 1.0, 3.0, -0.5),
+         [-3.0, 0.0, 0.3, 0.5 * math.log(2.0) - 1e-9]),
+        ("vdp-explicit-K=0", vdp_explicit(1.0, 1.0, 3.0, 0.0), [-3.0, 0.0, 3.0]),
+        ("vdp-direct", vdp_implicit(EXP_CO, k1=0.0, z0=0.0, phi0=SQ2, domain=(-2.0, 2.0),
+                                    square_relation="direct"), np.linspace(-1.5, 0.0, 7)),
+        ("series-N400", series_soliton(series),
+         np.linspace(-0.45, 0.45, 21) * series.radius_estimate),
+    ]
+
+
 def test_scalar_calls_give_the_bits_of_the_array_call():
     for name, prof, (lo, hi) in _families():
         zs = np.concatenate([np.linspace(lo, hi, 23), [0.0, -0.0]])
@@ -371,6 +412,29 @@ def test_scalar_calls_give_the_bits_of_the_array_call():
                     one = fn(arg)
                     assert type(one) is float, name
                     assert _bits(one) == stacked[i].tobytes(), (name, z)
+    # every branch that one phase hands to the array expression, warning-free
+    for name, prof, zs in _rare_branches():
+        zs = np.asarray(zs, dtype=float)
+        assert prof.domain.contains(zs).all(), name
+        for fn in (prof.phi, prof.phi_prime, prof.phi_second):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                stacked = fn(zs)
+                for i, z in enumerate(zs):
+                    for arg in (float(z), z):
+                        one = fn(arg)
+                        assert type(one) is float, name
+                        assert _bits(one) == stacked[i].tobytes(), (name, z)
+    # the series sums one phase from the terms it keeps
+    sol = series_coefficients(AffineCoeffs.from_sextuple((0, 0, 0, 1.0, 0.3, 0.9)), 0.1, 1.0, 400)
+    zs = np.linspace(-0.45, 0.45, 41) * sol.radius_estimate
+    for ev, coef in ((evaluate, sol.alpha), (evaluate_prime, _derivative(sol.alpha))):
+        stacked = _horner(coef.tolist()[::-1], zs)
+        for i, z in enumerate(zs):
+            for arg in (float(z), z):
+                one = ev(sol, arg)
+                assert type(one) is float
+                assert _bits(one) == stacked[i].tobytes(), z
     # the fresh integration's interpolants, at and between their nodes
     for name, prof, (lo, hi) in _families():
         if name not in ("quadrature", "arcsinh", "vdp-explicit", "vdp-implicit"):
@@ -393,6 +457,37 @@ def test_scalar_calls_give_the_bits_of_the_array_call():
                 with pytest.raises(DomainExceeded) as stacked:
                     fn(np.array([z]))
                 assert str(one.value) == str(stacked.value), (name, z)
+
+
+def test_one_phase_takes_the_float_path_and_never_the_array_callable():
+    def array_call(z):
+        raise AssertionError("an in-domain phase reached the array callable")
+
+    seen = []
+
+    def one(x):
+        seen.append(x)
+        return 2.0 * x
+
+    fn = _stacked(Interval(-1.0, 1.0), array_call, one)
+    for z in (0.5, np.float64(-0.25), np.array(1.0), 1, -1.0 - 1e-13):
+        val = fn(z)
+        assert type(val) is float and val == 2.0 * float(z)
+        assert type(seen[-1]) is float and seen[-1] == float(z)
+    # outside, the domain check raises before either callable runs, with
+    # the message of the array call
+    for z in (1.5, -2.0, math.inf, math.nan):
+        with pytest.raises(DomainExceeded) as scalar:
+            fn(z)
+        with pytest.raises(DomainExceeded) as stacked:
+            fn(np.array([z]))
+        assert str(scalar.value) == str(stacked.value)
+    assert len(seen) == 5
+    # a rare branch (None) hands the phase to the array callable instead
+    shapes = []
+    rare = _stacked(Interval(-1.0, 1.0), lambda z: shapes.append(z.shape) or 3.0 * z,
+                    lambda x: None)
+    assert rare(0.5) == 1.5 and shapes == [(1,)]
 
 
 def test_scalar_domain_check_words_its_failure_as_the_array_check(monkeypatch):

@@ -171,6 +171,17 @@ def test_verify_accepts_a_closed_form_profile():
     assert "verified" in r.stderr
 
 
+def test_verify_passes_where_w_squared_overflows():
+    # w = e^{-z} is finite on the window while w^2 and sqrt(c/b) w are not:
+    # phi'' is written in 1/w there, so no residual is NaN and nothing warns
+    r = run_cli("verify", "--family", "arcsinh", "--a", "1", "--b", "0.25", "--c", "1",
+                "--K", "1", "--zmin", "-709.7", "--zmax", "-709.3", "--n", "5", "--m", "1",
+                "--quiet")
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+    checks = json.loads(r.stdout)["checks"]
+    assert "nan" not in checks and checks["sweep_max"] == checks["ode_analytic_max"] == 0
+
+
 def test_verify_stdout_is_reproducible():
     args = ("verify", "--family", "arccosh", "--a", "1", "--b", "1", "--c", "1",
             "--K", "2.718281828459045", "--zmin", "-4", "--zmax", "0.9",

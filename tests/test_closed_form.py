@@ -117,6 +117,34 @@ def test_arc_slope_survives_an_overflowing_radicand(make):
 
 
 @pytest.mark.parametrize("make", [soliton_arcsinh, soliton_arccosh])
+@pytest.mark.parametrize("a, b, c, zs", [
+    (1.0, 0.25, 1.0, [-709.7, -709.5, -709.3]),
+    (1.0, 2.0, 2.0, [-354.85, -354.7, -354.6]),
+    # w^2 overflows with sq rate w finite: phi'' ~ w^-2 is subnormal
+    (1.0, 1.0, 1.0, [-355.0, -360.0, -370.0]),
+])
+def test_arc_second_derivative_is_finite_where_w_squared_overflows(make, a, b, c, zs):
+    # w = e^{-(c/a) z} is finite while w^2 is not; on the first two rows
+    # sqrt(c/b) (c/a) w is past the float range too
+    zs = np.array(zs)
+    for sigma in (1.0, -1.0):
+        p = make(a, b, c, 1.0, sigma=sigma)
+        s = 1.0 if make is soliton_arcsinh else -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d1, d2 = p.phi_prime(zs), p.phi_second(zs)
+            assert [p.phi_prime(z) for z in zs] == d1.tolist()
+            assert [p.phi_second(z) for z in zs] == d2.tolist()
+            assert [np.float64(p.phi_second(z)).tobytes() for z in zs] == [v.tobytes() for v in d2]
+        assert np.isfinite(d1).all() and np.isfinite(d2).all()
+        assert d1.tolist() == [-sigma * math.sqrt(c / b)] * zs.size
+        # phi'' = s sigma sqrt(c/b) (c/a) w^-2 (1 + s w^-2)^-1.5, w^-2 = e^{2 (c/a) z}
+        want = [s * sigma * math.sqrt(c / b) * (c / a) * math.exp(2.0 * (c / a) * z) for z in zs]
+        assert all(abs(got - w) <= 1e-12 * abs(w) + 1e-322 for got, w in zip(d2.tolist(), want))
+        assert all(math.copysign(1.0, v) == s * sigma for v in d2.tolist())
+
+
+@pytest.mark.parametrize("make", [soliton_arcsinh, soliton_arccosh])
 def test_arc_profile_stays_finite_past_exp_overflow(make):
     # w = e^{-z} overflows below z = -709.78; there arccosh w = arcsinh w = ln 2w
     p = make(1.0, 1.0, 1.0, 1.0, r=0.5)
