@@ -768,24 +768,18 @@ def vdp_explicit(a, c, d, K, lam=None) -> SolitonProfile:
     tail_floor = max(690.0, math.log(max(abs(off), 1.0)) + 40.0)
 
     # domain analysis: where K e^{rate z} + off > 0
-    pad = 1e-9
-    if K == 0.0:
-        if off <= 0.0:
-            raise EmptyDomain("constant radicand is nonpositive")
+    if K <= 0.0 and off <= 0.0:
+        raise EmptyDomain("constant radicand is nonpositive" if K == 0.0
+                          else "radicand is negative everywhere")
+    if K >= 0.0 and off >= 0.0:
         dom = Interval(-math.inf, math.inf)
-    elif K > 0.0:
-        if off >= 0.0:
-            dom = Interval(-math.inf, math.inf)
-        else:
-            zb = math.log(-off / K) / rate
-            edge = zb + math.copysign(pad * max(1.0, abs(zb)), rate)
-            dom = Interval(edge, math.inf) if rate > 0 else Interval(-math.inf, edge)
     else:
-        if off <= 0.0:
-            raise EmptyDomain("radicand is negative everywhere")
-        zb = math.log(off / (-K)) / rate
-        edge = zb - math.copysign(pad * max(1.0, abs(zb)), rate)
-        dom = Interval(-math.inf, edge) if rate > 0 else Interval(edge, math.inf)
+        # the domain lies past the radicand's one zero, on the side where it
+        # grows; comparisons pick that side, as the product K rate can underflow
+        zb = math.log(-off / K) / rate
+        grows = (K > 0.0) == (rate > 0.0)
+        edge = zb + math.copysign(1e-9 * max(1.0, abs(zb)), 1.0 if grows else -1.0)
+        dom = Interval(edge, math.inf) if grows else Interval(-math.inf, edge)
 
     @_reused
     def radicand(z):
@@ -833,7 +827,7 @@ def vdp_explicit(a, c, d, K, lam=None) -> SolitonProfile:
         return _stacked(dom, fn, _one(radicand_one, of))
 
     def tail_limit(e_tail):
-        if e_tail is None or e_tail <= 0.0:
+        if e_tail <= 0.0:
             return None
         return 0.0 if math.isinf(e_tail) else 1.0 / math.sqrt(e_tail)
 

@@ -63,22 +63,33 @@ EXP_CO = general_coeffs(a=math.exp, c=math.exp, d=lambda z: 3.0)
 SQ2 = 1.0 / math.sqrt(2.0)
 
 
+# (name, builder of the profile, x window kept inside the domain)
+_FAMILIES = [
+    ("quadrature", lambda: soliton_quadrature(constant_coeffs(1.0, 1.0, b=1.0), K=4.0,
+                                              z0=0.0, domain=(-2.0, 2.0)), (-1.5, 1.5)),
+    ("arccosh", lambda: soliton_arccosh(1.0, 1.0, 1.0, math.e), (-3.0, 0.5)),
+    ("arcsinh", lambda: soliton_arcsinh(1.0, 1.0, 1.0, 1.0), (-3.0, 3.0)),
+    ("arcsin", lambda: soliton_arcsin(1.0, -1.0, 1.0, 1.0), (0.5, 4.0)),
+    ("vdp-implicit", lambda: vdp_implicit(EXP_CO, k1=0.0, z0=0.0, phi0=SQ2,
+                                          domain=(-2.0, 2.0)), (-1.5, 1.5)),
+    ("vdp-implicit-k1", lambda: vdp_implicit(EXP_CO, k1=0.25, z0=0.0, phi0=1.0,
+                                             domain=(-2.0, 2.0)), (-1.5, 0.5)),
+    ("vdp-explicit", lambda: vdp_explicit(1.0, 1.0, 3.0, 1.0), (-3.0, 3.0)),
+    ("series", lambda: series_soliton(series_coefficients(
+        AffineCoeffs.from_sextuple((0, 0, 0, 1, 0, 1)), 0.0, 1.0, 60)), (-2.0, 2.0)),
+]
+
+
 def _families():
     """(name, profile, x window kept inside the domain)."""
-    return [
-        ("quadrature", soliton_quadrature(constant_coeffs(1.0, 1.0, b=1.0), K=4.0,
-                                          z0=0.0, domain=(-2.0, 2.0)), (-1.5, 1.5)),
-        ("arccosh", soliton_arccosh(1.0, 1.0, 1.0, math.e), (-3.0, 0.5)),
-        ("arcsinh", soliton_arcsinh(1.0, 1.0, 1.0, 1.0), (-3.0, 3.0)),
-        ("arcsin", soliton_arcsin(1.0, -1.0, 1.0, 1.0), (0.5, 4.0)),
-        ("vdp-implicit", vdp_implicit(EXP_CO, k1=0.0, z0=0.0, phi0=SQ2,
-                                      domain=(-2.0, 2.0)), (-1.5, 1.5)),
-        ("vdp-implicit-k1", vdp_implicit(EXP_CO, k1=0.25, z0=0.0, phi0=1.0,
-                                         domain=(-2.0, 2.0)), (-1.5, 0.5)),
-        ("vdp-explicit", vdp_explicit(1.0, 1.0, 3.0, 1.0), (-3.0, 3.0)),
-        ("series", series_soliton(series_coefficients(
-            AffineCoeffs.from_sextuple((0, 0, 0, 1, 0, 1)), 0.0, 1.0, 60)), (-2.0, 2.0)),
-    ]
+    return [(name, build(), window) for name, build, window in _FAMILIES]
+
+
+def _with_direct():
+    """_families() and the direct square relation, a k1 = 0 negative control."""
+    direct = vdp_implicit(EXP_CO, k1=0.0, z0=0.0, phi0=SQ2, domain=(-2.0, 2.0),
+                          square_relation="direct")
+    return _families() + [("vdp-direct", direct, (-1.5, 0.0))]
 
 
 def _pointwise_residual(prof, st, x, t):
@@ -128,17 +139,25 @@ def test_skip_drops_exactly_the_points_outside_the_domain():
 
 
 def test_profile_callables_keep_the_scalar_contract():
-    extra = [("vdp-direct", vdp_implicit(EXP_CO, k1=0.0, z0=0.0, phi0=SQ2,
-                                         domain=(-2.0, 2.0), square_relation="direct"),
-              (-1.5, 0.0))]
-    for name, prof, (lo, hi) in _families() + extra:
-        zs = np.linspace(lo, hi, 7)
+    """phi, phi' and phi'' of every profile and of each fresh integration's
+    interpolants give one phase the bits of its row in any stack; none of
+    them reads lambda, so one seed checks them."""
+    rng = np.random.default_rng(1600)
+    for name, prof, (lo, hi) in _with_direct():
+        specials = [(z,) for z in _marks(lo, hi)]
         for fn in (prof.phi, prof.phi_prime, prof.phi_second):
-            for z in (float(zs[3]), zs[3]):
-                assert type(fn(z)) is float, f"{name}: {fn(z)!r}"
-            stacked = fn(zs)
-            assert isinstance(stacked, np.ndarray) and stacked.shape == zs.shape
-            assert np.array_equal(stacked, [fn(float(z)) for z in zs]), name
+            _assert_rows(name, fn, _phases(lo, hi), rng, specials)
+
+    for name, ivp in _ivps():
+        z = ivp.nodes
+
+        def nodes_or_between(rng, n, z=z):
+            # at a node the interval lookup is decided by a tie
+            return (np.where(rng.random(n) < 0.5, rng.choice(z, n), rng.uniform(z[0], z[-1], n)),)
+
+        specials = [(v,) for v in (*z[[0, 1, z.size // 2, -1]], 0.5 * (z[1] + z[2]))]
+        for fn in (ivp.phi, ivp.phi_prime, ivp.phi_second):
+            _assert_rows(f"{name} ivp", fn, nodes_or_between, rng, specials)
 
 
 def test_reused_phase_work_cannot_be_seen_from_outside():
@@ -147,14 +166,15 @@ def test_reused_phase_work_cannot_be_seen_from_outside():
     write into what it returned changes no later result."""
     names = ("phi", "phi_prime", "phi_second")
     # w = K e^{-z} overflows at z = -800, where phi'' must not write into w
-    huge = ("arcsinh-huge", soliton_arcsinh(1.0, 1.0, 1.0, 1.0), (-800.0, 1.0))
-    for i, (name, prof, (lo, hi)) in enumerate(_families() + [huge]):
+    huge = ("arcsinh-huge", lambda: soliton_arcsinh(1.0, 1.0, 1.0, 1.0), (-800.0, 1.0))
+    for name, build, (lo, hi) in _FAMILIES + [huge]:
+        prof = build()
         zs = np.linspace(lo, hi, 7)
         pairs = [(float(zs[3]), float(zs[1])), (zs, zs[::-1].copy()), (zs, zs[:5])]
         for z, other in pairs:
             want = {}
             for n in names:
-                fresh = (_families() + [huge])[i][1]
+                fresh = build()
                 want[n, 0], want[n, 1] = (_bits(getattr(fresh, n)(v)) for v in (z, other))
             for order in itertools.permutations(names):
                 for n in order:
@@ -402,29 +422,17 @@ def _rare_branches():
 
 
 def test_scalar_calls_give_the_bits_of_the_array_call():
-    for name, prof, (lo, hi) in _families():
-        zs = np.concatenate([np.linspace(lo, hi, 23), [0.0, -0.0]])
-        zs = zs[prof.domain.contains(zs)]
-        for fn in (prof.phi, prof.phi_prime, prof.phi_second):
-            stacked = fn(zs)
-            for i, z in enumerate(zs):
-                for arg in (float(z), z):
-                    one = fn(arg)
-                    assert type(one) is float, name
-                    assert _bits(one) == stacked[i].tobytes(), (name, z)
-    # every branch that one phase hands to the array expression, warning-free
+    # every branch that one phase hands to the array expression, warning-free,
+    # in stacks drawn from the same branches
+    rng = np.random.default_rng(404)
     for name, prof, zs in _rare_branches():
         zs = np.asarray(zs, dtype=float)
         assert prof.domain.contains(zs).all(), name
-        for fn in (prof.phi, prof.phi_prime, prof.phi_second):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                stacked = fn(zs)
-                for i, z in enumerate(zs):
-                    for arg in (float(z), z):
-                        one = fn(arg)
-                        assert type(one) is float, name
-                        assert _bits(one) == stacked[i].tobytes(), (name, z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (prof.phi, prof.phi_prime, prof.phi_second):
+                _assert_rows(name, fn, lambda rng, n, zs=zs: (rng.choice(zs, n),), rng,
+                             [(z,) for z in zs])
     # the series sums one phase from the terms it keeps
     sol = series_coefficients(AffineCoeffs.from_sextuple((0, 0, 0, 1.0, 0.3, 0.9)), 0.1, 1.0, 400)
     zs = np.linspace(-0.45, 0.45, 41) * sol.radius_estimate
@@ -435,28 +443,6 @@ def test_scalar_calls_give_the_bits_of_the_array_call():
                 one = ev(sol, arg)
                 assert type(one) is float
                 assert _bits(one) == stacked[i].tobytes(), z
-    # the fresh integration's interpolants, at and between their nodes
-    for name, prof, (lo, hi) in _families():
-        if name not in ("quadrature", "arcsinh", "vdp-explicit", "vdp-implicit"):
-            continue
-        z0 = 0.5 * (lo + hi)
-        ivp = integrate_reduction(prof.coeffs, prof.phi(z0), prof.phi_prime(z0),
-                                  span=(lo, hi), z0=z0)
-        nodes = ivp.nodes
-        zs = np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1]), ivp.span])
-        for fn in (ivp.phi, ivp.phi_prime, ivp.phi_second):
-            stacked = fn(zs)
-            for i, z in enumerate(zs.tolist()):
-                for arg in (z, np.float64(z)):
-                    one = fn(arg)
-                    assert type(one) is float, name
-                    assert _bits(one) == stacked[i].tobytes(), (name, z)
-            for z in (lo - 0.5, hi + 0.5):
-                with pytest.raises(DomainExceeded) as one:
-                    fn(z)
-                with pytest.raises(DomainExceeded) as stacked:
-                    fn(np.array([z]))
-                assert str(one.value) == str(stacked.value), (name, z)
 
 
 def test_one_phase_takes_the_float_path_and_never_the_array_callable():
@@ -523,9 +509,9 @@ def test_scalar_domain_check_words_its_failure_as_the_array_check(monkeypatch):
 def _ivps():
     """Fresh integrations through four profiles' data at the middle of their windows."""
     out = []
-    for name, prof, (lo, hi) in _families():
+    for name, build, (lo, hi) in _FAMILIES:
         if name in ("quadrature", "arcsinh", "vdp-explicit", "vdp-implicit"):
-            z0 = 0.5 * (lo + hi)
+            prof, z0 = build(), 0.5 * (lo + hi)
             out.append((name, integrate_reduction(prof.coeffs, prof.phi(z0), prof.phi_prime(z0),
                                                   span=(lo, hi), z0=z0)))
     return out
@@ -544,38 +530,38 @@ def _targets(rng):
     ]
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
 def test_one_phase_of_a_reduced_structure_gives_the_bits_of_the_array_call(m):
+    """Each target's coefficients and those of its reductions, the synthesized
+    fields and the phase give one point the bits of its row in any stack,
+    also for m >= 2, where a BLAS product of several rows of t with lambda
+    would round otherwise."""
     rng = np.random.default_rng(40 + m)
     lam = SpeedVector(rng.uniform(0.3, 1.5, m) * rng.choice([-1.0, 1.0], m))
     probe = soliton_arcsinh(1.0, 1.0, 1.0, 1.0, lam=lam)
-    zs = np.concatenate([rng.uniform(-2.0, 2.0, 9), [0.0, -0.0]])
+
+    def states(rng, n):
+        return rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n)
+
+    points = _points(m)
     for target in _targets(rng):
         st = synthesize_structure(target, m, lam)
-        for red in (reduce(st, lam), reduce(st, lam, probe)):
-            for k in ("a", "c", "b" if target.variant is Variant.RAYLEIGH else "d"):
-                fn = getattr(red, k)
-                stacked = fn(zs)
-                for i, z in enumerate(zs):
-                    for arg in (float(z), z):
-                        one = fn(arg)
-                        assert type(one) is float, (k, target.kind)
-                        assert _bits(one) == stacked[i].tobytes(), (k, target.kind, z)
-        # the synthesized fields at one point against the same point as a stack
-        # of one: several rows of t @ lambda go through BLAS, which rounds
-        # otherwise for m >= 2
-        x, t = rng.uniform(-2.0, 2.0, 7), rng.uniform(-1.0, 1.0, (7, m))
-        eta, xi = rng.uniform(-1.0, 1.0, 7), rng.uniform(-1.0, 1.0, (7, m))
-        for f in (st.h, st.gamma, st.c_field, st.b_field or st.d_field):
-            for i in range(x.size):
-                one = f(float(x[i]), t[i], float(eta[i]), xi[i])
-                row = f(x[i:i + 1], t[i:i + 1], eta[i:i + 1], xi[i:i + 1])
-                assert _bits(one) == _bits(row[0] if f is not st.gamma else row), (f, i)
-    for i in range(x.size):
-        assert _bits(lam.dot(t[i])) == _bits(lam.dot(t[i:i + 1]))
-        for arg in (float(x[i]), x[i]):
-            one = lam.z(arg, t[i])
-            assert type(one) is float and _bits(one) == _bits(lam.z(x[i:i + 1], t[i:i + 1]))
+        name = f"{target.kind.value} {target.variant.value}"
+        for rc in (target, reduce(st, lam), reduce(st, lam, probe)):
+            cubic = "b" if rc.variant is Variant.RAYLEIGH else "d"
+            for fn in (rc.a, rc.c, getattr(rc, cubic)):
+                _assert_rows(name, fn, _phases(-2.0, 2.0), rng, [(z,) for z in (0.0, -0.0, 1.0)])
+            for fn in (rc.cubic, rc.second):
+                _assert_rows(name, fn, states, rng, [(0.0, 0.5, -0.0), (-1.0, -0.7, 1.3)])
+        specials = [(1.0, np.zeros(m), 0.5, np.ones(m)), (-0.0, np.ones(m), 0.0, -np.ones(m))]
+        # gamma is a constant zero field, returned unstacked
+        for f in (st.h, st.c_field, st.b_field or st.d_field):
+            _assert_rows(f"{name} field", f, points, rng, specials)
+
+    _assert_rows("lambda.t", lam.dot, lambda rng, n: (rng.uniform(-1.0, 1.0, (n, m)),), rng,
+                 [(np.arange(m, dtype=float),)], numbers=0)
+    _assert_rows("phase", lam.z, lambda rng, n: points(rng, n)[:2], rng,
+                 [(1.0, np.ones(m)), (-0.0, np.zeros(m))])
 
 
 def test_one_phase_words_a_degenerate_a_as_the_array_call():
@@ -681,26 +667,29 @@ def _assert_rows(name, fn, draw, rng, specials=(), numbers=1):
         check([fn(*alone(point))], rows, STACK_SIZES[-1], j)
 
 
+def _phases(lo, hi):
+    return lambda rng, n: (rng.uniform(lo, hi, n),)
+
+
+def _marks(lo, hi):
+    """0.0, -0.0 and an integer, where [lo, hi] holds them."""
+    return [v for v in (0.0, -0.0, float(round(0.5 * (lo + hi)))) if lo <= v <= hi]
+
+
+def _points(m):
+    """The draw of (x, t, eta, xi) at m times."""
+    return lambda rng, n: (rng.uniform(-2.0, 2.0, n), rng.uniform(-0.3, 0.3, (n, m)),
+                           rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, (n, m)))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
 def test_a_point_has_the_bits_of_its_row_in_any_stack(m):
-    """Every evaluator of points, from profiles to residuals, gives one point
-    the bits of its row in any stack, so no value depends on its neighbours."""
+    """Every evaluator of points that reads lambda, from lifted jets to
+    residuals, gives one point the bits of its row in any stack, so no value
+    depends on its neighbours."""
     rng = np.random.default_rng(1600 + m)
     lam = SpeedVector(rng.uniform(0.3, 1.5, m) * rng.choice([-1.0, 1.0], m))
-
-    def phases(lo, hi):
-        return lambda rng, n: (rng.uniform(lo, hi, n),)
-
-    def marks(lo, hi):
-        """0.0, -0.0 and an integer, where [lo, hi] holds them."""
-        return [v for v in (0.0, -0.0, float(round(0.5 * (lo + hi)))) if lo <= v <= hi]
-
-    direct = vdp_implicit(EXP_CO, k1=0.0, z0=0.0, phi0=SQ2, domain=(-2.0, 2.0),
-                          square_relation="direct")
-    for name, prof, (lo, hi) in _families() + [("vdp-direct", direct, (-1.5, 0.0))]:
-        specials = [(z,) for z in marks(lo, hi)]
-        for fn in (prof.phi, prof.phi_prime, prof.phi_second):
-            _assert_rows(name, fn, phases(lo, hi), rng, specials)
+    for name, prof, (lo, hi) in _with_direct():
         # the lifted jet and the sweep's residual, at phases inside the window
         lifted = with_speed(prof, lam)
         u, st = as_multitime(lifted), synthesize_structure(lifted.coeffs, m, lam)
@@ -709,49 +698,10 @@ def test_a_point_has_the_bits_of_its_row_in_any_stack(m):
             t = rng.uniform(-0.3, 0.3, (n, m))
             return rng.uniform(lo, hi, n) + lam.dot(t), t
 
-        specials = [(x, np.zeros(m)) for x in marks(lo, hi)]
+        specials = [(x, np.zeros(m)) for x in _marks(lo, hi)]
         _assert_rows(f"{name} jet", u.jet, on_window, rng, specials)
         _assert_rows(f"{name} residual", lambda x, t, u=u, st=st: residual(u, st, x, t),
                      on_window, rng, specials)
-
-    for name, ivp in _ivps():
-        z = ivp.nodes
-
-        def nodes_or_between(rng, n, z=z):
-            # at a node the interval lookup is decided by a tie
-            return (np.where(rng.random(n) < 0.5, rng.choice(z, n), rng.uniform(z[0], z[-1], n)),)
-
-        specials = [(v,) for v in (*z[[0, 1, z.size // 2, -1]], 0.5 * (z[1] + z[2]))]
-        for fn in (ivp.phi, ivp.phi_prime, ivp.phi_second):
-            _assert_rows(f"{name} ivp", fn, nodes_or_between, rng, specials)
-
-    probe = soliton_arcsinh(1.0, 1.0, 1.0, 1.0, lam=lam)
-
-    def states(rng, n):
-        return rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n)
-
-    def points(rng, n):
-        return (rng.uniform(-2.0, 2.0, n), rng.uniform(-0.3, 0.3, (n, m)),
-                rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, (n, m)))
-
-    for target in _targets(rng):
-        st = synthesize_structure(target, m, lam)
-        name = f"{target.kind.value} {target.variant.value}"
-        for rc in (target, reduce(st, lam), reduce(st, lam, probe)):
-            cubic = "b" if rc.variant is Variant.RAYLEIGH else "d"
-            for fn in (rc.a, rc.c, getattr(rc, cubic)):
-                _assert_rows(name, fn, phases(-2.0, 2.0), rng, [(z,) for z in (0.0, -0.0, 1.0)])
-            for fn in (rc.cubic, rc.second):
-                _assert_rows(name, fn, states, rng, [(0.0, 0.5, -0.0), (-1.0, -0.7, 1.3)])
-        specials = [(1.0, np.zeros(m), 0.5, np.ones(m)), (-0.0, np.ones(m), 0.0, -np.ones(m))]
-        # gamma is a constant zero field, returned unstacked
-        for f in (st.h, st.c_field, st.b_field or st.d_field):
-            _assert_rows(f"{name} field", f, points, rng, specials)
-
-    _assert_rows("lambda.t", lam.dot, lambda rng, n: (rng.uniform(-1.0, 1.0, (n, m)),), rng,
-                 [(np.arange(m, dtype=float),)], numbers=0)
-    _assert_rows("phase", lam.z, lambda rng, n: points(rng, n)[:2], rng,
-                 [(1.0, np.ones(m)), (-0.0, np.zeros(m))])
 
     sol = integrate_single_time_rayleigh(0.3, lambda x: 0.5 * math.sin(x), lambda x: 0.0,
                                          1.0, n_x=64, n_t=21)
@@ -774,4 +724,4 @@ def test_a_point_has_the_bits_of_its_row_in_any_stack(m):
         st = prolongation_structure(m, 0.3, variant)
         _assert_rows(f"{variant.value} index-1 gap",
                      lambda x, t, eta, xi, st=st: _unwrap(_constraint_gap(st, x, t, eta, xi)),
-                     points, rng, specials)
+                     _points(m), rng, specials)
