@@ -14,7 +14,9 @@ there per --format (default: both, or json for decay, which has no CSV).
 Without --out the payload goes to stdout (default format: json; "both"
 needs --out).  Status lines go to stderr.  Floats are printed with 17
 significant digits, JSON keys are sorted, lines end with \n, so repeated
-runs are byte-identical.
+runs are byte-identical.  Each subcommand imports only the modules it runs,
+and CSV floats are formatted by one %.17g pass, the bytes format(v, ".17g")
+gives.
 
 --config FILE reads a JSON object keyed by option name (``n_x``,
 ``square_relation``) as --key=value flags placed before the command line,
@@ -30,6 +32,7 @@ Exit codes: 0 success / verified, 1 verification failed, 2 invalid input
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -60,18 +63,6 @@ from .coefficients import (
 )
 from .errors import BlowUp, ConditionViolated, MrayleighError, StiffnessFailure
 from .geometry import GridSpec, check_prolongation, stationary_solution
-from .oracle import (
-    TAU_R_MAX,
-    TOL_MAX,
-    TOL_MIN,
-    bernoulli_chain_check,
-    decay_check,
-    integrate_reduction,
-    integrate_single_time_rayleigh,
-    reduction_ode_residual,
-    residual_sweep,
-)
-from .series import series_coefficients, series_soliton
 
 GUARD_BAND = 0.1
 
@@ -108,10 +99,11 @@ def dumps(obj) -> str:
 
 
 def csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt17(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """The header line, then one line of len(header) %.17g values per row,
+    formatted by one % over all values: the bytes of fmt17 on each."""
+    flat = tuple(itertools.chain.from_iterable(rows))
+    line = "%.17g," * (len(header) - 1) + "%.17g\n"
+    return ",".join(header) + "\n" + (line * (len(flat) // len(header))) % flat
 
 
 def _emit(ns, json_obj, csv_payload):
@@ -339,12 +331,14 @@ def _build_profile(ns):
         _require_numbers(ns, ("a", "c", "d"))
         return vdp_explicit(ns.a, ns.c, ns.d, ns.K, lam=lam)
     if fam == "series":
+        from .series import series_soliton
         return series_soliton(_series(ns, "family series"), lam)
     raise ValueError(f"unknown family {fam!r}")
 
 
 def _series(ns, what: str):
     """The series recurrence on --coeffs, which ``what`` needs."""
+    from .series import series_coefficients
     if not ns.coeffs:
         raise ValueError(f"{what} needs --coeffs M,P,Q,A,B,C")
     return series_coefficients(AffineCoeffs.from_sextuple(ns.coeffs), ns.alpha0, ns.alpha1, ns.N)
@@ -386,7 +380,7 @@ def _cmd_profile(ns) -> int:
     obj = prof.to_json_dict()
     obj["window"] = [lo, hi]
     obj["n"] = int(len(z))
-    rows = [[zi, pi, di] for zi, pi, di in zip(z, phi, dphi)]
+    rows = np.column_stack([z, phi, dphi]).tolist()
     _emit(ns, obj, (["z", "phi", "phi_prime"], rows))
     _status(ns, f"{prof.family.value}: {len(z)} samples on [{fmt17(lo)}, {fmt17(hi)}]")
     return 0
@@ -402,6 +396,14 @@ def _grid(ns, lo, hi):
 
 
 def _cmd_verify(ns) -> int:
+    from .oracle import (
+        TOL_MAX,
+        TOL_MIN,
+        bernoulli_chain_check,
+        integrate_reduction,
+        reduction_ode_residual,
+        residual_sweep,
+    )
     if ns.family == "stationary":
         _require_numbers(ns, ("a",))
         field = stationary_solution(float(ns.a), float(ns.b))
@@ -496,6 +498,7 @@ def _cmd_series(ns) -> int:
 
 
 def _cmd_prolong(ns) -> int:
+    from .oracle import TAU_R_MAX, integrate_single_time_rayleigh
     if ns.n_x < 3:
         # amplitude * sin x samples to zero on one or two points
         raise ValueError(f"--n-x must be at least 3, got {ns.n_x}")
@@ -533,6 +536,7 @@ def _cmd_prolong(ns) -> int:
 
 
 def _cmd_decay(ns) -> int:
+    from .oracle import decay_check
     prof = _build_profile(ns)
     if not ns.direction:
         raise ValueError("decay needs --direction D1,D2,...")

@@ -67,7 +67,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from .coefficients import (
     CoeffKind,
@@ -240,9 +239,12 @@ COMPAT_STEP = 1e-6          # _check_compatibility's central-difference step on 
 @functools.cache
 def _cheb_nodes(deg: int):
     """numpy's Chebyshev points of the first kind for a degree-``deg`` fit and
-    their Vandermonde matrix, made once per degree and kept read-only."""
-    x = _cheb.chebpts1(deg + 1)
-    m = _cheb.chebvander(x, deg)
+    their Vandermonde matrix, made once per degree and kept read-only.
+    numpy.polynomial is imported here and at the trim, so only builds that
+    fit load it."""
+    from numpy.polynomial import chebyshev
+    x = chebyshev.chebpts1(deg + 1)
+    m = chebyshev.chebvander(x, deg)
     x.setflags(write=False)
     m.setflags(write=False)
     return x, m
@@ -302,7 +304,8 @@ def _cheb_antiderivative(fn, lo: float, hi: float, anchor: float):
         deg *= 2
     # the tail at or below the rounding floor of the (deg + 1)-term product
     floor = (deg + 1) * 2.0 ** -52 * scale
-    coef = coef[:max(2, len(_cheb.chebtrim(coef, floor)))]
+    from numpy.polynomial.chebyshev import chebtrim
+    coef = coef[:max(2, len(chebtrim(coef, floor)))]
     # numpy's mapparms, then chebint(coef, lbnd=off + scl anchor, scl=1/scl)
     off, scl = (hi * -1.0 - lo * 1.0) / (hi - lo), 2.0 / (hi - lo)
     inv = 1.0 / scl
@@ -776,7 +779,12 @@ def vdp_explicit(a, c, d, K, lam=None) -> SolitonProfile:
     else:
         # the domain lies past the radicand's one zero, on the side where it
         # grows; comparisons pick that side, as the product K rate can underflow
-        zb = math.log(-off / K) / rate
+        ratio = -off / K
+        if rate == 0.0 or ratio == 0.0:
+            what = "rate 2c/a" if rate == 0.0 else "ratio -d/(3cK)"
+            raise BadParameters(f"the {what} underflows to 0, so the radicand's zero "
+                                "cannot be placed")
+        zb = math.log(ratio) / rate
         grows = (K > 0.0) == (rate > 0.0)
         edge = zb + math.copysign(1e-9 * max(1.0, abs(zb)), 1.0 if grows else -1.0)
         dom = Interval(edge, math.inf) if grows else Interval(-math.inf, edge)

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from mrayleigh import cli
@@ -84,6 +85,28 @@ def test_profile_csv_keeps_seventeen_digits():
         for cell in row:
             assert repr(float(cell)).strip("0") != ""
             assert float(cell) == float(repr(float(cell)))
+
+
+def _per_row_csv(header, rows):
+    """CSV as formatted one row at a time, fmt17 on each value."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_text_has_the_bytes_of_one_format_per_value():
+    values = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -1e308, 0.1,
+              np.float64(1.0 / 3.0), np.int64(-7), 2**60 + 1, 3]
+    payloads = [
+        (["n", "alpha_n"], [[n, v] for n, v in enumerate(values)]),
+        (["z", "phi", "phi_prime"], [values[i:i + 3] for i in range(len(values) - 2)]),
+        (["z", "phi", "phi_prime"], np.column_stack([values[:4]] * 3).tolist()),
+        (["x"], [[v] for v in values]),
+        (["z", "phi", "phi_prime"], []),
+    ]
+    for header, rows in payloads:
+        assert cli.csv_text(header, rows) == _per_row_csv(header, rows)
 
 
 def test_format_both_requires_out():
@@ -251,9 +274,10 @@ def test_verify_grid_keeps_the_guard_band_of_a_closed_endpoint():
 
 
 def test_verify_names_a_nan_residual_as_its_failure(monkeypatch):
+    from mrayleigh import oracle
     from mrayleigh.geometry import ResidualReport
 
-    sweep = cli.residual_sweep
+    sweep = oracle.residual_sweep
 
     def nan_sweep(*args, **kwargs):
         rep = sweep(*args, **kwargs)
@@ -261,7 +285,7 @@ def test_verify_names_a_nan_residual_as_its_failure(monkeypatch):
         residuals[0] = math.nan
         return ResidualReport.from_samples(rep.points, residuals, rep.labels)
 
-    monkeypatch.setattr(cli, "residual_sweep", nan_sweep)
+    monkeypatch.setattr(oracle, "residual_sweep", nan_sweep)
     r = run_cli("verify", "--family", "arcsinh", "--m", "2")
     assert r.returncode == 1
     checks = json.loads(r.stdout)["checks"]
@@ -627,6 +651,43 @@ def test_no_command_imports_scipy(tmp_path):
     assert r.returncode == 0, r.stderr
     assert json.loads((tmp_path / "4" / "verify.json").read_text())["verified"] is True
     assert json.loads((tmp_path / "5" / "prolong.json").read_text())["verified"] is True
+
+
+_LAZY_IMPORT_SCRIPT = """
+import sys
+from mrayleigh import cli
+
+def loaded():
+    return [m for m in ("mrayleigh.oracle", "mrayleigh.series", "numpy.polynomial")
+            if m in sys.modules]
+
+def run(i, *args):
+    return cli.main([*args, "--quiet", "--out", f"{sys.argv[1]}/{i}"])
+
+assert loaded() == [], loaded()
+assert run(0, "profile", "--family", "vdp-explicit") == 0
+assert loaded() == [], loaded()
+assert run(1, "series", "--coeffs", "0,0,0,1,0,1") == 0
+assert loaded() == ["mrayleigh.series"], loaded()
+assert run(2, "profile", "--family", "quadrature", "--n", "5") == 0
+assert loaded() == ["mrayleigh.series", "numpy.polynomial"], loaded()
+"""
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    # one cold process: importing the cli loads neither the oracle, nor the
+    # series, nor numpy.polynomial, and each loads with the first command
+    # that runs it
+    r = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_SCRIPT, str(tmp_path)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+def test_an_underflowing_vdp_explicit_rate_exits_2():
+    r = run_cli("profile", "--family", "vdp-explicit", "--a", "1e300", "--c", "1e-300",
+                "--d=-3", "--K", "1")
+    assert r.returncode == 2
+    assert "the rate 2c/a underflows to 0" in r.stderr and r.stdout == ""
 
 
 def test_prolong_verifies_at_a_fine_resolution():

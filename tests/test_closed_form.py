@@ -5,6 +5,7 @@ evaluate elementary functions at w = K e^{-(c/a) z}); residuals are checked
 with the independent ODE evaluator in two derivative modes.
 """
 
+import collections
 import itertools
 import math
 import random
@@ -39,6 +40,7 @@ from mrayleigh.errors import (
     CompatibilityViolated,
     DomainExceeded,
     EmptyDomain,
+    MrayleighError,
 )
 from mrayleigh.oracle import reduction_ode_residual
 
@@ -405,6 +407,31 @@ def test_vdp_explicit_over_the_signs_of_K_offset_and_rate():
                 assert abs(p.phi(side * 60.0 / abs(rate)) - expected) <= 1e-9
     assert seen == {"constant radicand is nonpositive", "radicand is negative everywhere",
                     "whole line", "edge with 2c/a > 0", "edge with 2c/a < 0"}
+
+
+def test_vdp_explicit_over_extreme_parameters_builds_or_raises_a_package_error():
+    # signs, zeros and magnitudes at which 2c/a, d/(3c) and -d/(3cK) over-
+    # or underflow: every combination builds, keeping its parameters' bits,
+    # or raises an error of the package, and an underflow that hides the
+    # radicand's zero is named
+    values = (-3.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 1e300, -1e300, 2.0)
+    seen = collections.Counter()
+    for a, c, d, K in itertools.product(values, repeat=4):
+        try:
+            p = vdp_explicit(a, c, d, K)
+        except MrayleighError as e:
+            underflow = str(e).partition(" underflows")[0] if "underflows" in str(e) else ""
+            seen[type(e).__name__, underflow] += 1
+            continue
+        # hex keeps the sign of a zero
+        assert [p.params[k].hex() for k in "acdK"] == [v.hex() for v in (a, c, d, K)]
+        assert p.domain.lo <= p.domain.hi
+        seen["built", ""] += 1
+    # pinned counts: a combination that builds keeps building
+    assert seen == {("built", ""): 2321, ("EmptyDomain", ""): 1400,
+                    ("BadParameters", ""): 2658,
+                    ("BadParameters", "the rate 2c/a"): 98,
+                    ("BadParameters", "the ratio -d/(3cK)"): 84}
 
 
 def test_quadrature_rejects_a_non_finite_integrand():
