@@ -562,36 +562,45 @@ def _first_integral_antiderivative(k1: float):
     return L
 
 
-# branch solver stopping rule: bracket within _XTOL + _RTOL |phi| within _MAXITER steps
 _XTOL, _RTOL, _MAXITER = 1e-14, 8.9e-16, 200
 
 
 def _solve_branch(L, k1: float, side: float, near: float, far: float, target):
-    """phi = k1 + side * s with L(phi) = target and near <= s <= far, for an
-    array of targets.
+    """phi = k1 + side * s with L(phi) = target and near <= s <= far, for a
+    1-D array of targets.
 
     Along s > 0, L rises from -inf (at k1) towards its far limit, so a target
     outside [L(k1 + side near), L(k1 + side far)] has no root in the bracket
-    and raises NoBracket.  Each element bisects its bracket at the geometric
-    mean, which spans decades, until the bracket is within xtol + rtol |phi|,
-    and is polished by one Newton step, dL/dphi = 3 / (phi^3 - k1^3).
+    and raises NoBracket.  Each element starts at the bracket's geometric
+    mean and steps in u = ln s by Newton, dL/du = 3/q with q = phi^2 + phi k1
+    + k1^2, stretched for the rate kappa at which dL/du decays: exact where
+    the branch collapses (kappa -> 0) and escapes (kappa -> 2).  A step that
+    leaves the element's bracket bisects it at the geometric mean.  It stops
+    at a step within _XTOL + _RTOL |phi|, or at a residual within L's rounding
+    4 eps max(1, |target|): where L is flat, that defines the root only to
+    within that over L'(phi).  NoBracket is raised after _MAXITER steps.
     """
-    lo, hi = np.full(target.shape, near), np.full(target.shape, far)
-    outside = ~((L(k1 + side * lo) <= target) & (target <= L(k1 + side * hi)))
+    outside = ~((L(k1 + side * near) <= target) & (target <= L(k1 + side * far)))
     if outside.any():
         raise NoBracket(f"no root on this branch for the target {_first(target, outside)}")
+    root, todo, t = np.empty(target.shape), np.arange(target.size), target
+    s, lo, hi = (np.full(t.shape, v) for v in (math.sqrt(near * far), near, far))
     for _ in range(_MAXITER):
-        wide = hi - lo > _XTOL + _RTOL * np.abs(k1 + side * hi)
-        if not wide.any():
-            break
-        s = np.sqrt(lo * hi)
-        low = L(k1 + side * s) < target
-        lo, hi = np.where(wide & low, s, lo), np.where(wide & ~low, s, hi)
-    else:
-        raise NoBracket(f"branch root not found in {_MAXITER} steps")
-    root = k1 + side * np.sqrt(lo * hi)
-    denom = root * root * root - k1 * k1 * k1
-    return root - (L(root) - target) * denom / 3.0
+        phi = k1 + side * s
+        q = phi * phi + phi * k1 + k1 * k1
+        f = L(phi) - t
+        lo, hi = np.where(f < 0.0, s, lo), np.where(f < 0.0, hi, s)
+        du, kappa = -f * q / 3.0, (2.0 * phi + k1) * side * s / q
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            new = s * np.exp(np.where(kappa * du == 0.0, du, -np.log1p(-kappa * du) / kappa))
+        done = ((np.abs(new - s) <= _XTOL + _RTOL * np.abs(phi))
+                | (np.abs(f) <= 4.0 * 2.0 ** -52 * np.maximum(1.0, np.abs(t))))
+        root[todo[done]] = k1 + side * new[done]
+        new = np.where((lo <= new) & (new <= hi), new, np.sqrt(lo * hi))
+        todo, s, lo, hi, t = (v[~done] for v in (todo, new, lo, hi, t))
+        if not todo.size:
+            return root
+    raise NoBracket(f"branch root not found in {_MAXITER} steps")
 
 
 def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
@@ -618,7 +627,8 @@ def vdp_implicit(coeffs: ReducedCoeffs, k1: float, z0: float = 0.0,
     and C = L(phi0).  The domain shrinks to the maximal subinterval around z0
     on which |phi - k1| stays above 4e-16 max(1, |k1|), where the branch
     collapses onto k1 to float resolution, and below 1e12 max(1, |k1|,
-    4 |phi0 - k1|), where it escapes.  The root is solved once, at the
+    4 |phi0 - k1|), where it escapes.  The root is solved once, by
+    _solve_branch's bracketed Newton iteration in ln|phi - k1|, at the
     Chebyshev points of the domain, against H refitted there when the
     domain shrinks, and phi is phi0 plus the Chebyshev antiderivative of
     phi' = (d/a)(phi^3 - k1^3)/3 there.  ``params`` records the kept
@@ -780,10 +790,10 @@ def vdp_explicit(a, c, d, K, lam=None) -> SolitonProfile:
         # the domain lies past the radicand's one zero, on the side where it
         # grows; comparisons pick that side, as the product K rate can underflow
         ratio = -off / K
-        if rate == 0.0 or ratio == 0.0:
+        if rate == 0.0 or ratio == 0.0 or math.isinf(ratio):
             what = "rate 2c/a" if rate == 0.0 else "ratio -d/(3cK)"
-            raise BadParameters(f"the {what} underflows to 0, so the radicand's zero "
-                                "cannot be placed")
+            how = "underflows to 0" if rate == 0.0 or ratio == 0.0 else "overflows"
+            raise BadParameters(f"the {what} {how}, so the radicand's zero cannot be placed")
         zb = math.log(ratio) / rate
         grows = (K > 0.0) == (rate > 0.0)
         edge = zb + math.copysign(1e-9 * max(1.0, abs(zb)), 1.0 if grows else -1.0)

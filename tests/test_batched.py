@@ -209,21 +209,59 @@ def test_branch_solves_only_at_construction(monkeypatch):
     assert solves == []
 
 
+def _bisect_branch(L, k1, side, near, far, target):
+    # the reference: geometric bisection of the whole bracket down to
+    # xtol + rtol |phi|, polished by one Newton step
+    lo, hi = np.full(target.shape, near), np.full(target.shape, far)
+    for _ in range(200):
+        wide = hi - lo > 1e-14 + 8.9e-16 * np.abs(k1 + side * hi)
+        if not wide.any():
+            break
+        s = np.sqrt(lo * hi)
+        low = L(k1 + side * s) < target
+        lo, hi = np.where(wide & low, s, lo), np.where(wide & ~low, s, hi)
+    root = k1 + side * np.sqrt(lo * hi)
+    return root - (L(root) - target) * (root ** 3 - k1 ** 3) / 3.0
+
+
+# evaluations of L per solve, the two bracket ends included; the bisection
+# above takes 55-59
+BRANCH_SOLVE_BUDGET = 12
+
+
 @pytest.mark.parametrize("k1, phi0", [(0.25, 1.0), (0.25, 0.1), (-0.5, 1.0), (2.0, -3.0)])
 def test_branch_solver_agrees_with_brentq(k1, phi0):
-    L = _first_integral_antiderivative(k1)
+    calls = []
+    L_once = _first_integral_antiderivative(k1)
+
+    def L(phi):
+        calls.append(1)
+        return L_once(phi)
+
     side = 1.0 if phi0 > k1 else -1.0
     far_scale = max(1.0, abs(k1), 4.0 * abs(phi0 - k1))
-    want = k1 + side * np.geomspace(1e-8, 1e2, 60) * far_scale
-    target = L(want)
-    got = _solve_branch(L, k1, side, 4e-16 * max(1.0, abs(k1)), 1e12 * far_scale, target)
-    for g, w, tg in zip(got, want, target):
-        lo, hi = sorted((k1 + side * 1e-12 * far_scale, k1 + side * 1e4 * far_scale))
-        ref = brentq(lambda p: L(p) - tg, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-        # brentq's own tolerance, plus the rounding of L over L'(phi) that
-        # leaves any root defined only to that width
-        floor = 4.0 * np.finfo(float).eps * max(1.0, abs(tg)) * abs(ref ** 3 - k1 ** 3) / 3.0
-        assert abs(g - ref) <= 1e-14 + 8.9e-16 * abs(ref) + floor, (g, ref, w)
+    near, far = 4e-16 * max(1.0, abs(k1)), 1e12 * far_scale
+    ends = L_once(k1 + side * np.array([near, far]))
+    # the targets of the build on (-2, 2), whose H is 3 (1 - e^{-z}): with
+    # (0.25, 1.0) its branch escapes, and its phi keeps 1,026 terms
+    dom = vdp_implicit(EXP_CO, k1=k1, phi0=phi0, domain=(-2.0, 2.0)).domain
+    inputs = [L_once(k1 + side * np.geomspace(1e-8, 1e2, 60) * far_scale),
+              ends[0] + np.geomspace(1e-12, 1e-1, 30) * max(1.0, abs(ends[0])),
+              ends[1] - np.geomspace(1e-12, 1e-1, 30) * max(1.0, abs(ends[1])),
+              L_once(phi0) + 3.0 * (1.0 - np.exp(-np.linspace(dom.lo, dom.hi, 129)))]
+    for target in inputs:
+        calls.clear()
+        got = _solve_branch(L, k1, side, near, far, target)
+        assert len(calls) <= BRANCH_SOLVE_BUDGET, (len(calls), target[[0, -1]])
+        for g, b, tg in zip(got, _bisect_branch(L_once, k1, side, near, far, target), target):
+            lo, hi = sorted((k1 + side * near, k1 + side * far))
+            ref = brentq(lambda p: L_once(p) - tg, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+            # brentq's own tolerance, plus the rounding of L over L'(phi) that
+            # leaves any root defined only to that width
+            floor = 4.0 * np.finfo(float).eps * max(1.0, abs(tg)) * abs(ref ** 3 - k1 ** 3) / 3.0
+            bound = 1e-14 + 8.9e-16 * abs(ref) + floor
+            assert abs(g - ref) <= bound, (g, ref, tg)
+            assert abs(g - b) <= bound, (g, b, tg)
 
 
 def test_branch_solver_raises_outside_its_bracket():

@@ -273,24 +273,46 @@ def test_verify_grid_keeps_the_guard_band_of_a_closed_endpoint():
     assert json.loads(r.stdout)["verified"] is False
 
 
-def test_verify_names_a_nan_residual_as_its_failure(monkeypatch):
+def _sweep_reporting(monkeypatch, value):
+    """Make verify's residual sweep report ``value`` as its first residual;
+    the name patched is the one ``_cmd_verify`` resolves when it runs."""
     from mrayleigh import oracle
     from mrayleigh.geometry import ResidualReport
 
     sweep = oracle.residual_sweep
 
-    def nan_sweep(*args, **kwargs):
+    def patched(*args, **kwargs):
         rep = sweep(*args, **kwargs)
         residuals = rep.residuals.copy()
-        residuals[0] = math.nan
+        residuals[0] = value
         return ResidualReport.from_samples(rep.points, residuals, rep.labels)
 
-    monkeypatch.setattr(oracle, "residual_sweep", nan_sweep)
+    monkeypatch.setattr(oracle, "residual_sweep", patched)
+
+
+def test_verify_names_a_nan_residual_as_its_failure(monkeypatch):
+    _sweep_reporting(monkeypatch, math.nan)
     r = run_cli("verify", "--family", "arcsinh", "--m", "2")
     assert r.returncode == 1
     checks = json.loads(r.stdout)["checks"]
     assert checks["nan"] == ["sweep_max"] and checks["sweep_max"] is None
     assert "NaN in sweep_max" in r.stderr
+
+
+def test_verify_fails_on_its_sweep_residual_alone(monkeypatch):
+    # every other check of this default arcsinh run passes: the verdict
+    # must read sweep_max
+    assert run_cli("verify", "--family", "arcsinh", "--quiet").returncode == 0
+    _sweep_reporting(monkeypatch, 10.0 * 1e-6)
+    r = run_cli("verify", "--family", "arcsinh")
+    assert r.returncode == 1, r.stderr
+    obj = json.loads(r.stdout)
+    assert obj["tol"] == 1e-6 and obj["verified"] is False
+    checks = obj["checks"]
+    assert checks["sweep_max"] == 10.0 * 1e-6 and "nan" not in checks
+    others = ("ode_analytic_max", "ode_fd_max", "oracle_max_dev")
+    assert checks["chain_ok"] is True and all(checks[k] <= obj["tol"] for k in others)
+    assert "FAILED" in r.stderr
 
 
 def test_series_subcommand_payload():
@@ -684,10 +706,14 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
 
 
 def test_an_underflowing_vdp_explicit_rate_exits_2():
-    r = run_cli("profile", "--family", "vdp-explicit", "--a", "1e300", "--c", "1e-300",
-                "--d=-3", "--K", "1")
-    assert r.returncode == 2
-    assert "the rate 2c/a underflows to 0" in r.stderr and r.stdout == ""
+    # and a ratio -d/(3cK) that overflows, which leaves no finite edge to place
+    for args, named in ((("--a", "1e300", "--c", "1e-300", "--d=-3", "--K", "1"),
+                         "the rate 2c/a underflows to 0"),
+                        (("--a=-3", "--c=-3", "--d", "1e300", "--K", "1e-300"),
+                         "the ratio -d/(3cK) overflows")):
+        r = run_cli("profile", "--family", "vdp-explicit", *args)
+        assert r.returncode == 2, args
+        assert named in r.stderr and r.stdout == ""
 
 
 def test_prolong_verifies_at_a_fine_resolution():

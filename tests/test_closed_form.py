@@ -412,26 +412,31 @@ def test_vdp_explicit_over_the_signs_of_K_offset_and_rate():
 def test_vdp_explicit_over_extreme_parameters_builds_or_raises_a_package_error():
     # signs, zeros and magnitudes at which 2c/a, d/(3c) and -d/(3cK) over-
     # or underflow: every combination builds, keeping its parameters' bits,
-    # or raises an error of the package, and an underflow that hides the
-    # radicand's zero is named
+    # with each finite edge of its domain a finite float, or raises an error
+    # of the package, and an under- or overflow that hides the radicand's
+    # zero is named
     values = (-3.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 1e300, -1e300, 2.0)
     seen = collections.Counter()
     for a, c, d, K in itertools.product(values, repeat=4):
         try:
             p = vdp_explicit(a, c, d, K)
         except MrayleighError as e:
-            underflow = str(e).partition(" underflows")[0] if "underflows" in str(e) else ""
-            seen[type(e).__name__, underflow] += 1
+            what, flows, _ = str(e).partition("flows")
+            seen[type(e).__name__, what if flows else ""] += 1
             continue
         # hex keeps the sign of a zero
         assert [p.params[k].hex() for k in "acdK"] == [v.hex() for v in (a, c, d, K)]
-        assert p.domain.lo <= p.domain.hi
+        assert p.domain.lo < p.domain.hi
+        for edge, unbounded in ((p.domain.lo, -math.inf), (p.domain.hi, math.inf)):
+            assert edge == unbounded or math.isfinite(edge), (a, c, d, K, p.domain)
         seen["built", ""] += 1
-    # pinned counts: a combination that builds keeps building
-    assert seen == {("built", ""): 2321, ("EmptyDomain", ""): 1400,
-                    ("BadParameters", ""): 2658,
-                    ("BadParameters", "the rate 2c/a"): 98,
-                    ("BadParameters", "the ratio -d/(3cK)"): 84}
+    # pinned counts: a combination that builds keeps building; the ratio
+    # overflows in 142, whose edge would be infinite or NaN
+    assert seen == {("built", ""): 2245, ("EmptyDomain", ""): 1400,
+                    ("BadParameters", ""): 2592,
+                    ("BadParameters", "the rate 2c/a under"): 98,
+                    ("BadParameters", "the ratio -d/(3cK) under"): 84,
+                    ("BadParameters", "the ratio -d/(3cK) over"): 142}
 
 
 def test_quadrature_rejects_a_non_finite_integrand():
