@@ -447,6 +447,8 @@ def _arc_family(family, a, b, c, K, r, sigma, lam) -> SolitonProfile:
     if g * Q <= 0.0:
         raise BadParameters(f"{family.value} family needs c/b {'>' if g > 0 else '<'} 0")
     rate = c / a
+    if math.isinf(rate):
+        raise BadParameters("the rate c/a overflows, so w = K e^{-(c/a) z} is undefined")
     sq = math.sqrt(g * Q)
     amp = sigma * (a / c) * sq
     if g * s > 0.0:
@@ -798,6 +800,8 @@ def vdp_explicit(a, c, d, K, lam=None) -> SolitonProfile:
         grows = (K > 0.0) == (rate > 0.0)
         edge = zb + math.copysign(1e-9 * max(1.0, abs(zb)), 1.0 if grows else -1.0)
         dom = Interval(edge, math.inf) if grows else Interval(-math.inf, edge)
+    if math.isinf(rate):
+        raise BadParameters("the rate 2c/a overflows, so K e^{(2c/a) z} is undefined")
 
     @_reused
     def radicand(z):

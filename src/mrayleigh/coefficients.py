@@ -58,6 +58,20 @@ def _unwrap(v):
     return float(v) if isinstance(v, float) or np.ndim(v) == 0 else np.asarray(v, dtype=float)
 
 
+def _contract(T, lv, rank: int):
+    """T's first ``rank`` indices contracted with the weights lv, innermost
+    index first, each sum taken left to right: acc = T[0] lv[0], then
+    acc = acc + T[g] lv[g].  T is nested lists of floats or an array whose
+    leading indices are the contracted ones; elementwise float arithmetic
+    rounds alike in both."""
+    if rank == 0:
+        return T
+    acc = _contract(T[0], lv, rank - 1) * lv[0]
+    for g in range(1, len(lv)):
+        acc = acc + _contract(T[g], lv, rank - 1) * lv[g]
+    return acc
+
+
 def _lead(z) -> tuple:
     """The leading axes of a phase: () for one point, z.shape for a stack."""
     return () if isinstance(z, float) else z.shape
@@ -113,16 +127,35 @@ class SpeedVector:
             raise BadParameters("lambda must not be identically zero")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        # the components as Python floats, the weights of every contraction
+        object.__setattr__(self, "floats", tuple(arr.tolist()))
 
     @property
     def m(self) -> int:
         return self.values.size
 
+    def contract(self, T, rank: int = 1):
+        """T with its last ``rank`` indices, each of length m, contracted with
+        lambda: a float for T of shape (m,) * rank, (N,) for (N,) + (m,) * rank.
+
+        Every point is summed in one written order, ``_contract``'s: one point
+        over Python floats from ``.tolist()``, a stack over arrays with its
+        leading axes moved behind the contracted ones, so a point has the bits
+        of its row by construction.
+        """
+        T = np.asarray(T, dtype=float)
+        lead = T.ndim - rank
+        if lead < 0 or T.shape[lead:] != (self.m,) * rank:
+            raise DimensionMismatch(f"cannot contract shape {T.shape} with lambda "
+                                    f"on its last {rank} axes, m = {self.m}")
+        if lead == 0:
+            return _contract(T.tolist(), self.floats, rank)
+        return _contract(T.transpose(*range(lead, T.ndim), *range(lead)), self.floats, rank)
+
     def dot(self, t):
         """lambda_alpha t^alpha: a float for t of shape (m,), (N,) for (N, m),
-        each row summed as one point is (BLAS sums a multi-row @ otherwise)."""
-        v = np.einsum("...a,a->...", np.asarray(t, dtype=float), self.values)
-        return float(v) if v.ndim == 0 else v
+        each point summed left to right, lambda_0 t^0 first (``contract``)."""
+        return self.contract(t)
 
     def z(self, x, t):
         """Traveling-wave phase x - lambda_alpha t^alpha, one or stacked.
@@ -420,14 +453,15 @@ def coeffs_from_json_dict(obj: dict) -> ReducedCoeffs:
 
 def _contraction(structure: GeometricStructure, lam: SpeedVector, name: str,
                  x, t, eta, xi):
-    """One raw lambda-contraction ("a", "b", "c" or "d") at one or stacked jet points."""
-    lv = lam.values
+    """One raw lambda-contraction ("a", "b", "c" or "d") at one or stacked jet
+    points, in ``SpeedVector.contract``'s one written order: a float where
+    the field's value is one point's, an array where it is a stack."""
     if name == "a":
-        return np.einsum("...ab,a,b->...", structure.h(x, t, eta, xi), lv, lv) - 1.0
+        return lam.contract(structure.h(x, t, eta, xi), 2) - 1.0
     if name == "b":
-        return np.einsum("...abc,a,b,c->...", structure.b_field(x, t, eta, xi), lv, lv, lv)
+        return lam.contract(structure.b_field(x, t, eta, xi), 3)
     field = structure.c_field if name == "c" else structure.d_field
-    return np.einsum("...g,g->...", field(x, t, eta, xi), lv)
+    return lam.contract(field(x, t, eta, xi))
 
 
 def _cubic_term(structure: GeometricStructure, x, t, eta, xi):
@@ -460,16 +494,22 @@ def reduce(structure: GeometricStructure, lam: SpeedVector,
         raise DimensionMismatch(
             f"lambda has {lam.m} components, structure has m = {structure.m}")
 
+    # one phase's zero t (and zero xi without a probe), shared by every call
+    zero = np.zeros(structure.m)
+    zero.flags.writeable = False
+
+    def zeros(z):
+        return zero if isinstance(z, float) else np.zeros(z.shape + (structure.m,))
+
     def jet(z):
         if probe is None:
-            return 0.0, np.zeros(_lead(z) + (structure.m,))
+            return 0.0, zeros(z)
         return probe.phi(z), np.multiply.outer(probe.phi_prime(z), -lam.values)
 
     def coeff(name):
         def fn(z):
             z = _unwrap(z)      # one phase reaches the fields as x a float
-            return _contraction(structure, lam, name, z, np.zeros(_lead(z) + (structure.m,)),
-                                *jet(z))
+            return _contraction(structure, lam, name, z, zeros(z), *jet(z))
         return fn
 
     names = ("a", "c", "b" if structure.variant is Variant.RAYLEIGH else "d")

@@ -223,8 +223,11 @@ def estimate_radius(series: SeriesSolution) -> float | None:
         return None
     tail_idx = [n for n in range(start, n_top + 1) if alpha[n] != 0.0]
     if len(tail_idx) >= 3:
-        rn = [abs(alpha[n]) ** (-1.0 / n) for n in tail_idx]
-        return float(min(np.median(rn), LARGE_RADIUS))
+        rn = sorted(abs(alpha[n]) ** (-1.0 / n) for n in tail_idx)
+        # the median as np.median takes it, which would load numpy.ma
+        half = len(rn) // 2
+        median = rn[half] if len(rn) % 2 else (rn[half - 1] + rn[half]) / 2
+        return float(min(median, LARGE_RADIUS))
     if not np.any(alpha[1:] != 0.0) or not np.any(alpha[start:] != 0.0):
         # constant or terminating polynomial: entire
         return LARGE_RADIUS

@@ -31,6 +31,7 @@ from mrayleigh.closed_form import (
     with_speed,
 )
 from mrayleigh.coefficients import (
+    GeometricStructure,
     SpeedVector,
     Variant,
     _constraint_gap,
@@ -572,8 +573,8 @@ def _targets(rng):
 def test_one_phase_of_a_reduced_structure_gives_the_bits_of_the_array_call(m):
     """Each target's coefficients and those of its reductions, the synthesized
     fields and the phase give one point the bits of its row in any stack,
-    also for m >= 2, where a BLAS product of several rows of t with lambda
-    would round otherwise."""
+    also for m >= 2: the phase sums lambda_alpha t^alpha in one written
+    order, left to right, for a point and for a stack alike."""
     rng = np.random.default_rng(40 + m)
     lam = SpeedVector(rng.uniform(0.3, 1.5, m) * rng.choice([-1.0, 1.0], m))
     probe = soliton_arcsinh(1.0, 1.0, 1.0, 1.0, lam=lam)
@@ -600,6 +601,43 @@ def test_one_phase_of_a_reduced_structure_gives_the_bits_of_the_array_call(m):
                  [(np.arange(m, dtype=float),)], numbers=0)
     _assert_rows("phase", lam.z, lambda rng, n: points(rng, n)[:2], rng,
                  [(1.0, np.ones(m)), (-0.0, np.zeros(m))])
+
+
+def _general_structure(rng, m, variant):
+    """A callable structure with a non-diagonal h, a full C and a fully
+    symmetric B (or a full D), each moving with x and the jet through
+    elementwise arithmetic alone, so a stack's rows round as its points do."""
+    def symmetric(rank):
+        T = rng.uniform(-1.0, 1.0, (m,) * rank)
+        return sum(np.transpose(T, p) for p in itertools.permutations(range(rank)))
+
+    def field(base, slope):
+        return lambda x, t, eta, xi: base + np.multiply.outer(x * x + eta * xi[..., 0], slope)
+
+    h = field(4.0 * np.eye(m) + 0.2 * symmetric(2), 0.1 * symmetric(2))
+    cubic = ({"b_field": field(symmetric(3), symmetric(3))} if variant is Variant.RAYLEIGH
+             else {"d_field": field(rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, m))})
+    return GeometricStructure(m=m, h=h, gamma=lambda x, t, eta, xi: np.zeros((m, m, m)),
+                              c_field=field(rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, m)),
+                              **cubic)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_one_phase_of_a_general_reduced_structure_gives_the_bits_of_the_array_call(m):
+    """reduce's a, c and b or d of a structure that is neither diagonal nor
+    constant, with and without a probe, give one phase the bits of its row:
+    every lambda-contraction sums in one written order, so the h^{ab}
+    lambda_a lambda_b of one point and of a stack round alike."""
+    rng = np.random.default_rng(70 + m)
+    lam = SpeedVector(rng.uniform(0.3, 1.5, m) * rng.choice([-1.0, 1.0], m))
+    probe = soliton_arcsinh(1.0, 1.0, 1.0, 1.0, lam=lam)
+    for variant in Variant:
+        st = _general_structure(rng, m, variant)
+        for rc in (reduce(st, lam), reduce(st, lam, probe)):
+            cubic = "b" if variant is Variant.RAYLEIGH else "d"
+            for k in ("a", "c", cubic):
+                _assert_rows(f"{variant.value} {k}", getattr(rc, k), _phases(-2.0, 2.0), rng,
+                             [(z,) for z in (0.0, -0.0, 1.0)])
 
 
 def test_one_phase_words_a_degenerate_a_as_the_array_call():

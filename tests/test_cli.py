@@ -680,7 +680,7 @@ import sys
 from mrayleigh import cli
 
 def loaded():
-    return [m for m in ("mrayleigh.oracle", "mrayleigh.series", "numpy.polynomial")
+    return [m for m in ("mrayleigh.oracle", "mrayleigh.series", "numpy.ma", "numpy.polynomial")
             if m in sys.modules]
 
 def run(i, *args):
@@ -699,19 +699,29 @@ assert loaded() == ["mrayleigh.series", "numpy.polynomial"], loaded()
 def test_each_command_imports_only_what_it_runs(tmp_path):
     # one cold process: importing the cli loads neither the oracle, nor the
     # series, nor numpy.polynomial, and each loads with the first command
-    # that runs it
+    # that runs it; the series' radius estimate never loads numpy.ma
     r = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_SCRIPT, str(tmp_path)],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
 
 
 def test_an_underflowing_vdp_explicit_rate_exits_2():
-    # and a ratio -d/(3cK) that overflows, which leaves no finite edge to place
-    for args, named in ((("--a", "1e300", "--c", "1e-300", "--d=-3", "--K", "1"),
-                         "the rate 2c/a underflows to 0"),
-                        (("--a=-3", "--c=-3", "--d", "1e300", "--K", "1e-300"),
-                         "the ratio -d/(3cK) overflows")):
-        r = run_cli("profile", "--family", "vdp-explicit", *args)
+    # and a ratio -d/(3cK) that overflows, which leaves no finite edge to
+    # place, and a rate 2c/a or c/a that overflows, which made phi and phi'
+    # NaN with exit 0
+    csv = ("--n", "5", "--format", "csv")
+    for args, named in (
+            (("vdp-explicit", "--a", "1e300", "--c", "1e-300", "--d=-3", "--K", "1"),
+             "the rate 2c/a underflows to 0"),
+            (("vdp-explicit", "--a=-3", "--c=-3", "--d", "1e300", "--K", "1e-300"),
+             "the ratio -d/(3cK) overflows"),
+            (("vdp-explicit", "--a", "1e-300", "--c", "1e300", "--d", "1", "--K", "1", *csv),
+             "the rate 2c/a overflows"),
+            (("arcsinh", "--a", "1e-300", "--b", "1", "--c", "1e300", "--K", "2", *csv),
+             "the rate c/a overflows"),
+            (("arccosh", "--a", "1e-300", "--b", "1", "--c", "1e300", "--K", "2", *csv),
+             "the rate c/a overflows")):
+        r = run_cli("profile", "--family", *args)
         assert r.returncode == 2, args
         assert named in r.stderr and r.stdout == ""
 

@@ -40,6 +40,34 @@ def test_speed_vector_phase():
     assert lam.to_json() == [1.0, 2.0]
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_lambda_contractions_sum_in_one_written_order(m):
+    # innermost index first, each sum left to right: the reference contracts
+    # T's trailing axis over all its rows at once; einsum, whose order follows
+    # its kernel, agrees to rounding
+    lam = SpeedVector(rng.uniform(-1.5, 1.5, m))
+    eps = np.finfo(float).eps
+    for rank in (1, 2, 3):
+        T = rng.uniform(-1.0, 1.0, (7,) + (m,) * rank)
+        want, size = T, np.abs(T)
+        for _ in range(rank):
+            acc, mag = want[..., 0] * lam.values[0], size[..., 0] * abs(lam.values[0])
+            for g in range(1, m):
+                acc = acc + want[..., g] * lam.values[g]
+                mag = mag + size[..., g] * abs(lam.values[g])
+            want, size = acc, mag
+        got = lam.contract(T, rank)
+        assert got.tobytes() == want.tobytes(), rank
+        assert [lam.contract(row, rank) for row in T] == want.tolist(), rank
+        letters = "abc"[:rank]
+        ein = np.einsum(f"...{letters}," + ",".join(letters) + "->...", T, *[lam.values] * rank)
+        assert np.all(np.abs(got - ein) <= 2 * rank * m * eps * size), rank
+    with pytest.raises(DimensionMismatch):
+        lam.dot(np.ones(m + 1))
+    with pytest.raises(DimensionMismatch):
+        lam.contract(np.ones((m, m + 1)), 2)
+
+
 def test_speed_vector_rejects_degenerate_input():
     with pytest.raises(BadParameters):
         SpeedVector(np.zeros(3))
