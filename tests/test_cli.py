@@ -707,8 +707,8 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
 
 def test_an_underflowing_vdp_explicit_rate_exits_2():
     # and a ratio -d/(3cK) that overflows, which leaves no finite edge to
-    # place, and a rate 2c/a or c/a that overflows, which made phi and phi'
-    # NaN with exit 0
+    # place, and a rate 2c/a or c/a that overflows, which would make phi and
+    # phi' NaN
     csv = ("--n", "5", "--format", "csv")
     for args, named in (
             (("vdp-explicit", "--a", "1e300", "--c", "1e-300", "--d=-3", "--K", "1"),
