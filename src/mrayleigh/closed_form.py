@@ -451,6 +451,8 @@ def _arc_family(family, a, b, c, K, r, sigma, lam) -> SolitonProfile:
         raise BadParameters("the rate c/a overflows, so w = K e^{-(c/a) z} is undefined")
     sq = math.sqrt(g * Q)
     amp = sigma * (a / c) * sq
+    if not math.isfinite(amp):
+        raise BadParameters("the amplitude (a/c) sqrt(g c/b) overflows, so phi is undefined")
     if g * s > 0.0:
         dom = Interval(-math.inf, math.inf)
     else:
@@ -802,6 +804,8 @@ def vdp_explicit(a, c, d, K, lam=None) -> SolitonProfile:
         dom = Interval(edge, math.inf) if grows else Interval(-math.inf, edge)
     if math.isinf(rate):
         raise BadParameters("the rate 2c/a overflows, so K e^{(2c/a) z} is undefined")
+    if math.isinf(off):
+        raise BadParameters("the offset d/(3c) overflows, so the radicand is undefined")
 
     @_reused
     def radicand(z):

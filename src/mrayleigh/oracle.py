@@ -308,30 +308,24 @@ def bernoulli_chain_check(coeffs: ReducedCoeffs, profile, samples,
     """Check both stages of the order reduction along a profile.
 
     psi = phi' must satisfy psi' = -(c/a) psi + (b/a) psi^3, and
-    xi = psi^-2 the linear equation xi' - 2 (c/a) xi = -2 (b/a).  Both
-    derivatives come from central finite differences of the profile, so
-    neither route trusts a supplied second derivative.  Samples where
-    |phi'| < CHAIN_SKIP_TOL are skipped with a warning (xi is undefined
-    there); if every sample is skipped the answer is vacuously true.
+    xi = psi^-2 the linear equation xi' - 2 (c/a) xi = -2 (b/a).  Stage 1 is
+    the fd route of ``reduction_ode_residual`` over a, so no supplied phi''
+    is trusted; stage 2 is stage 1 times -2/psi^3, since xi' = -2 psi'/psi^3,
+    so xi is never differenced.  Samples where |phi'| < CHAIN_SKIP_TOL are
+    skipped with a warning (xi is undefined there); if every sample is
+    skipped the answer is vacuously true.
     """
     if coeffs.variant is not Variant.RAYLEIGH:
         raise WrongVariant("the cubic-in-psi chain applies to the B-field variant")
     z = np.asarray(samples, dtype=float).reshape(-1)
     psi = _along(profile.phi_prime, z)
     flat = np.abs(psi) < CHAIN_SKIP_TOL
-    z, psi = z[~flat], psi[~flat]
-    a, b, c = coeffs.a(z), coeffs.b(z), coeffs.c(z)
-
-    def psi_xi(s):
-        p = _along(profile.phi_prime, s)
-        return np.stack([p, 1.0 / (p * p)])
-
-    # one difference of the pair reads phi' twice per sample
-    dpsi, dxi = _central(psi_xi, z, FD_STEP_FIRST)
-    if not np.all(np.abs(dpsi + (c / a) * psi - (b / a) * (psi * psi * psi)) <= tol):
-        return False
-    if not np.all(np.abs(dxi - 2.0 * (c / a) / (psi * psi) + 2.0 * (b / a)) <= tol):
-        return False
+    if not flat.all():
+        z, psi = z[~flat], psi[~flat]
+        stage1 = reduction_ode_residual(coeffs, profile, z, "fd").residuals / coeffs.a(z)
+        stage2 = stage1 * (-2.0 / (psi * psi * psi))
+        if not (np.all(np.abs(stage1) <= tol) and np.all(np.abs(stage2) <= tol)):
+            return False
     if flat.any():
         warnings.warn(f"{np.count_nonzero(flat)} samples skipped where |phi'| < {CHAIN_SKIP_TOL}",
                       RuntimeWarning, stacklevel=2)

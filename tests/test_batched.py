@@ -401,7 +401,7 @@ def test_trimmed_chebyshev_profiles_match_their_closed_forms(monkeypatch):
 
 def test_central_difference_calls_fn_once():
     """One call on the stacked shifted phases gives the bits of the two calls
-    (fn(z + h) - fn(z - h)) / 2h, for every family's phi' and the chain's pair."""
+    (fn(z + h) - fn(z - h)) / 2h, for every family's phi' and a stacked pair."""
     from mrayleigh.coefficients import _central
 
     def two_calls(fn, z, step):

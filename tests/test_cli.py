@@ -194,6 +194,17 @@ def test_verify_accepts_a_closed_form_profile():
     assert "verified" in r.stderr
 
 
+def test_verify_accepts_an_arcsinh_draw_whose_xi_difference_failed_the_chain():
+    # xi = phi'^-2 is about 390 where |phi'| nears 0.05 on this draw, and a
+    # central difference of xi read its truncation h^2 xi'''/6, 2.2e-6 at
+    # z = 2.1; stage 2 taken as stage 1 times -2/phi'^3 reads 5.4e-7 there
+    r = run_cli("verify", "--family", "arcsinh", "--a", "0.78425191431726",
+                "--b=0.6268455772835009", "--c", "1.678923919367434",
+                "--K", "2.787347398901361")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["checks"]["chain_ok"] is True
+
+
 def test_verify_passes_where_w_squared_overflows():
     # w = e^{-z} is finite on the window while w^2 and sqrt(c/b) w are not:
     # phi'' is written in 1/w there, so no residual is NaN and nothing warns
@@ -708,7 +719,8 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
 def test_an_underflowing_vdp_explicit_rate_exits_2():
     # and a ratio -d/(3cK) that overflows, which leaves no finite edge to
     # place, and a rate 2c/a or c/a that overflows, which would make phi and
-    # phi' NaN
+    # phi' NaN, and an arc amplitude or an offset d/(3c) that overflows, which
+    # would leave phi or phi' infinite or NaN
     csv = ("--n", "5", "--format", "csv")
     for args, named in (
             (("vdp-explicit", "--a", "1e300", "--c", "1e-300", "--d=-3", "--K", "1"),
@@ -720,7 +732,13 @@ def test_an_underflowing_vdp_explicit_rate_exits_2():
             (("arcsinh", "--a", "1e-300", "--b", "1", "--c", "1e300", "--K", "2", *csv),
              "the rate c/a overflows"),
             (("arccosh", "--a", "1e-300", "--b", "1", "--c", "1e300", "--K", "2", *csv),
-             "the rate c/a overflows")):
+             "the rate c/a overflows"),
+            (("arcsinh", "--a", "1", "--b", "1e-300", "--c", "1e300", "--K", "2", *csv),
+             "the amplitude (a/c) sqrt(g c/b) overflows"),
+            (("arcsinh", "--a", "1e300", "--b", "1", "--c", "1e-300", "--K", "2", *csv),
+             "the amplitude (a/c) sqrt(g c/b) overflows"),
+            (("vdp-explicit", "--a", "1", "--c", "1e-300", "--d", "1e300", "--K", "1", *csv),
+             "the offset d/(3c) overflows")):
         r = run_cli("profile", "--family", *args)
         assert r.returncode == 2, args
         assert named in r.stderr and r.stdout == ""

@@ -431,10 +431,12 @@ def test_vdp_explicit_over_extreme_parameters_builds_or_raises_a_package_error()
             assert edge == unbounded or math.isfinite(edge), (a, c, d, K, p.domain)
         seen["built", ""] += 1
     # pinned counts: a combination that builds keeps building; the ratio
-    # overflows in 142, whose edge would be infinite or NaN, and the rate in
-    # 182 more, whose phi would be NaN at z = 0 and phi' NaN everywhere
-    assert seen == {("built", ""): 2063, ("EmptyDomain", ""): 1400,
+    # overflows in 142, whose edge would be infinite or NaN, the rate in 182
+    # more, whose phi would be NaN at z = 0 and phi' NaN everywhere, and the
+    # offset in 84 more, whose phi or phi' would not be finite
+    assert seen == {("built", ""): 1979, ("EmptyDomain", ""): 1400,
                     ("BadParameters", ""): 2592,
+                    ("BadParameters", "the offset d/(3c) over"): 84,
                     ("BadParameters", "the rate 2c/a under"): 98,
                     ("BadParameters", "the rate 2c/a over"): 182,
                     ("BadParameters", "the ratio -d/(3cK) under"): 84,

@@ -1,6 +1,7 @@
 """Independent verification routes: IVP integration, residual sweeps, decay,
 and the single-time spectral reference solver."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -236,6 +237,25 @@ def test_chain_check_skips_flat_samples_with_warning():
     with pytest.warns(RuntimeWarning, match="skipped"):
         assert bernoulli_chain_check(co, flat, np.linspace(-1.0, 1.0, 7))
 
+
+def test_chain_stage_two_catches_a_slope_error_the_ode_routes_pass():
+    # phi' += 3e-7 sin z with phi'' += 3e-7 cos z keeps phi'' the derivative
+    # of phi': both ODE routes read the slope error itself (about 6.7e-7), and
+    # the oracle, which starts from phi'(0), the true slope, stays near its
+    # rounding.  Stage 1 is the fd route over a = 1, so only stage 2, which
+    # scales it by 2/|phi'|^3 >= 2 on verify's samples, rejects the profile
+    p = _arcsinh_profile()
+    zs = np.linspace(-9.9, 9.9, 201)
+    zs = zs[np.abs(p.phi_prime(zs)) >= 0.05]
+    bad = dataclasses.replace(p, phi_prime=lambda z: p.phi_prime(z) + 3e-7 * np.sin(z),
+                              phi_second=lambda z: p.phi_second(z) + 3e-7 * np.cos(z))
+    assert bernoulli_chain_check(p.coeffs, p, zs)
+    assert not bernoulli_chain_check(bad.coeffs, bad, zs)
+    for mode in ("analytic", "fd"):
+        assert reduction_ode_residual(bad.coeffs, bad, zs, mode).max_abs <= 1e-6
+    ivp = integrate_reduction(bad.coeffs, bad.phi(0.0), bad.phi_prime(0.0),
+                              span=(-9.9, 9.9), z0=0.0, tol=1e-10)
+    assert np.max(np.abs(bad.phi(zs) - ivp.phi(zs))) <= 1e-6
 
 
 def test_chain_check_fails_on_a_nan_slope():
