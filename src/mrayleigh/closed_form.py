@@ -778,8 +778,12 @@ def vdp_explicit(a, c, d, K, lam=None) -> SolitonProfile:
     if a == 0.0 or c == 0.0:
         raise BadParameters("need a != 0 and c != 0")
     lam = _default_lam(lam)
-    rate = 2.0 * c / a
-    off = d / (3.0 * c)
+    # c / a first, so that 2c cannot overflow where the rate is finite
+    rate = 2.0 * (c / a)
+    three_c = 3.0 * c
+    if math.isinf(three_c):
+        raise BadParameters("the offset d/(3c) cannot be formed: 3c overflows")
+    off = d / three_c
     log_abs_k = math.log(abs(K)) if K != 0.0 else 0.0
     # past this exponent K e^{rate z} dwarfs off and a direct exp overflows
     tail_floor = max(690.0, math.log(max(abs(off), 1.0)) + 40.0)

@@ -348,7 +348,22 @@ class ReducedCoeffs:
         return self.d(z) * phi * phi * psi
 
     def second(self, z, phi, psi):
-        """phi'' from the solved reduced ODE: (cubic - c psi) / a, with psi = phi'."""
+        """phi'' from the solved reduced ODE: (cubic - c psi) / a, with psi = phi'.
+
+        One phase takes float arithmetic: a_fn, c_fn and b_fn or d_fn are
+        called once each, and the products, difference and quotient are the
+        accessor expression's, in its order, so the result has its bits and
+        type.  A degenerate a falls through to that expression, which raises
+        DegenerateA through ``a``.
+        """
+        if isinstance(z, (int, float)) or np.ndim(z) == 0:
+            z = float(z)
+            cubic = (float(self.b_fn(z)) * (psi * psi * psi) if self.b_fn is not None
+                     else float(self.d_fn(z)) * phi * phi * psi)
+            num = cubic - float(self.c_fn(z)) * psi
+            a = float(self.a_fn(z))
+            if not abs(a) <= DEGENERACY_TOL:
+                return num / a
         return (self.cubic(z, phi, psi) - self.c(z) * psi) / self.a(z)
 
 

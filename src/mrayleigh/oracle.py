@@ -102,6 +102,13 @@ def _still(y, s):
     return y        # the flow of a system with no linear part
 
 
+def _theta_powers(theta) -> np.ndarray:
+    """The rows theta, theta^2, theta^3, theta^4 that ``_dp45``'s continuous
+    extension takes for the step fractions theta."""
+    theta = np.asarray(theta, dtype=float)
+    return theta[None].repeat(4, axis=0).cumprod(axis=0)
+
+
 def _dp45(fun, t0: float, t1: float, y0: np.ndarray, tol: float, flow=_still):
     """Dormand-Prince 5(4) steps from t0 to t1 under scipy RK45's controller.
 
@@ -116,8 +123,10 @@ def _dp45(fun, t0: float, t1: float, y0: np.ndarray, tol: float, flow=_still):
     row of y) under a linear part that ``fun`` leaves out, and only fun is
     stepped.  A system with no linear part keeps the default flow, the
     identity, under which these are plain steps.  Yields (t, y, dense) per
-    accepted step, where dense(theta) gives the states at the step
-    fractions theta, one row each, from the continuous extension; t0 = t1
+    accepted step, where dense(p) gives the states at the step fractions
+    theta = p[0], one row each, from the continuous extension; p holds
+    their powers theta, ..., theta^4 (``_theta_powers``), so a caller that
+    samples every step at the same fractions forms them once.  t0 = t1
     yields nothing.  Raises StiffnessFailure when the step falls below ten
     float spacings at t or is NaN.
     """
@@ -170,11 +179,9 @@ def _dp45(fun, t0: float, t1: float, y0: np.ndarray, tol: float, flow=_still):
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             rejected = True
 
-        def dense(theta, y=y, h=h, Q=np.dot(KT, _DP_P)):
-            theta = np.asarray(theta, dtype=float)
-            p = theta[None].repeat(4, axis=0).cumprod(axis=0)
+        def dense(p, y=y, h=h, Q=np.dot(KT, _DP_P)):
             ys = (y[:, None] + h * np.dot(Q, p)).T
-            return flow(ys, theta * h)
+            return flow(ys, p[0] * h)
 
         yield t_new, y_new, dense
         t, y, f = t_new, y_new, f_new
@@ -238,30 +245,35 @@ class IvpSolution:
         return float(self.nodes[0]), float(self.nodes[-1])
 
 
-_QUARTERS = np.array([0.25, 0.5, 0.75])
+# the step fractions of the interior samples, and their powers for the
+# continuous extension, formed once
+_QUARTERS = (0.25, 0.5, 0.75)
+_QUARTER_POWERS = _theta_powers(_QUARTERS)
 
 
 def _integrate_one_way(rhs, z0, z1, y0, tol):
     """One leg of the reduction from its first row (z0, y0) toward z1, with
     three interior samples per accepted step from the continuous extension;
-    blow-up is told from stiffness."""
-    zs, ys = [np.array([z0])], [y0[None, :]]
+    blow-up is told from stiffness.  The phases are Python floats until the
+    leg ends, each za + (z - za) q as numpy would form it."""
+    zs, ys = [z0], [y0[None, :]]
     try:
         for z, y, dense in _dp45(rhs, z0, z1, y0, tol):
             phi, psi = y.tolist()
             if abs(phi) >= OVERFLOW_GUARD or abs(psi) >= OVERFLOW_GUARD:
                 raise BlowUp(f"solution escaped before z = {z1}", z_reached=float(z))
-            za = zs[-1][-1]
-            zs.append(za + (z - za) * _QUARTERS)
-            zs.append(np.array([z]))
-            ys.extend((dense(_QUARTERS), y[None, :]))
+            za = zs[-1]
+            dz = z - za
+            zs.extend([za + dz * q for q in _QUARTERS])
+            zs.append(z)
+            ys.extend((dense(_QUARTER_POWERS), y[None, :]))
     except StiffnessFailure as e:
         # the step-size controller died; distinguish escape from stiffness
         if np.max(np.abs(ys[-1])) > _BLOWUP_FLOOR:
             raise BlowUp(f"solution escaped before z = {z1}",
-                         z_reached=float(zs[-1][-1])) from None
-        raise StiffnessFailure(f"integrator failed at z = {zs[-1][-1]}: {e}") from None
-    return np.concatenate(zs), np.concatenate(ys)
+                         z_reached=float(zs[-1])) from None
+        raise StiffnessFailure(f"integrator failed at z = {zs[-1]}: {e}") from None
+    return np.array(zs), np.concatenate(ys)
 
 
 def integrate_reduction(coeffs: ReducedCoeffs, phi0: float, phi_prime0: float,
@@ -547,9 +559,13 @@ class SingleTimeSolution:
 
     def residual_estimate(self, n_probe_x: int = 48, n_probe_t: int = 33) -> float:
         """Max |u_tt - u_xx - eps (u_t - u_t^3)| over an off-grid probe lattice,
-        from ``jet``."""
-        _, ut, utt, uxx = self.jet(np.linspace(0.1, 2.0 * np.pi - 0.1, n_probe_x),
-                                   np.linspace(0.0, self.t_final, n_probe_t)[:, None])
+        from the three derivatives ``jet`` gives, formed as it forms them (u
+        itself is not read)."""
+        at = self._interpolant(np.linspace(0.0, self.t_final, n_probe_t)[:, None])
+        basis = self._basis(np.linspace(0.1, 2.0 * np.pi - 0.1, n_probe_x))
+        uxx = self._trig(at(self._cu), basis, order=2)
+        ut = self._trig(at(self._cv), basis)
+        utt = self._trig(at(self._ca), basis)
         return float(np.max(np.abs(utt - uxx - self.epsilon * (ut - ut * ut * ut))))
 
 
@@ -609,7 +625,7 @@ def integrate_single_time_rayleigh(epsilon: float, u0, v0, t_final: float,
                     raise CFLViolation(f"time integration failed: {SPECTRAL_MAX_STEPS} "
                                        f"accepted steps reached only t = {t_old}")
                 upto = np.searchsorted(ts, t, side="right")
-                slices[done:upto] = dense((ts[done:upto] - t_old) / (t - t_old))
+                slices[done:upto] = dense(_theta_powers((ts[done:upto] - t_old) / (t - t_old)))
                 t_old, done = t, upto
         except StiffnessFailure as e:
             raise CFLViolation(f"time integration failed at t = {t_old}: {e}") from None

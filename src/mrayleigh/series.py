@@ -16,9 +16,11 @@ beta_k = (k+1) alpha_{k+1} by two convolution stages,
 which keeps the whole recurrence O(N^2).  A literal triple-sum evaluator
 of T is kept as a cross-check path.
 
-The kernels (both T evaluators and Horner evaluation) are array operations
-that keep the left-to-right summation order of plain Python loops: np.cumsum,
-never np.dot or np.sum, whose pairwise or BLAS order moves the last digits.
+Both T evaluators keep the left-to-right summation order of plain Python
+loops: a running sum, np.add.accumulate (np.cumsum), never np.dot or np.sum,
+whose pairwise or BLAS order moves the last digits.  The convolution route
+takes both of a step's sums from one np.add.accumulate over a two-row (beta,
+gamma) buffer, and the recurrence's scalar arithmetic runs on Python floats.
 Every coefficient, radius and value is the double the loops give, so output
 stays byte-stable (acceptance criteria 4 and 9); tests/test_series.py keeps
 the loops as the exact reference.
@@ -84,27 +86,32 @@ class SeriesSolution:
         }
 
 
-def _convolution_terms(alpha: np.ndarray):
+def _convolution_terms(alpha):
     """T(n) by the running convolutions gamma = beta*beta and T = gamma*beta.
 
     Call n = 0, 1, 2, ... in order: step n appends beta_n and gamma_n, so the
-    whole recurrence costs O(N^2).  Each sum is the last entry of a cumsum
-    (left to right, as sum() adds); sum() starts from +0, so adding 0.0
-    turns a -0.0 total into the +0.0 that sum() returns.
+    whole recurrence costs O(N^2).  beta and gamma are the two rows of one
+    buffer, and step n takes both sums from one product with beta_n, ...,
+    beta_0 and one np.add.accumulate along the rows, left to right as sum()
+    adds: gamma_n is row 0's last partial sum, and T(n) is row 1's partial
+    sum at n - 1 plus gamma_n beta_0 (beta_0 = alpha_1), the one term not yet
+    in the buffer.  sum() starts from +0, so adding 0.0 turns a -0.0 total
+    into the +0.0 that sum() returns.
     """
-    beta = np.zeros(alpha.size - 1)
-    gamma = np.zeros(alpha.size - 1)
+    buf = np.zeros((2, len(alpha) - 1))
+    beta, gamma = buf
 
     def t_of(n: int) -> float:
         beta[n] = (n + 1) * alpha[n + 1]
-        rev = beta[n::-1]
-        gamma[n] = np.cumsum(beta[:n + 1] * rev)[-1] + 0.0
-        return np.cumsum(gamma[:n + 1] * rev)[-1] + 0.0
+        sums = np.add.accumulate(buf[:, :n + 1] * beta[n::-1], axis=1)
+        g = gamma[n] = sums[0, n].item() + 0.0
+        head = sums[1, n - 1].item() if n else 0.0
+        return head + g * alpha[1] + 0.0
 
     return t_of
 
 
-def _triple_sum_terms(alpha: np.ndarray):
+def _triple_sum_terms(alpha):
     """T(n) = [z^n] (phi')^3 by the literal triple sum; the O(N^3) cross-check.
 
     Every triple (i, j, n - i - j) is enumerated with i outer and j inner and
@@ -123,8 +130,9 @@ def _solve_recurrence(coeffs: AffineCoeffs, alpha0: float, alpha1: float,
                       n_terms: int, terms) -> SeriesSolution:
     """Fill alpha_2 .. alpha_{n_terms} with T(n) from ``terms(alpha)``.
 
-    Step n needs T(n), which reads alpha only up to index n + 1, already
-    known when the step runs; T(n - 1) is carried over from step n - 1.
+    alpha is a list of Python floats, filled in place.  Step n needs T(n),
+    which reads alpha only up to index n + 1, already known when the step
+    runs; T(n - 1) is carried over from step n - 1.
     Raises BlowUp at the first alpha_n that leaves the float range.
     """
     if n_terms < 1:
@@ -133,8 +141,7 @@ def _solve_recurrence(coeffs: AffineCoeffs, alpha0: float, alpha1: float,
     a0, b0, c0 = coeffs.a_const, coeffs.b_const, coeffs.c_const
     if abs(a0) <= DEGENERACY_TOL:
         raise DegenerateA("the recurrence divides by the constant part of a")
-    alpha = np.zeros(n_terms + 1)
-    alpha[0], alpha[1] = float(alpha0), float(alpha1)
+    alpha = [float(alpha0), float(alpha1)] + [0.0] * (n_terms - 1)
     _require_finite(alpha0=alpha[0], alpha1=alpha[1])
     t_of = terms(alpha)
     t_nm1 = 0.0
@@ -150,7 +157,7 @@ def _solve_recurrence(coeffs: AffineCoeffs, alpha0: float, alpha1: float,
                 raise BlowUp(f"the series recurrence to N = {n_terms} overflows: "
                              f"alpha_{n + 2} is not finite")
             t_nm1 = t_n
-    return SeriesSolution(coeffs, alpha)
+    return SeriesSolution(coeffs, np.array(alpha))
 
 
 def series_coefficients(coeffs: AffineCoeffs, alpha0: float, alpha1: float,

@@ -738,7 +738,11 @@ def test_an_underflowing_vdp_explicit_rate_exits_2():
             (("arcsinh", "--a", "1e300", "--b", "1", "--c", "1e-300", "--K", "2", *csv),
              "the amplitude (a/c) sqrt(g c/b) overflows"),
             (("vdp-explicit", "--a", "1", "--c", "1e-300", "--d", "1e300", "--K", "1", *csv),
-             "the offset d/(3c) overflows")):
+             "the offset d/(3c) overflows"),
+            # 3c overflows, where d/(3c) would read 0 and phi' -inf
+            (("vdp-explicit", "--a", "1", "--c", "7e307", "--d", "1e308", "--K", "1",
+              "--zmin=-1e-306", "--zmax=-5e-307", "--n", "3", "--format", "csv"),
+             "the offset d/(3c) cannot be formed: 3c overflows")):
         r = run_cli("profile", "--family", *args)
         assert r.returncode == 2, args
         assert named in r.stderr and r.stdout == ""

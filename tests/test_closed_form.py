@@ -443,6 +443,13 @@ def test_vdp_explicit_over_extreme_parameters_builds_or_raises_a_package_error()
                     ("BadParameters", "the ratio -d/(3cK) over"): 142}
 
 
+def test_vdp_explicit_names_the_offset_where_3c_overflows():
+    # the rate 2c/a is 2 here, and 2c overflows; d/(3c) would read 0, as 3c
+    # is infinite, so the offset is named, not the rate
+    with pytest.raises(BadParameters, match=r"^the offset d/\(3c\) cannot be formed: 3c overflows$"):
+        vdp_explicit(1e308, 1e308, 1e308, 1.0)
+
+
 def test_quadrature_rejects_a_non_finite_integrand():
     # with a = e^z the G integrand (b/a) exp(-2F) overflows near z = -10
     co = general_coeffs(math.exp, lambda z: 1.0, b=lambda z: 1.0)

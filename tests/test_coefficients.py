@@ -139,13 +139,15 @@ def test_second_at_one_phase_keeps_the_accessor_bits_and_type(name):
 
 
 def test_second_at_a_degenerate_phase_raises_the_array_message():
-    co = AffineCoeffs(1.0, 0.0, 0.0, 0.0, 1.0, 1.0).to_reduced()    # a(z) = z
-    for z in (0.0, -0.0, 5e-11, np.float64(0.0), np.array(0.0), 0):
-        with pytest.raises(DegenerateA) as scalar:
-            co.second(z, 0.5, 0.5)
-        with pytest.raises(DegenerateA) as array:
-            co.second(np.array([z], dtype=float), 0.5, 0.5)
-        assert str(scalar.value) == str(array.value)
+    # a(z) = z, for both variants
+    for co in (AffineCoeffs(1.0, 0.0, 0.0, 0.0, 1.0, 1.0).to_reduced(),
+               general_coeffs(lambda z: z, math.cos, d=lambda z: 3.0)):
+        for z in (0.0, -0.0, 5e-11, np.float64(0.0), np.array(0.0), 0):
+            with pytest.raises(DegenerateA) as scalar:
+                co.second(z, 0.5, 0.5)
+            with pytest.raises(DegenerateA) as array:
+                co.second(np.array([z], dtype=float), 0.5, 0.5)
+            assert str(scalar.value) == str(array.value)
 
 
 def test_affine_argument_order_is_slopes_then_constants():

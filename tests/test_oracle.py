@@ -48,6 +48,8 @@ from mrayleigh.geometry import (
 )
 from mrayleigh.oracle import (
     DECAY_SAMPLES,
+    _dp45,
+    _rhs_for,
     bernoulli_chain_check,
     decay_check,
     integrate_reduction,
@@ -211,6 +213,37 @@ def test_integration_takes_scipy_rk45_steps(family):
         # on the other three
         assert np.max(np.abs(ivp.phi_values - phi)) <= 1e-12
         assert np.max(np.abs(ivp.phi_prime_values - psi)) <= 1e-12
+
+
+def _leg_sampled_per_call(rhs, z0, z1, y0):
+    # the reference bookkeeping: each step's theta powers formed anew and its
+    # phases by numpy, three interior samples per accepted step
+    quarters = np.array([0.25, 0.5, 0.75])
+    zs, ys = [np.array([z0])], [y0[None, :]]
+    for z, y, dense in _dp45(rhs, z0, z1, y0, 1e-10):
+        za = zs[-1][-1]
+        zs.extend((za + (z - za) * quarters, np.array([z])))
+        ys.extend((dense(quarters[None].repeat(4, axis=0).cumprod(axis=0)), y[None, :]))
+    return np.concatenate(zs), np.concatenate(ys)
+
+
+@pytest.mark.parametrize("family", ["arcsinh", "quadrature", "vdp_explicit",
+                                    "vdp_implicit", "affine_series"])
+def test_integration_keeps_the_stepper_nodes_and_states(family):
+    # posed mid-span, so that both legs run: integrate_reduction's nodes and
+    # states are the stepper's, bit for bit, as the reference samples them
+    for p, (lo, hi) in _draws(family, 3):
+        z0 = 0.5 * (lo + hi)
+        y0 = np.array([p.phi(z0), p.phi_prime(z0)])
+        ivp = integrate_reduction(p.coeffs, *y0, span=(lo, hi), z0=z0, tol=1e-10)
+        (zb, yb), (zf, yf) = (_leg_sampled_per_call(_rhs_for(p.coeffs), z0, end, y0)
+                              for end in (lo, hi))
+        z, y = np.concatenate([zb[::-1], zf[1:]]), np.concatenate([yb[::-1], yf[1:]])
+        keep = np.concatenate([[True], np.diff(z) > 0])
+        assert zb.size > 1 and zf.size > 1
+        assert np.array_equal(ivp.nodes, z[keep])
+        assert np.array_equal(ivp.phi_values, y[keep, 0])
+        assert np.array_equal(ivp.phi_prime_values, y[keep, 1])
 
 
 def test_blow_up_is_reported_with_location():
@@ -456,6 +489,19 @@ def test_single_time_state_matches_a_tight_dop853_solve(n_x):
     # and u 1.6e-10, u_t 5.4e-10 (n_x = 256)
     assert np.max(np.abs(u - ref.y[:n_x, -1])) <= 1e-8
     assert np.max(np.abs(u_t - ref.y[n_x:, -1])) <= 1e-8
+
+
+@pytest.mark.parametrize("n_x", [64, 512])
+def test_residual_estimate_reads_the_jet_on_its_probe_lattice(n_x):
+    eps = 0.3
+    sol = integrate_single_time_rayleigh(eps, lambda x: 0.5 * math.sin(x),
+                                         lambda x: 0.0, 1.0, n_x=n_x, n_t=51)
+    _, u_t, u_tt, u_xx = sol.jet(np.linspace(0.1, 2.0 * math.pi - 0.1, 48),
+                                 np.linspace(0.0, 1.0, 33)[:, None])
+    assert u_t.shape == (33, 48)
+    want = float(np.max(np.abs(u_tt - u_xx - eps * (u_t - u_t * u_t * u_t))))
+    assert want > 0.0
+    assert sol.residual_estimate(48, 33).hex() == want.hex()
 
 
 def test_single_time_overflow_is_a_cfl_violation_without_warnings():
