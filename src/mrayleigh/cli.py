@@ -36,6 +36,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -74,8 +75,29 @@ def fmt17(v) -> str:
     return format(float(v), ".17g")
 
 
+# what %.17g writes for a non-finite float; finite ones hold no letter but e
+_NON_FINITE = re.compile(r"-?(?:inf|nan)")
+
+
+def _float_run(seq):
+    """JSON text of a run of floats, formatted by one % pass as ``csv_text``
+    does: a list or tuple of floats, or a list of equal-length lists of
+    floats.  None where ``seq`` is no such run."""
+    if {*map(type, seq)} == {list} and len(widths := {*map(len, seq)}) == 1:
+        item = "[" + ",".join(["%.17g"] * widths.pop()) + "]"
+        flat = tuple(itertools.chain.from_iterable(seq))
+    else:
+        item, flat = "%.17g", tuple(seq)
+    if {*map(type, flat)} != {float}:
+        return None
+    text = "[" + ",".join([item] * len(seq)) % flat + "]"
+    return _NON_FINITE.sub("null", text) if "n" in text else text
+
+
 def dumps(obj) -> str:
-    """JSON with sorted keys and .17g floats; non-finite floats become null."""
+    """JSON with sorted keys and .17g floats; non-finite floats become null.
+    Runs of floats (``_float_run``) take one % pass, other values one call
+    each."""
     if obj is None:
         return "null"
     if obj is True:
@@ -93,6 +115,8 @@ def dumps(obj) -> str:
         inner = ",".join(json.dumps(str(k)) + ":" + dumps(obj[k])
                          for k in sorted(obj, key=str))
         return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)) and (run := _float_run(obj)) is not None:
+        return run
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ",".join(dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -203,18 +227,13 @@ def _add_profile_params(p, families):
     p.add_argument("--n", type=_count, default=201, help="number of samples / check points")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="mrayleigh", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.set_defaults(cmd=None)
-    sub = ap.add_subparsers(dest="cmd")
-
-    p = sub.add_parser("profile", help="construct and sample a profile")
+def _profile_parser(p):
     p.set_defaults(run=_cmd_profile)
     _add_common(p)
     _add_profile_params(p, _PROFILE_FAMILIES)
 
-    p = sub.add_parser("verify", help="check a profile several independent ways")
+
+def _verify_parser(p):
     p.set_defaults(run=_cmd_verify)
     _add_common(p)
     _add_profile_params(p, _PROFILE_FAMILIES + ["stationary"])
@@ -225,12 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-tol", dest="oracle_tol", type=float, default=1e-10,
                    help="tolerance handed to the fresh integration")
 
-    p = sub.add_parser("series", help="affine-coefficient recurrence")
+
+def _series_parser(p):
     p.set_defaults(run=_cmd_series)
     _add_common(p)
     _add_series_params(p)
 
-    p = sub.add_parser("prolong", help="single-time solve plus multitime check")
+
+def _prolong_parser(p):
     p.set_defaults(run=_cmd_prolong)
     _add_common(p)
     p.add_argument("--tol", type=float,
@@ -246,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-t", dest="grid_t", type=_count, default=17,
                    help="check grid, t1 count")
 
-    p = sub.add_parser("decay", help="threshold crossing along a multitime ray")
+
+def _decay_parser(p):
     p.set_defaults(run=_cmd_decay)
     _add_common(p)
     _add_profile_params(p, _PROFILE_FAMILIES)
@@ -255,6 +277,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=1e3)
     p.add_argument("--x", type=float, default=0.0, help="spatial point")
 
+
+# each subcommand's help line and the function that adds its arguments
+_SUBCOMMANDS = {
+    "profile": ("construct and sample a profile", _profile_parser),
+    "verify": ("check a profile several independent ways", _verify_parser),
+    "series": ("affine-coefficient recurrence", _series_parser),
+    "prolong": ("single-time solve plus multitime check", _prolong_parser),
+    "decay": ("threshold crossing along a multitime ray", _decay_parser),
+}
+
+
+def build_parser(cmd=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``cmd`` alone, which gives
+    ``cmd``'s arguments the same namespace, messages and exit codes."""
+    ap = argparse.ArgumentParser(prog="mrayleigh", description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.set_defaults(cmd=None)
+    sub = ap.add_subparsers(dest="cmd")
+    if cmd is not None:
+        # the usage line that a bad flag prints names all five
+        sub.metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
+    for name in _SUBCOMMANDS if cmd is None else [cmd]:
+        help_line, add_arguments = _SUBCOMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_line))
     return ap
 
 
@@ -556,7 +602,9 @@ def _cmd_decay(ns) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    ap = build_parser()
+    # a run builds the parser of its own subcommand only; --help, no
+    # subcommand and an unknown name need all five
+    ap = build_parser(argv[0] if argv[:1] and argv[0] in _SUBCOMMANDS else None)
     ns = ap.parse_args(argv)
     if ns.cmd is None:
         ap.print_usage(sys.stderr)

@@ -100,19 +100,23 @@ class Family(str, enum.Enum):
     SERIES = "series"
 
 
-@dataclass(frozen=True)
 class Interval:
-    """Closed interval, possibly half-infinite."""
+    """Closed interval, possibly half-infinite; equal to another of the same ends."""
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi", "outer")
 
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
-            raise BadParameters(f"bad interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: float, hi: float):
+        if math.isnan(lo) or math.isnan(hi) or lo > hi:
+            raise BadParameters(f"bad interval [{lo}, {hi}]")
+        self.lo, self.hi = lo, hi
         # the bounds that ``contains`` accepts: 1e-12 relative slack at finite ends
-        slack = [0.0 if math.isinf(v) else 1e-12 * max(1.0, abs(v)) for v in (self.lo, self.hi)]
-        object.__setattr__(self, "outer", (self.lo - slack[0], self.hi + slack[1]))
+        slack = [0.0 if math.isinf(v) else 1e-12 * max(1.0, abs(v)) for v in (lo, hi)]
+        self.outer = (lo - slack[0], hi + slack[1])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
 
     def contains(self, z):
         """Membership within ``outer``; a bool, or a bool array for arrays."""
@@ -485,7 +489,14 @@ def _arc_family(family, a, b, c, K, r, sigma, lam) -> SolitonProfile:
         return -sigma * sq * ww / np.sqrt(rad)
 
     def second_of(ww, rad):
-        return s * sigma * sq * rate * ww * np.power(rad, -1.5)
+        val = s * sigma * sq * rate * ww * np.power(rad, -1.5)
+        if np.isfinite(val).all():
+            return val
+        # sqrt(g c/b) (c/a) can overflow where w is small enough to bring
+        # phi'' back into range: there w scales c/a first
+        with np.errstate(over="ignore", invalid="ignore"):
+            again = s * sigma * sq * (rate * ww) * np.power(rad, -1.5)
+        return np.where(np.isfinite(val), val, again)
 
     def phi(z):
         ww, rad, at_edge = w(z)

@@ -111,14 +111,13 @@ class CoeffKind(enum.Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True)
 class SpeedVector:
     """Covector of wave speeds; induces the phase z = x - lambda . t."""
 
-    values: np.ndarray
+    __slots__ = ("values", "floats")
 
-    def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.values, dtype=float))
+    def __init__(self, values):
+        arr = np.atleast_1d(np.asarray(values, dtype=float))
         if arr.ndim != 1 or arr.size == 0:
             raise DimensionMismatch("lambda must be a nonempty 1-d array")
         if not np.all(np.isfinite(arr)):
@@ -126,9 +125,9 @@ class SpeedVector:
         if not np.any(arr != 0.0):
             raise BadParameters("lambda must not be identically zero")
         arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        self.values = arr
         # the components as Python floats, the weights of every contraction
-        object.__setattr__(self, "floats", tuple(arr.tolist()))
+        self.floats = tuple(arr.tolist())
 
     @property
     def m(self) -> int:
@@ -391,7 +390,6 @@ def constant_coeffs(a, c, b=None, d=None) -> ReducedCoeffs:
     return _coeffs_from_params({"a": a, "c": c, slot: b if d is None else d})
 
 
-@dataclass(frozen=True)
 class AffineCoeffs:
     """Affine Rayleigh coefficient data; sextuple order is (slopes, then constants).
 
@@ -400,17 +398,14 @@ class AffineCoeffs:
     directly; ``to_reduced`` gives the coefficient functions.
     """
 
-    a_slope: float
-    b_slope: float
-    c_slope: float
-    a_const: float
-    b_const: float
-    c_const: float
+    __slots__ = ("a_slope", "b_slope", "c_slope", "a_const", "b_const", "c_const")
 
-    def __post_init__(self):
-        for name, v in vars(self).items():
-            object.__setattr__(self, name, float(v))
-        _require_finite(**vars(self))
+    def __init__(self, a_slope: float, b_slope: float, c_slope: float,
+                 a_const: float, b_const: float, c_const: float):
+        self.a_slope, self.b_slope, self.c_slope = float(a_slope), float(b_slope), float(c_slope)
+        self.a_const, self.b_const, self.c_const = float(a_const), float(b_const), float(c_const)
+        _require_finite(a_slope=self.a_slope, b_slope=self.b_slope, c_slope=self.c_slope,
+                        a_const=self.a_const, b_const=self.b_const, c_const=self.c_const)
 
     @classmethod
     def from_sextuple(cls, seq) -> "AffineCoeffs":

@@ -20,7 +20,6 @@ differentiates numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,7 +42,6 @@ def _points(x, t):
     return (float(x) if x.ndim == 0 else x), np.asarray(t, dtype=float)
 
 
-@dataclass(frozen=True)
 class FieldFunction:
     """Scalar field u(x, t), given by its 2-jet.
 
@@ -57,8 +55,10 @@ class FieldFunction:
     times, or None for a field that takes any.
     """
 
-    jet: Callable
-    m: int | None = None
+    __slots__ = ("jet", "m")
+
+    def __init__(self, jet: Callable, m: int | None = None):
+        self.jet, self.m = jet, m
 
     def at(self, x, t):
         """The jet at (x, t); at one point u and d2u/dx2 are Python floats."""
@@ -116,7 +116,6 @@ def prolong_field(u1: FieldFunction, m: int) -> FieldFunction:
     return FieldFunction(jet, m=m)
 
 
-@dataclass(frozen=True)
 class GridSpec:
     """Rectangular lattice over (x, t^1, ..., t^m).
 
@@ -124,14 +123,12 @@ class GridSpec:
     order with x varying slowest.
     """
 
-    x_axis: tuple[float, float, int]
-    t_axes: tuple[tuple[float, float, int], ...]
+    __slots__ = ("x_axis", "t_axes")
 
-    def __post_init__(self):
-        axes = tuple((float(lo), float(hi), int(n)) for lo, hi, n in [self.x_axis])
-        object.__setattr__(self, "x_axis", axes[0])
-        t_axes = tuple((float(lo), float(hi), int(n)) for lo, hi, n in self.t_axes)
-        object.__setattr__(self, "t_axes", t_axes)
+    def __init__(self, x_axis: tuple[float, float, int],
+                 t_axes: tuple[tuple[float, float, int], ...]):
+        axes = [(float(lo), float(hi), int(n)) for lo, hi, n in [x_axis, *t_axes]]
+        self.x_axis, self.t_axes = axes[0], tuple(axes[1:])
         for lo, hi, n in (self.x_axis, *self.t_axes):
             if not np.all(np.isfinite([lo, hi])):
                 raise ValueError(f"grid axis ends must be finite, got [{lo}, {hi}]")
@@ -171,15 +168,17 @@ class GridSpec:
             yield float(x[i]), t[i]
 
 
-@dataclass(frozen=True)
 class ResidualReport:
     """Residual samples over labelled coordinates, with summary statistics."""
 
-    points: np.ndarray          # (n, k)
-    residuals: np.ndarray       # (n,)
-    labels: tuple[str, ...]     # k coordinate names
-    max_abs: float
-    rms: float
+    __slots__ = ("points", "residuals", "labels", "max_abs", "rms")
+
+    def __init__(self, points: np.ndarray, residuals: np.ndarray, labels: tuple[str, ...],
+                 max_abs: float, rms: float):
+        self.points = points            # (n, k)
+        self.residuals = residuals      # (n,)
+        self.labels = labels            # k coordinate names
+        self.max_abs, self.rms = max_abs, rms
 
     @classmethod
     def from_samples(cls, points, residuals, labels) -> "ResidualReport":

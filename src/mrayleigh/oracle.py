@@ -23,7 +23,6 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -221,7 +220,6 @@ def _hermite(z: np.ndarray, y: np.ndarray, dy: np.ndarray, derivative: bool = Fa
     return fn, one
 
 
-@dataclass
 class IvpSolution:
     """Dense numerical solution of the reduced ODE on one z-interval.
 
@@ -232,13 +230,15 @@ class IvpSolution:
     and one phase runs in float arithmetic with the array call's bits.
     """
 
-    coeffs: ReducedCoeffs
-    nodes: np.ndarray
-    phi_values: np.ndarray
-    phi_prime_values: np.ndarray
-    phi: Callable = field(repr=False)
-    phi_prime: Callable = field(repr=False)
-    phi_second: Callable = field(repr=False)
+    __slots__ = ("coeffs", "nodes", "phi_values", "phi_prime_values",
+                 "phi", "phi_prime", "phi_second")
+
+    def __init__(self, coeffs: ReducedCoeffs, nodes: np.ndarray, phi_values: np.ndarray,
+                 phi_prime_values: np.ndarray, phi: Callable, phi_prime: Callable,
+                 phi_second: Callable):
+        self.coeffs, self.nodes = coeffs, nodes
+        self.phi_values, self.phi_prime_values = phi_values, phi_prime_values
+        self.phi, self.phi_prime, self.phi_second = phi, phi_prime, phi_second
 
     @property
     def span(self) -> tuple[float, float]:
@@ -391,7 +391,6 @@ def residual_sweep(u, structure, grid: GridSpec,
                                        np.broadcast_to(residuals, x.shape), grid.labels())
 
 
-@dataclass(frozen=True)
 class DecayResult:
     """Outcome of following a profile along a ray in multitime.
 
@@ -399,19 +398,24 @@ class DecayResult:
     crossing radius exists.
     """
 
-    direction: tuple[float, ...]
-    threshold: float
-    horizon: float
-    crossing_radius: float | None
-    final_value: float
-    limit_metadata: dict
+    __slots__ = ("direction", "threshold", "horizon", "crossing_radius", "final_value",
+                 "limit_metadata")
+
+    def __init__(self, direction: tuple[float, ...], threshold: float, horizon: float,
+                 crossing_radius: float | None, final_value: float, limit_metadata: dict):
+        self.direction, self.threshold, self.horizon = direction, threshold, horizon
+        self.crossing_radius, self.final_value = crossing_radius, final_value
+        self.limit_metadata = limit_metadata
 
     @property
     def ok(self) -> bool:
         return self.crossing_radius is not None
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        return {"direction": self.direction, "threshold": self.threshold,
+                "horizon": self.horizon, "crossing_radius": self.crossing_radius,
+                "final_value": self.final_value,
+                "limit_metadata": dict(self.limit_metadata), "ok": self.ok}
 
 
 def decay_check(profile: SolitonProfile, direction, threshold: float = 1e-3,
@@ -476,7 +480,6 @@ def _lobatto(n: int, t_final: float):
     return t, w
 
 
-@dataclass
 class SingleTimeSolution:
     """Spectral method-of-lines solution of u_tt - u_xx = eps (u_t - u_t^3).
 
@@ -491,13 +494,14 @@ class SingleTimeSolution:
     interpolation and basis rows.
     """
 
-    epsilon: float
-    t_final: float
-    n_x: int
-    _k: np.ndarray = field(repr=False)
-    _cu: np.ndarray = field(repr=False)     # coefficients of u, one row per time
-    _cv: np.ndarray = field(repr=False)     # of u_t
-    _ca: np.ndarray = field(repr=False)     # of u_tt, differentiated from _cv
+    __slots__ = ("epsilon", "t_final", "n_x", "_k", "_cu", "_cv", "_ca")
+
+    def __init__(self, epsilon: float, t_final: float, n_x: int, _k: np.ndarray,
+                 _cu: np.ndarray, _cv: np.ndarray, _ca: np.ndarray):
+        self.epsilon, self.t_final, self.n_x, self._k = epsilon, t_final, n_x, _k
+        self._cu = _cu      # coefficients of u, one row per time
+        self._cv = _cv      # of u_t
+        self._ca = _ca      # of u_tt, differentiated from _cv
 
     def _check_t(self, t):
         t = np.asarray(t, dtype=float)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,27 +48,22 @@ LARGE_RADIUS = 1e300
 SAFETY_FRACTION = 0.5
 
 
-@dataclass(frozen=True)
 class SeriesSolution:
     """Truncated series phi = sum alpha_n z^n with its radius estimate, set
     once from ``estimate_radius`` (None when inconclusive), as are alpha and
     its derivative's coefficients from the top down, which Horner reads."""
 
-    coeffs: AffineCoeffs
-    alpha: np.ndarray
-    radius_estimate: float | None = field(init=False)
-    _top_down: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("coeffs", "alpha", "radius_estimate", "_top_down")
 
-    def __post_init__(self):
-        arr = np.asarray(self.alpha, dtype=float)
+    def __init__(self, coeffs: AffineCoeffs, alpha: np.ndarray):
+        arr = np.asarray(alpha, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             # alpha0 and alpha1 are the initial data the series extends
             raise BadParameters(f"a series needs alpha0 and alpha1, got alpha of shape {arr.shape}")
         arr.flags.writeable = False
-        object.__setattr__(self, "alpha", arr)
-        object.__setattr__(self, "radius_estimate", estimate_radius(self))
-        object.__setattr__(self, "_top_down",
-                           (arr.tolist()[::-1], _derivative(arr).tolist()[::-1]))
+        self.coeffs, self.alpha = coeffs, arr
+        self.radius_estimate = estimate_radius(self)
+        self._top_down = (arr.tolist()[::-1], _derivative(arr).tolist()[::-1])
 
     @property
     def n_terms(self) -> int:

@@ -429,6 +429,11 @@ def test_central_difference_calls_fn_once():
                 assert _bits(got) == _bits(two_calls(fn, z, 1e-6)), (name, n)
 
 
+# phases of soliton_arcsinh(-3, -3, -1e300, 1e-300) at which w = 1e-300 e^{-(c/a) z}
+# stays finite and phi'' = sqrt(c/b) (c/a) w rad^-1.5 lies in range
+TINY_W_PHASES = [0.0, 1e-300, -1e-300, 1e-299, -1e-298, 1e-298]
+
+
 def _rare_branches():
     """(name, profile, phases): builds whose phases reach each branch that a
     one-phase call hands to the array expression, next to regular phases."""
@@ -444,6 +449,8 @@ def _rare_branches():
         ("arcsinh-band", soliton_arcsinh(1.0, 0.25, 1.0, 1.0), band),
         ("arccosh-band", soliton_arccosh(1.0, 0.25, 1.0, 1.0, sigma=-1.0), band),
         ("arcsinh-band-2", soliton_arcsinh(1.0, 2.0, 2.0, 1.0), [-354.85, -354.6, -400.0, 0.0]),
+        # sqrt(c/b) (c/a) overflows while w ~ 1e-300 brings phi'' back into range
+        ("arcsinh-tiny-w", soliton_arcsinh(-3.0, -3.0, -1e300, 1e-300), TINY_W_PHASES),
         # vdp_explicit's tail (t = 2z > 690), e = inf off the tail (t > 709
         # below a tail floor of 731), K < 0 up to its edge, and K = 0
         ("vdp-explicit-tail", vdp_explicit(1.0, 1.0, 3.0, 1.0),
@@ -482,6 +489,21 @@ def test_scalar_calls_give_the_bits_of_the_array_call():
                 one = ev(sol, arg)
                 assert type(one) is float
                 assert _bits(one) == stacked[i].tobytes(), z
+
+
+def test_arc_second_derivative_where_its_constant_factor_overflows():
+    # sqrt(c/b) (c/a) = 1.9e449 overflows before w = 1e-300 scales it, which
+    # gave phi'' = inf; the solved reduced ODE reads 1.9245e149 at z = 0
+    p = soliton_arcsinh(-3.0, -3.0, -1e300, 1e-300)
+    zs = np.array(TINY_W_PHASES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = p.phi_second(zs)
+        for z, row in zip(zs, stacked):
+            want = p.coeffs.second(float(z), p.phi(z), p.phi_prime(z))
+            assert math.isfinite(want) and abs(row - want) <= 1e-13 * abs(want), z
+            assert p.phi_second(float(z)) == row, z
+    assert abs(p.phi_second(0.0) - 1.9245008972987526e149) <= 1e-13 * 1.9245008972987526e149
 
 
 def test_one_phase_takes_the_float_path_and_never_the_array_callable():

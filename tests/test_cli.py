@@ -109,6 +109,74 @@ def test_csv_text_has_the_bytes_of_one_format_per_value():
         assert cli.csv_text(header, rows) == _per_row_csv(header, rows)
 
 
+def _recursive_dumps(obj):
+    """JSON as written one value at a time, fmt17 on each finite float."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        return format(v, ".17g") if math.isfinite(v) else "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        inner = ",".join(json.dumps(str(k)) + ":" + _recursive_dumps(obj[k])
+                         for k in sorted(obj, key=str))
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ",".join(_recursive_dumps(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def test_dumps_has_the_bytes_of_the_recursive_writer(tmp_path):
+    floats = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, 1e308,
+              -1e308, 0.1, 1.0 / 3.0, 1e-5, 1e16, 2.0**53 + 2]
+    mixed = [np.float64(-0.0), np.float32(0.1), np.int64(-7), True, False,
+             None, 3, 2**60 + 1, 'quote " slash \\ tab \t newline \n', "\u00e9\u2028\x00",
+             np.float64(math.nan)]
+    payloads = [
+        floats, tuple(floats), [floats[i:i + 3] for i in range(len(floats) - 2)],
+        [floats[i:i + 4] for i in range(0, 12, 4)], [[v] for v in floats],
+        [[1.0, 2.0], [3.0]], [[1.0, 2.0], (3.0, 4.0)], [[], []], [], [[]], (),
+        [1.0, 2], [1.0, np.float64(2.0)], [1.0, True], [1.0, None], [[1.0], [2]],
+        {"z": {"b": [1.0, math.inf], "a": {"nested": [[0.5, -0.0], [math.nan, 2.0]]}},
+         "labels": ["x", "t1"], 3: "int key", "flag": True, "none": None},
+        {"mixed": mixed, "floats": floats, "alpha": np.arange(5.0), "grid": np.eye(2)},
+    ]
+    payloads += [[v] for v in mixed]
+    for obj in payloads:
+        assert cli.dumps(obj) == _recursive_dumps(obj), obj
+    for bad in ([1.0, object()], [np.bool_(True)]):
+        for writer in (cli.dumps, _recursive_dumps):
+            with pytest.raises(TypeError, match="cannot serialize"):
+                writer(bad)
+
+    # the payloads of a sweep report, a series and a decay, read from --out
+    captured = []
+
+    def spy(obj):
+        captured.append(obj)
+        return _recursive_dumps(obj)
+
+    orig = cli.dumps
+    try:
+        cli.dumps = spy
+        for i, args in enumerate([("verify", "--m", "3"), ("series", "--coeffs", "0,0,0,1,0,1"),
+                                  ("decay", "--family", "vdp-explicit", "--direction", "1,1"),
+                                  ("prolong", "--n-x", "16", "--n-t", "9")]):
+            assert run_cli(*args, "--quiet", "--out", str(tmp_path / str(i))).returncode in (0, 1)
+    finally:
+        cli.dumps = orig
+    assert len(captured) == 4
+    for obj in captured:
+        assert orig(obj) == _recursive_dumps(obj)
+
+
 def test_format_both_requires_out():
     r = run_cli("profile", "--family", "arcsinh", "--a", "1", "--b", "1",
                 "--c", "1", "--K", "1", "--format", "both")
@@ -714,6 +782,94 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     r = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_SCRIPT, str(tmp_path)],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+_DATACLASS_SCRIPT = _IMPORT_PATH_SCRIPT + """
+import dataclasses
+import numpy as np
+from mrayleigh.closed_form import soliton_arcsinh
+from mrayleigh.coefficients import prolongation_structure
+
+# every module of the package that the commands loaded, the series' included
+assert {"mrayleigh.oracle", "mrayleigh.series"} <= set(sys.modules)
+found = sorted(name for mod in list(sys.modules) if mod.startswith("mrayleigh.")
+               for name, v in vars(sys.modules[mod]).items()
+               if isinstance(v, type) and v.__module__ == mod and dataclasses.is_dataclass(v))
+assert found == ["GeometricStructure", "ReducedCoeffs", "SolitonProfile"], found
+
+prof = soliton_arcsinh(1.0, 1.0, 1.0, 1.0)
+assert dataclasses.replace(prof, params={}).params == {}
+assert dataclasses.replace(prof.coeffs, params=None).params is None
+st = prolongation_structure(2, 0.5)
+assert dataclasses.replace(st, gamma=None).h is st.h
+"""
+
+
+def test_only_the_replaced_types_stay_dataclasses(tmp_path):
+    # one cold process that runs every command: the package defines three
+    # dataclasses, the types that callers copy with dataclasses.replace; the
+    # others are plain classes, which import without generated code
+    r = subprocess.run([sys.executable, "-c", _DATACLASS_SCRIPT, str(tmp_path)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+def _parse_by(argv, parser, monkeypatch):
+    """``run_cli(*argv)`` with every command replaced by one that returns 0,
+    and the namespace each call was given; ``parser`` is "full" for the
+    parser of all five subcommands, or "own" for the one that main builds."""
+    seen = []
+
+    def record(ns):
+        seen.append({k: v for k, v in vars(ns).items() if k != "run"})
+        return 0
+
+    build = cli.build_parser
+    with monkeypatch.context() as mp:
+        for name in cli._SUBCOMMANDS:
+            mp.setattr(cli, f"_cmd_{name}", record)
+        if parser == "full":
+            mp.setattr(cli, "build_parser", lambda cmd=None: build())
+        r = run_cli(*argv)
+    return r.returncode, r.stdout, r.stderr, seen
+
+
+_ARGVS = {
+    "profile": [[], ["--family", "quadrature", "--a", "exp", "--K", "4", "--zmin=-2", "--n", "5"],
+                ["--lam", "1,2", "--square-relation", "direct", "--format", "csv", "--quiet"]],
+    "verify": [[], ["--m", "2", "--grid", "0:1:3", "--grid", "0:1:2", "--grid", "0:1:2"],
+               ["--family", "stationary", "--tol", "1e-3", "--oracle-tol", "1e-8", "--sigma=-1"]],
+    "series": [[], ["--coeffs", "0,0,0,1,0,1", "--N", "5", "--alpha0", "0.5"]],
+    "prolong": [[], ["--m", "3", "--n-x", "32", "--t-final", "0.5", "--tol", "1", "--grid-t", "3"]],
+    "decay": [[], ["--direction", "1,1", "--x", "0.5", "--horizon", "10", "--out", "somewhere"]],
+}
+_CONFIGS = {"profile": {"family": "vdp-explicit", "n": 7, "quiet": True, "lam": [1, 2]},
+            "verify": {"grid": [[-1, 1, 3], [0, 1, 2]], "square_relation": "direct", "tol": 1e-3},
+            "series": {"coeffs": [0, 0, 0, 1, 0, 1], "N": 9},
+            "prolong": {"n_x": 32, "n_t": 11, "t_final": 0.5},
+            "decay": {"direction": [1.0, 1.0], "format": "json", "quiet": False}}
+
+
+@pytest.mark.parametrize("cmd", list(_ARGVS))
+def test_the_subcommand_parser_agrees_with_the_full_parser(cmd, tmp_path, monkeypatch):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_CONFIGS[cmd]))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"nope": 1}))
+    argvs = [[cmd, *args] for args in _ARGVS[cmd]]
+    argvs += [[cmd, "--config", str(cfg), *args] for args in _ARGVS[cmd]]
+    # bad flags and values, which exit 2 with the usage of one parser or the other
+    argvs += [[cmd, *args] for args in (["--bogus"], ["--n", "x"], ["--format", "xml"],
+                                        ["stray"], ["--config"], ["--config", str(bad)],
+                                        ["--help"])]
+    # no subcommand, unknown ones, and flags before the subcommand
+    argvs += [[], ["nope"], [cmd[:4]], ["--quiet", cmd], ["--", cmd], ["-h"]]
+    for argv in argvs:
+        full = _parse_by(argv, "full", monkeypatch)
+        assert _parse_by(argv, "own", monkeypatch) == full, argv
+        assert full[0] in (0, 2), argv
+    # the valid lines reached the command, each with the namespace it names
+    assert all(_parse_by(a, "own", monkeypatch)[3] for a in argvs[:2 * len(_ARGVS[cmd])])
 
 
 def test_an_underflowing_vdp_explicit_rate_exits_2():
