@@ -133,7 +133,7 @@ def _recursive_dumps(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def test_dumps_has_the_bytes_of_the_recursive_writer(tmp_path):
+def test_dumps_has_the_bytes_of_the_recursive_writer(tmp_path, monkeypatch):
     floats = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, 1e308,
               -1e308, 0.1, 1.0 / 3.0, 1e-5, 1e16, 2.0**53 + 2]
     mixed = [np.float64(-0.0), np.float32(0.1), np.int64(-7), True, False,
@@ -156,7 +156,7 @@ def test_dumps_has_the_bytes_of_the_recursive_writer(tmp_path):
             with pytest.raises(TypeError, match="cannot serialize"):
                 writer(bad)
 
-    # the payloads of a sweep report, a series and a decay, read from --out
+    # the payloads that verify, series, decay and prolong hand to dumps
     captured = []
 
     def spy(obj):
@@ -164,14 +164,11 @@ def test_dumps_has_the_bytes_of_the_recursive_writer(tmp_path):
         return _recursive_dumps(obj)
 
     orig = cli.dumps
-    try:
-        cli.dumps = spy
-        for i, args in enumerate([("verify", "--m", "3"), ("series", "--coeffs", "0,0,0,1,0,1"),
-                                  ("decay", "--family", "vdp-explicit", "--direction", "1,1"),
-                                  ("prolong", "--n-x", "16", "--n-t", "9")]):
-            assert run_cli(*args, "--quiet", "--out", str(tmp_path / str(i))).returncode in (0, 1)
-    finally:
-        cli.dumps = orig
+    monkeypatch.setattr(cli, "dumps", spy)
+    for i, args in enumerate([("verify", "--m", "3"), ("series", "--coeffs", "0,0,0,1,0,1"),
+                              ("decay", "--family", "vdp-explicit", "--direction", "1,1"),
+                              ("prolong", "--n-x", "16", "--n-t", "9")]):
+        assert run_cli(*args, "--quiet", "--out", str(tmp_path / str(i))).returncode in (0, 1)
     assert len(captured) == 4
     for obj in captured:
         assert orig(obj) == _recursive_dumps(obj)
@@ -786,7 +783,6 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
 
 _DATACLASS_SCRIPT = _IMPORT_PATH_SCRIPT + """
 import dataclasses
-import numpy as np
 from mrayleigh.closed_form import soliton_arcsinh
 from mrayleigh.coefficients import prolongation_structure
 
@@ -858,7 +854,7 @@ def test_the_subcommand_parser_agrees_with_the_full_parser(cmd, tmp_path, monkey
     bad.write_text(json.dumps({"nope": 1}))
     argvs = [[cmd, *args] for args in _ARGVS[cmd]]
     argvs += [[cmd, "--config", str(cfg), *args] for args in _ARGVS[cmd]]
-    # bad flags and values, which exit 2 with the usage of one parser or the other
+    # bad flags and values, which exit 2, and --help, which exits 0
     argvs += [[cmd, *args] for args in (["--bogus"], ["--n", "x"], ["--format", "xml"],
                                         ["stray"], ["--config"], ["--config", str(bad)],
                                         ["--help"])]
@@ -868,7 +864,7 @@ def test_the_subcommand_parser_agrees_with_the_full_parser(cmd, tmp_path, monkey
         full = _parse_by(argv, "full", monkeypatch)
         assert _parse_by(argv, "own", monkeypatch) == full, argv
         assert full[0] in (0, 2), argv
-    # the valid lines reached the command, each with the namespace it names
+    # every valid line reached its command
     assert all(_parse_by(a, "own", monkeypatch)[3] for a in argvs[:2 * len(_ARGVS[cmd])])
 
 
